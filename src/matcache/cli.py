@@ -131,12 +131,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
+        parallel = int(args.parallel)
+    except ValueError:
+        parallel = 0
+    if parallel < 1:
+        print(
+            f"configuration error: --parallel must be a positive integer, got {args.parallel!r}",
+            file=sys.stderr,
+        )
+        return 2
+    try:
         mappings = [harness.parse_config_file(path) for path in args.configs]
         cells = harness.expand_sweep_cells(mappings)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    rows = harness.run_sweep(cells, parallel=int(args.parallel))
+    rows = harness.run_sweep(cells, parallel=parallel)
     text = harness.csv_text(harness.SWEEP_COLUMNS, rows)
     if args.out:
         harness.atomic_write_text(args.out, text)

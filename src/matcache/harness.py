@@ -37,10 +37,10 @@ from .model import (
     run_scheme,
     worst_case_demands,
 )
-from .schemes import CONFIG_TYPES
-from .schemes.col import ColParams, build_layout, _pairs_with_intersection
+from .schemes import SCHEMES
+from .schemes.col import ColParams, build_layout
 
-SCHEME_NAMES = ("agnostic", "uncoded", "multireq", "row", "col")
+SCHEME_NAMES = tuple(SCHEMES)
 
 
 class ConfigurationError(ValueError):
@@ -159,6 +159,7 @@ def build_scheme_config(spec: ExperimentSpec, instance: ProblemInstance):
     """Concrete scheme config from the spec; derives omitted parameters where
     a unique natural choice exists (multireq t from M, row ell by best load)."""
     name = spec.scheme
+    config_type = get_scheme(name).config_type
     if name == "agnostic":
         t = spec.t
         if t is None:
@@ -173,18 +174,18 @@ def build_scheme_config(spec: ExperimentSpec, instance: ProblemInstance):
                     ]
                 )
             t = matches[0]
-        return CONFIG_TYPES[name](t=t)
+        return config_type(t=t)
     if name == "multireq":
         t = spec.t
         if t is None:
             t = int(Fraction(instance.K) * instance.M / instance.N)
-        return CONFIG_TYPES[name](t=t)
+        return config_type(t=t)
     if name == "row":
         ell = spec.ell
         if ell is None:
             _, ell = bounds.load_Rrow(instance.K, instance.N, instance.a, instance.M)
-        return CONFIG_TYPES[name](ell=ell)
-    return CONFIG_TYPES[name]()
+        return config_type(ell=ell)
+    return config_type()
 
 
 def suggest_shape(spec: ExperimentSpec, max_scale: int = 4096) -> tuple[int, int] | None:
@@ -526,9 +527,9 @@ def sweep_row(spec: ExperimentSpec) -> dict[str, object]:
     }
     try:
         report = simulate_cell(spec)
-    except (SchemeParameterError, ConfigurationError, ValueError) as exc:
+    except Exception as exc:  # one failing cell must not lose the other rows
         row["verified"] = False
-        row["error"] = str(exc)
+        row["error"] = f"{type(exc).__name__}: {exc}"
         return row
     row.update(
         {
@@ -551,10 +552,12 @@ def sweep_row(spec: ExperimentSpec) -> dict[str, object]:
 
 def run_sweep(cells: Sequence[ExperimentSpec], parallel: int = 1) -> list[dict[str, object]]:
     """Run cells (already deduplicated/sorted) and return rows in cell order
-    regardless of completion order or worker count."""
-    if parallel <= 1:
+    regardless of completion order or worker count.  At most one worker per
+    CPU and per cell is started, whatever `parallel` asks for."""
+    workers = min(parallel, os.cpu_count() or 1, len(cells))
+    if workers <= 1:
         return [sweep_row(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=parallel) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(sweep_row, cells))
 
 
@@ -861,7 +864,7 @@ def check_group_length_oracle() -> CheckResult:
                         for v_set in itertools.combinations(range(1, K + 1), i):
                             got = sum(
                                 f_len(DimTriple(e1.width, s, e2.width))
-                                for e1, e2 in _pairs_with_intersection(layout, v_set)
+                                for e1, e2 in layout.groups.get(v_set, ())
                             )
                             checked += 1
                             if got != want:

@@ -171,10 +171,6 @@ class CacheContents:
         return [u.total_symbols() for u in self.users]
 
 
-def empty_caches(k_users: int) -> CacheContents:
-    return CacheContents(tuple(UserCache({}, {}) for _ in range(k_users)))
-
-
 @dataclass(frozen=True)
 class Message:
     """One broadcast message: structured tag, summed payload symbols, and the
@@ -217,25 +213,26 @@ def format_tag(tag: tuple) -> str:
 
 @dataclass(frozen=True)
 class DeliveryTranscript:
-    """Ordered broadcast messages; immutable after creation."""
+    """Ordered broadcast messages with unique tags; immutable after creation."""
 
     messages: tuple[Message, ...]
+    _index: dict[tuple, Message] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        index: dict[tuple, Message] = {}
+        for m in self.messages:
+            if m.tag in index:
+                raise ValueError(f"duplicate message tag {format_tag(m.tag)}")
+            index[m.tag] = m
+        object.__setattr__(self, "_index", index)
 
     def find(self, tag: tuple) -> Message:
-        index = object.__getattribute__(self, "__dict__").get("_index")
-        if index is None:
-            index = {m.tag: m for m in self.messages}
-            object.__setattr__(self, "_index", index)
-        if tag not in index:
+        if tag not in self._index:
             raise KeyError(f"missing message for tag {format_tag(tag)}")
-        return index[tag]
+        return self._index[tag]
 
     def has(self, tag: tuple) -> bool:
-        try:
-            self.find(tag)
-            return True
-        except KeyError:
-            return False
+        return tag in self._index
 
     @property
     def total_payload_symbols(self) -> int:
@@ -318,9 +315,11 @@ class Scheme:
     transcript, demands) — never the library — so end-to-end verification is
     meaningful.  constraints reports the quantities that must be integers for
     the configuration to be realizable (consumed by the parameter suggester).
+    config_type is the dataclass holding the scheme's free parameters.
     """
 
     name: str
+    config_type: type
     validate: Callable[[ProblemInstance, Any], list[str]]
     place: Callable[[ProblemInstance, Any, Sequence[FieldMatrix]], CacheContents]
     deliver: Callable[[ProblemInstance, Any, Sequence[FieldMatrix], DemandVector], DeliveryTranscript]

@@ -1,4 +1,6 @@
-"""Caching scheme registry: name -> Scheme contract plus its config type.
+"""Caching scheme registry: name -> Scheme contract (which names its config type).
+
+Adding a scheme takes one module exporting its Scheme plus one entry below.
 
 Schemes:
   agnostic  — cache coded product subfiles, oblivious to matrix structure
@@ -12,73 +14,8 @@ from __future__ import annotations
 
 from ..model import Scheme
 from . import agnostic, baselines, col, row
-from .agnostic import AgnosticConfig
-from .baselines import MultiRequestConfig, UncodedConfig
-from .col import ColConfig
-from .row import RowConfig
 
 SCHEMES: dict[str, Scheme] = {
-    "agnostic": Scheme(
-        "agnostic",
-        agnostic.validate,
-        agnostic.place,
-        agnostic.deliver,
-        agnostic.decode,
-        agnostic.formula_load,
-        agnostic.constraints,
-    ),
-    "uncoded": Scheme(
-        "uncoded",
-        baselines.uncoded_validate,
-        baselines.uncoded_place,
-        baselines.uncoded_deliver,
-        baselines.uncoded_decode,
-        baselines.uncoded_formula_load,
-        baselines.uncoded_constraints,
-    ),
-    "multireq": Scheme(
-        "multireq",
-        baselines.multireq_validate,
-        baselines.multireq_place,
-        baselines.multireq_deliver,
-        baselines.multireq_decode,
-        baselines.multireq_formula_load,
-        baselines.multireq_constraints,
-    ),
-    "row": Scheme(
-        "row",
-        row.validate,
-        row.place,
-        row.deliver,
-        row.decode,
-        row.formula_load,
-        row.constraints,
-    ),
-    "col": Scheme(
-        "col",
-        col.validate,
-        col.place,
-        col.deliver,
-        col.decode,
-        col.formula_load,
-        col.constraints,
-    ),
+    scheme.name: scheme
+    for scheme in (agnostic.SCHEME, baselines.UNCODED, baselines.MULTIREQ, row.SCHEME, col.SCHEME)
 }
-
-CONFIG_TYPES = {
-    "agnostic": AgnosticConfig,
-    "uncoded": UncodedConfig,
-    "multireq": MultiRequestConfig,
-    "row": RowConfig,
-    "col": ColConfig,
-}
-
-__all__ = [
-    "SCHEMES",
-    "CONFIG_TYPES",
-    "AgnosticConfig",
-    "UncodedConfig",
-    "MultiRequestConfig",
-    "RowConfig",
-    "ColConfig",
-]

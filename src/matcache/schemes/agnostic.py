@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Mapping, Sequence
 
@@ -30,9 +31,10 @@ from ..model import (
     DemandVector,
     Message,
     ProblemInstance,
+    Scheme,
     UserCache,
 )
-from .common import subsets_of
+from .common import cancel, subset_sum, subsets_of
 
 
 @dataclass(frozen=True)
@@ -108,30 +110,26 @@ def deliver(
     demands: DemandVector,
 ) -> DeliveryTranscript:
     t, K, q = config.t, instance.K, instance.field.q
-    packets: dict[tuple[int, int], tuple[CompressedProduct, np.ndarray]] = {}
 
+    @cache  # users demanding the same product share one compression
     def packet_for(pair: tuple[int, int]) -> tuple[CompressedProduct, np.ndarray]:
-        if pair not in packets:
-            packets[pair] = _product_packet(instance, library, pair)
-        return packets[pair]
+        return _product_packet(instance, library, pair)
 
-    messages: list[Message] = []
-    if t == 0:
-        for k in range(1, K + 1):
-            cp, packet = packet_for(demands.pair(k))
-            header = ((k, ((cp.rank, cp.basis_row_indices),)),)
-            messages.append(Message(("agnostic", (k,)), packet, header))
-        return DeliveryTranscript(tuple(messages))
     chunk = instance.B // comb(K, t)
     t_subsets = {subset: idx for idx, subset in enumerate(subsets_of(K, t))}
+
+    def segment(k: int, rest: tuple[int, ...]) -> np.ndarray:
+        idx = t_subsets[rest]
+        return packet_for(demands.pair(k))[1][idx * chunk : (idx + 1) * chunk]
+
+    messages = []
     for s_set in subsets_of(K, t + 1):
-        payload = np.zeros(chunk, dtype=np.int64)
-        for k in s_set:
-            rest = tuple(u for u in s_set if u != k)
-            idx = t_subsets[rest]
-            _, packet = packet_for(demands.pair(k))
-            payload = (payload + packet[idx * chunk : (idx + 1) * chunk]) % q
-        messages.append(Message(("agnostic", s_set), payload))
+        headers = ()
+        if t == 0:  # no cache holds the product headers, so they travel with the packet
+            cp, _ = packet_for(demands.pair(s_set[0]))
+            headers = ((s_set[0], ((cp.rank, cp.basis_row_indices),)),)
+        payload = subset_sum(q, chunk, s_set, segment)
+        messages.append(Message(("agnostic", s_set), payload, headers))
     return DeliveryTranscript(tuple(messages))
 
 
@@ -147,26 +145,21 @@ def decode(
     pair = demands.pair(k)
     dims = DimTriple(instance.r, instance.s, instance.r)
     if t == 0:
-        message = transcript.find(("agnostic", (k,)))
-        rank, basis = message.headers_for(k)[0]
-        cp = CompressedProduct.from_packet(instance.field, dims, rank, basis, message.payload)
-        return decompress_product(cp)
-    rank, basis = cache.metadata["product-headers"][pair]
+        rank, basis = transcript.find(("agnostic", (k,))).headers_for(k)[0]
+    else:
+        rank, basis = cache.metadata["product-headers"][pair]
     chunk = instance.B // comb(K, t)
+
+    def cached(user: int, subset: tuple[int, ...]) -> np.ndarray:
+        return cache.get(("product-subfile", demands.pair(user), subset))
+
     packet = np.zeros(instance.B, dtype=np.int64)
     for idx, subset in enumerate(subsets_of(K, t)):
         if k in subset:
-            segment = cache.get(("product-subfile", pair, subset))
+            segment = cached(k, subset)
         else:
             s_set = tuple(sorted(subset + (k,)))
-            message = transcript.find(("agnostic", s_set))
-            segment = message.payload
-            for peer in s_set:
-                if peer == k:
-                    continue
-                peer_rest = tuple(u for u in s_set if u != peer)
-                peer_chunk = cache.get(("product-subfile", demands.pair(peer), peer_rest))
-                segment = (segment - peer_chunk) % q
+            segment = cancel(q, transcript.find(("agnostic", s_set)).payload, k, s_set, cached)
         packet[idx * chunk : (idx + 1) * chunk] = segment
     cp = CompressedProduct.from_packet(instance.field, dims, rank, basis, packet)
     return decompress_product(cp)
@@ -178,3 +171,6 @@ def formula_load(instance: ProblemInstance, config: AgnosticConfig) -> Fraction:
 
 def constraints(instance: ProblemInstance, config: AgnosticConfig) -> Mapping[str, Fraction]:
     return {"B/C(K,t)": Fraction(instance.B, comb(instance.K, config.t))}
+
+
+SCHEME = Scheme("agnostic", AgnosticConfig, validate, place, deliver, decode, formula_load, constraints)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import Mapping, Sequence
 
@@ -27,9 +28,10 @@ from ..model import (
     DemandVector,
     Message,
     ProblemInstance,
+    Scheme,
     UserCache,
 )
-from .common import subsets_of
+from .common import cancel, subset_sum, subsets_of
 
 
 @dataclass(frozen=True)
@@ -158,8 +160,6 @@ def multireq_place(
 ) -> CacheContents:
     t, K = config.t, instance.K
     users = [UserCache({}, {}) for _ in range(K)]
-    if t == 0:
-        return CacheContents(tuple(users))
     chunk = int(_mr_chunk(instance, t))
     for i, w in enumerate(library, start=1):
         flat = w.data.reshape(-1)
@@ -177,58 +177,20 @@ def multireq_deliver(
     demands: DemandVector,
 ) -> DeliveryTranscript:
     t, K, q = config.t, instance.K, instance.field.q
-    messages = []
-    if t == 0:
-        for k in range(1, K + 1):
-            pair = demands.pair(k)
-            for slot in (1, 2):
-                flat = library[pair[slot - 1] - 1].data.reshape(-1)
-                messages.append(Message(("multireq", slot, (k,)), flat))
-        return DeliveryTranscript(tuple(messages))
     chunk = int(_mr_chunk(instance, t))
     t_subsets = {subset: idx for idx, subset in enumerate(subsets_of(K, t))}
+
+    def segment(slot: int, k: int, rest: tuple[int, ...]) -> np.ndarray:
+        idx = t_subsets[rest]
+        flat = library[demands.pair(k)[slot - 1] - 1].data.reshape(-1)
+        return flat[idx * chunk : (idx + 1) * chunk]
+
+    messages = []
     for s_set in subsets_of(K, t + 1):
         for slot in (1, 2):
-            payload = np.zeros(chunk, dtype=np.int64)
-            for k in s_set:
-                rest = tuple(u for u in s_set if u != k)
-                idx = t_subsets[rest]
-                flat = library[demands.pair(k)[slot - 1] - 1].data.reshape(-1)
-                payload = (payload + flat[idx * chunk : (idx + 1) * chunk]) % q
+            payload = subset_sum(q, chunk, s_set, partial(segment, slot))
             messages.append(Message(("multireq", slot, s_set), payload))
     return DeliveryTranscript(tuple(messages))
-
-
-def _mr_recover_matrix(
-    instance: ProblemInstance,
-    config: MultiRequestConfig,
-    k: int,
-    slot: int,
-    cache: UserCache,
-    transcript: DeliveryTranscript,
-    demands: DemandVector,
-) -> np.ndarray:
-    t, K, q = config.t, instance.K, instance.field.q
-    d = demands.pair(k)[slot - 1]
-    if t == 0:
-        flat = transcript.find(("multireq", slot, (k,))).payload.copy()
-        return flat.reshape(instance.s, instance.r)
-    chunk = int(_mr_chunk(instance, t))
-    flat = np.zeros(instance.s * instance.r, dtype=np.int64)
-    for idx, subset in enumerate(subsets_of(K, t)):
-        if k in subset:
-            segment = cache.get(("raw-rows", d, subset))
-        else:
-            s_set = tuple(sorted(subset + (k,)))
-            segment = transcript.find(("multireq", slot, s_set)).payload
-            for peer in s_set:
-                if peer == k:
-                    continue
-                peer_rest = tuple(u for u in s_set if u != peer)
-                peer_d = demands.pair(peer)[slot - 1]
-                segment = (segment - cache.get(("raw-rows", peer_d, peer_rest))) % q
-        flat[idx * chunk : (idx + 1) * chunk] = segment
-    return flat.reshape(instance.s, instance.r)
 
 
 def multireq_decode(
@@ -239,9 +201,24 @@ def multireq_decode(
     transcript: DeliveryTranscript,
     demands: DemandVector,
 ) -> FieldMatrix:
-    w1 = _mr_recover_matrix(instance, config, k, 1, cache, transcript, demands)
-    w2 = _mr_recover_matrix(instance, config, k, 2, cache, transcript, demands)
-    return FieldMatrix(instance.field, _matmul_mod(w1.T, w2, instance.field.q))
+    t, K, q = config.t, instance.K, instance.field.q
+    chunk = int(_mr_chunk(instance, t))
+
+    def cached(slot: int, user: int, subset: tuple[int, ...]) -> np.ndarray:
+        return cache.get(("raw-rows", demands.pair(user)[slot - 1], subset))
+
+    flats = np.zeros((2, instance.s * instance.r), dtype=np.int64)
+    for slot, flat in zip((1, 2), flats):
+        for idx, subset in enumerate(subsets_of(K, t)):
+            if k in subset:
+                segment = cached(slot, k, subset)
+            else:
+                s_set = tuple(sorted(subset + (k,)))
+                payload = transcript.find(("multireq", slot, s_set)).payload
+                segment = cancel(q, payload, k, s_set, partial(cached, slot))
+            flat[idx * chunk : (idx + 1) * chunk] = segment
+    w1, w2 = flats.reshape(2, instance.s, instance.r)
+    return FieldMatrix(instance.field, _matmul_mod(w1.T, w2, q))
 
 
 def multireq_formula_load(instance: ProblemInstance, config: MultiRequestConfig) -> Fraction:
@@ -258,3 +235,26 @@ def multireq_constraints(
         "K*M/N": Fraction(instance.K * instance.M, instance.N),
         "s*r/C(K,t)": _mr_chunk(instance, config.t),
     }
+
+
+UNCODED = Scheme(
+    "uncoded",
+    UncodedConfig,
+    uncoded_validate,
+    uncoded_place,
+    uncoded_deliver,
+    uncoded_decode,
+    uncoded_formula_load,
+    uncoded_constraints,
+)
+
+MULTIREQ = Scheme(
+    "multireq",
+    MultiRequestConfig,
+    multireq_validate,
+    multireq_place,
+    multireq_deliver,
+    multireq_decode,
+    multireq_formula_load,
+    multireq_constraints,
+)

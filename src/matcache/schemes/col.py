@@ -37,10 +37,12 @@ from ..model import (
     DeliveryTranscript,
     DemandVector,
     Message,
+    PacketHeader,
     ProblemInstance,
+    Scheme,
     UserCache,
 )
-from .common import subsets_of
+from .common import cancel, subset_sum, subsets_of, without
 
 BlockGetter = Callable[[int, tuple[int, ...]], np.ndarray]
 
@@ -72,20 +74,26 @@ class BlockEntry:
     offset: int
     width: int
 
+    @property
+    def cols(self) -> slice:
+        return slice(self.offset, self.offset + self.width)
+
 
 @dataclass(frozen=True)
 class ColLayout:
     """Ordered block list covering `total` columns: wide tier then narrow tier,
-    each in lexicographic subset order."""
+    each in lexicographic subset order.
+
+    `blocks` finds a block by its user subset.  `groups` maps each
+    intersection set V to the ordered block pairs whose subsets intersect
+    exactly in V, row-major in layout order (the canonical group ordering on
+    both ends of the link).
+    """
 
     entries: tuple[BlockEntry, ...]
     total: int
-
-    def entry(self, subset: tuple[int, ...]) -> BlockEntry:
-        for e in self.entries:
-            if e.subset == subset:
-                return e
-        raise KeyError(f"no block for subset {subset}")
+    blocks: dict[tuple[int, ...], BlockEntry]
+    groups: dict[tuple[int, ...], list[tuple[BlockEntry, BlockEntry]]]
 
 
 def tier_widths(params: ColParams, K: int, total: int) -> tuple[Fraction, Fraction]:
@@ -108,41 +116,39 @@ def build_layout(params: ColParams, K: int, total: int) -> ColLayout:
             offset += int(w2)
     if offset != total:
         raise AssertionError(f"layout covers {offset} of {total} columns")
-    return ColLayout(tuple(entries), total)
+    groups: dict[tuple[int, ...], list[tuple[BlockEntry, BlockEntry]]] = {}
+    for e1 in entries:
+        for e2 in entries:
+            v_set = tuple(u for u in e1.subset if u in e2.subset)
+            groups.setdefault(v_set, []).append((e1, e2))
+    return ColLayout(tuple(entries), total, {e.subset: e for e in entries}, groups)
 
 
-def _pairs_with_intersection(
-    layout: ColLayout, v_set: tuple[int, ...]
-) -> list[tuple[BlockEntry, BlockEntry]]:
-    """Ordered block pairs whose subsets intersect exactly in v_set, row-major
-    in layout order (the canonical group ordering on both ends of the link)."""
-    target = set(v_set)
-    return [
-        (e1, e2)
-        for e1 in layout.entries
-        for e2 in layout.entries
-        if set(e1.subset) & set(e2.subset) == target
-    ]
+def _block_getter(layout: ColLayout, matrices: Mapping[int, np.ndarray]) -> BlockGetter:
+    """Block (matrix index, user subset) -> columns of that matrix."""
+    return lambda i, subset: matrices[i][:, layout.blocks[subset].cols]
 
 
-def _group_packets(
+def _group_packet(
     instance: ProblemInstance,
     layout: ColLayout,
-    d1: int,
-    d2: int,
+    pair: tuple[int, int],
     v_set: tuple[int, ...],
     get_block: BlockGetter,
-) -> tuple[list[np.ndarray], list[tuple[int, tuple[int, ...]]]]:
-    """Compressed packets (and their rank/basis headers) of one user's group:
-    every cross product whose block subsets intersect exactly in v_set."""
+) -> tuple[np.ndarray, tuple[PacketHeader, ...]]:
+    """One user's group for the demanded pair: the compressed cross products
+    over every block pair intersecting exactly in v_set, concatenated, and
+    their rank/basis headers."""
     q = instance.field.q
+    d1, d2 = pair
     packets, headers = [], []
-    for e1, e2 in _pairs_with_intersection(layout, v_set):
+    for e1, e2 in layout.groups.get(v_set, ()):
         prod = _matmul_mod(get_block(d1, e1.subset).T, get_block(d2, e2.subset), q)
         cp = compress_product(FieldMatrix(instance.field, prod), instance.s)
         packets.append(packet_symbols(cp))
         headers.append((cp.rank, cp.basis_row_indices))
-    return packets, headers
+    packet = np.concatenate(packets) if packets else np.zeros(0, dtype=np.int64)
+    return packet, tuple(headers)
 
 
 def _round_messages(
@@ -150,31 +156,26 @@ def _round_messages(
     layout: ColLayout,
     demands: DemandVector,
     get_block: BlockGetter,
-    t: int,
 ) -> list[Message]:
+    """Round i sends, to every (i+1)-subset S, the subset sum of each member's
+    group for the intersection set S minus that member."""
     q, K = instance.field.q, instance.K
     messages = []
-    for i in range(t + 2):
+    for i in range(1 + max(len(v_set) for v_set in layout.groups)):
         for s_set in subsets_of(K, i + 1):
-            payloads, headers = [], []
-            for k in s_set:
-                d1, d2 = demands.pair(k)
-                packets, packet_headers = _group_packets(
-                    instance, layout, d1, d2, tuple(u for u in s_set if u != k), get_block
-                )
-                payloads.append(
-                    np.concatenate(packets) if packets else np.zeros(0, dtype=np.int64)
-                )
-                headers.append((k, tuple(packet_headers)))
-            lengths = {p.size for p in payloads}
+            groups = {
+                k: _group_packet(instance, layout, demands.pair(k), without(s_set, k), get_block)
+                for k in s_set
+            }
+            lengths = {packet.size for packet, _ in groups.values()}
             if len(lengths) != 1:
                 raise AssertionError(f"group lengths differ across users: {lengths}")
-            if lengths == {0}:
+            (length,) = lengths
+            if length == 0:
                 continue
-            payload = np.zeros(payloads[0].size, dtype=np.int64)
-            for part in payloads:
-                payload = (payload + part) % q
-            messages.append(Message(("col", i, s_set), payload, tuple(headers)))
+            payload = subset_sum(q, length, s_set, lambda k, _: groups[k][0])
+            headers = tuple((k, groups[k][1]) for k in s_set)
+            messages.append(Message(("col", i, s_set), payload, headers))
     return messages
 
 
@@ -182,121 +183,99 @@ def _decode_grid(
     instance: ProblemInstance,
     layout: ColLayout,
     k: int,
-    d1: int,
-    d2: int,
     cache_block: BlockGetter,
     transcript: DeliveryTranscript,
     demands: DemandVector,
-    cached_subsets: set[tuple[int, ...]],
 ) -> np.ndarray:
-    """Reassemble the full cross-product grid for user k: cached pairs are
-    computed locally, the rest are read out of the round messages."""
+    """Reassemble user k's full cross-product grid group by group.  User k
+    caches both blocks of a pair exactly when k is in their intersection V,
+    so those groups are computed locally; every other group is cancelled out
+    of the round message for V + {k}."""
     q = instance.field.q
-    recovered: dict[tuple[int, ...], list[np.ndarray]] = {}
+    d1, d2 = demands.pair(k)
 
-    def group_products(v_set: tuple[int, ...]) -> list[np.ndarray]:
-        if v_set in recovered:
-            return recovered[v_set]
-        pairs = _pairs_with_intersection(layout, v_set)
+    def peer_packet(p: int, rest: tuple[int, ...]) -> np.ndarray:
+        return _group_packet(instance, layout, demands.pair(p), rest, cache_block)[0]
+
+    grid = np.zeros((layout.total, layout.total), dtype=np.int64)
+    for v_set, pairs in layout.groups.items():
+        if k in v_set:
+            for e1, e2 in pairs:
+                block = _matmul_mod(cache_block(d1, e1.subset).T, cache_block(d2, e2.subset), q)
+                grid[e1.cols, e2.cols] = block
+            continue
         s_set = tuple(sorted(v_set + (k,)))
         msg = transcript.find(("col", len(v_set), s_set))
-        packet = msg.payload.copy()
-        for peer in v_set:
-            e1, e2 = demands.pair(peer)
-            peer_packets, _ = _group_packets(
-                instance, layout, e1, e2, tuple(u for u in s_set if u != peer), cache_block
-            )
-            packet = (packet - np.concatenate(peer_packets)) % q
-        headers = msg.headers_for(k)
-        products, pos = [], 0
-        for (e1, e2), (rank, basis) in zip(pairs, headers, strict=True):
+        packet = cancel(q, msg.payload, k, s_set, peer_packet)
+        pos = 0
+        for (e1, e2), (rank, basis) in zip(pairs, msg.headers_for(k), strict=True):
             dims = DimTriple(e1.width, instance.s, e2.width)
             step = f_len(dims)
             cp = CompressedProduct.from_packet(
                 instance.field, dims, rank, tuple(basis), packet[pos : pos + step]
             )
-            products.append(decompress_product(cp).data)
+            grid[e1.cols, e2.cols] = decompress_product(cp).data
             pos += step
         if pos != packet.size:
             raise AssertionError("group payload length mismatch")
-        recovered[v_set] = products
-        return products
-
-    grid = np.zeros((layout.total, layout.total), dtype=np.int64)
-    for e1 in layout.entries:
-        for e2 in layout.entries:
-            v_set = tuple(sorted(set(e1.subset) & set(e2.subset)))
-            if e1.subset in cached_subsets and e2.subset in cached_subsets:
-                block = _matmul_mod(cache_block(d1, e1.subset).T, cache_block(d2, e2.subset), q)
-            else:
-                pairs = _pairs_with_intersection(layout, v_set)
-                block = group_products(v_set)[pairs.index((e1, e2))]
-            grid[e1.offset : e1.offset + e1.width, e2.offset : e2.offset + e2.width] = block
     return grid
 
 
-def validate(instance: ProblemInstance, config: ColConfig) -> list[str]:
-    p = col_params(instance)
-    K = instance.K
-    problems = []
+def _column_ranges(instance: ProblemInstance) -> list[tuple[str, int]]:
+    """(name, column count) of each range split into blocks on its own: all r
+    columns when a <= 1, else the leading s columns and the remaining r - s."""
     if instance.a <= 1:
-        widths = [("alpha*r/C(K,t)", "(1-alpha)*r/C(K,t+1)", instance.r)]
-    else:
-        widths = [
-            ("alpha*s/C(K,t)", "(1-alpha)*s/C(K,t+1)", instance.s),
-            ("alpha*(r-s)/C(K,t)", "(1-alpha)*(r-s)/C(K,t+1)", instance.r - instance.s),
-        ]
-    for name1, name2, total in widths:
-        w1, w2 = tier_widths(p, K, total)
-        if w1.denominator != 1 or w1 <= 0:
-            problems.append(f"wide block width {name1} = {w1} is not a positive integer")
-        if p.alpha < 1 and (w2.denominator != 1 or w2 <= 0):
-            problems.append(f"narrow block width {name2} = {w2} is not a positive integer")
+        return [("r", instance.r)]
+    return [("s", instance.s), ("(r-s)", instance.r - instance.s)]
+
+
+def _layouts(instance: ProblemInstance) -> list[ColLayout]:
+    p = col_params(instance)
+    return [build_layout(p, instance.K, total) for _, total in _column_ranges(instance)]
+
+
+def validate(instance: ProblemInstance, config: ColConfig) -> list[str]:
+    problems = []
+    for name, width in constraints(instance, config).items():
+        tier = "wide" if name.startswith("alpha") else "narrow"
+        if width.denominator != 1 or width <= 0:
+            problems.append(f"{tier} block width {name} = {width} is not a positive integer")
     return problems
 
 
-def _narrow_matrix_layout(instance: ProblemInstance) -> ColLayout:
-    return build_layout(col_params(instance), instance.K, instance.r)
-
-
-def _wide_layouts(instance: ProblemInstance) -> tuple[ColLayout, ColLayout]:
-    p = col_params(instance)
-    return (
-        build_layout(p, instance.K, instance.s),
-        build_layout(p, instance.K, instance.r - instance.s),
-    )
+def _wide_split(w: FieldMatrix, s: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Column permutation putting s spanning columns first, the permuted
+    matrix's leading s columns W1, and the coefficients Q with W1 @ Q equal
+    to its remaining columns."""
+    perm = leading_block_column_permutation(w, s)
+    shuffled = apply_column_permutation(w, perm)
+    w1 = shuffled.submatrix(slice(None), slice(0, s))
+    w2 = shuffled.submatrix(slice(None), slice(s, w.cols))
+    return tuple(perm), w1.data, solve_columns(w1, w2).data
 
 
 def place(
     instance: ProblemInstance, config: ColConfig, library: Sequence[FieldMatrix]
 ) -> CacheContents:
-    K = instance.K
-    users = [UserCache({}, {}) for _ in range(K)]
+    users = [UserCache({}, {}) for _ in range(instance.K)]
+
+    def store(kind: str, i: int, matrix: np.ndarray, layout: ColLayout) -> None:
+        for e in layout.entries:
+            block = matrix[:, e.cols]
+            for k in e.subset:
+                users[k - 1].segments[(kind, i, e.subset)] = block
+
     if instance.a <= 1:
-        layout = _narrow_matrix_layout(instance)
+        (layout,) = _layouts(instance)
         for i, w in enumerate(library, start=1):
-            for e in layout.entries:
-                block = w.data[:, e.offset : e.offset + e.width]
-                for k in e.subset:
-                    users[k - 1].segments[("raw-cols", i, e.subset)] = block
+            store("raw-cols", i, w.data, layout)
         return CacheContents(tuple(users))
-    lead_layout, coeff_layout = _wide_layouts(instance)
+    lead_layout, coeff_layout = _layouts(instance)
     perms = {}
     for i, w in enumerate(library, start=1):
-        perm = leading_block_column_permutation(w, instance.s)
-        perms[i] = tuple(perm)
-        shuffled = apply_column_permutation(w, perm)
-        w1 = shuffled.submatrix(slice(None), slice(0, instance.s))
-        w2 = shuffled.submatrix(slice(None), slice(instance.s, instance.r))
-        coeff = solve_columns(w1, w2)
-        for e in lead_layout.entries:
-            block = w1.data[:, e.offset : e.offset + e.width]
-            for k in e.subset:
-                users[k - 1].segments[("raw-cols", i, e.subset)] = block
-        for e in coeff_layout.entries:
-            block = coeff.data[:, e.offset : e.offset + e.width]
-            for k in e.subset:
-                users[k - 1].segments[("coded-Q", i, e.subset)] = block
+        perms[i], lead, coeff = _wide_split(w, instance.s)
+        store("raw-cols", i, lead, lead_layout)
+        store("coded-Q", i, coeff, coeff_layout)
     for user in users:
         user.metadata["column-permutations"] = perms
     return CacheContents(tuple(users))
@@ -306,28 +285,24 @@ def _coeff_multicasts(
     instance: ProblemInstance,
     coeff_layout: ColLayout,
     demands: DemandVector,
-    coeff_of: Callable[[int], np.ndarray],
+    coeffs: Mapping[int, np.ndarray],
     step: str,
     slot: int,
 ) -> list[Message]:
     """Plain coded multicasts of the cached coefficient blocks each user in the
-    subset is missing (slot picks which demanded matrix's coefficients)."""
-    p = col_params(instance)
-    q, K, s = instance.field.q, instance.K, instance.s
-    w1, w2 = tier_widths(p, K, coeff_layout.total)
+    subset is missing (slot picks which demanded matrix's coefficients): one
+    per (|block subset| + 1)-subset, wide tier first."""
+    q, s = instance.field.q, instance.s
+    get_block = _block_getter(coeff_layout, coeffs)
+
+    def segment(k: int, rest: tuple[int, ...]) -> np.ndarray:
+        return get_block(demands.pair(k)[slot - 1], rest).ravel()
+
+    widths = {len(e.subset): e.width for e in coeff_layout.entries}
     messages = []
-    tiers = [(int(w1), p.t + 1)]
-    if p.alpha < 1:
-        tiers.append((int(w2), p.t + 2))
-    for width, size in tiers:
-        for s_set in subsets_of(K, size):
-            payload = np.zeros(s * width, dtype=np.int64)
-            for k in s_set:
-                d = demands.pair(k)[slot - 1]
-                e = coeff_layout.entry(tuple(u for u in s_set if u != k))
-                block = coeff_of(d)[:, e.offset : e.offset + e.width]
-                payload = (payload + block.ravel()) % q
-            messages.append(Message(("col", step, s_set), payload))
+    for size, width in widths.items():
+        for s_set in subsets_of(instance.K, size + 1):
+            messages.append(Message(("col", step, s_set), subset_sum(q, s * width, s_set, segment)))
     return messages
 
 
@@ -337,38 +312,18 @@ def deliver(
     library: Sequence[FieldMatrix],
     demands: DemandVector,
 ) -> DeliveryTranscript:
-    p = col_params(instance)
     if instance.a <= 1:
-        layout = _narrow_matrix_layout(instance)
-
-        def get_block(i: int, subset: tuple[int, ...]) -> np.ndarray:
-            e = layout.entry(subset)
-            return library[i - 1].data[:, e.offset : e.offset + e.width]
-
-        return DeliveryTranscript(tuple(_round_messages(instance, layout, demands, get_block, p.t)))
-    lead_layout, coeff_layout = _wide_layouts(instance)
+        (layout,) = _layouts(instance)
+        get_block = _block_getter(layout, {i: w.data for i, w in enumerate(library, start=1)})
+        return DeliveryTranscript(tuple(_round_messages(instance, layout, demands, get_block)))
+    lead_layout, coeff_layout = _layouts(instance)
     leads: dict[int, np.ndarray] = {}
     coeffs: dict[int, np.ndarray] = {}
     for i in sorted({d for pair in demands.normalized for d in pair}):
-        w = library[i - 1]
-        perm = leading_block_column_permutation(w, instance.s)
-        shuffled = apply_column_permutation(w, perm)
-        w1 = shuffled.submatrix(slice(None), slice(0, instance.s))
-        w2 = shuffled.submatrix(slice(None), slice(instance.s, instance.r))
-        leads[i] = w1.data
-        coeffs[i] = solve_columns(w1, w2).data
-
-    def get_lead_block(i: int, subset: tuple[int, ...]) -> np.ndarray:
-        e = lead_layout.entry(subset)
-        return leads[i][:, e.offset : e.offset + e.width]
-
-    messages = _round_messages(instance, lead_layout, demands, get_lead_block, p.t)
-    messages.extend(
-        _coeff_multicasts(instance, coeff_layout, demands, coeffs.__getitem__, "step2", 2)
-    )
-    messages.extend(
-        _coeff_multicasts(instance, coeff_layout, demands, coeffs.__getitem__, "step3", 1)
-    )
+        _, leads[i], coeffs[i] = _wide_split(library[i - 1], instance.s)
+    messages = _round_messages(instance, lead_layout, demands, _block_getter(lead_layout, leads))
+    messages.extend(_coeff_multicasts(instance, coeff_layout, demands, coeffs, "step2", 2))
+    messages.extend(_coeff_multicasts(instance, coeff_layout, demands, coeffs, "step3", 1))
     return DeliveryTranscript(tuple(messages))
 
 
@@ -385,20 +340,18 @@ def _assemble_coeff(
     """Rebuild the full coefficient matrix of user k's demanded matrix for the
     given slot from cached blocks plus the step's multicasts."""
     q, s = instance.field.q, instance.s
-    d = demands.pair(k)[slot - 1]
+
+    def cached(user: int, subset: tuple[int, ...]) -> np.ndarray:
+        return cache.get(("coded-Q", demands.pair(user)[slot - 1], subset)).ravel()
+
     out = np.zeros((s, coeff_layout.total), dtype=np.int64)
     for e in coeff_layout.entries:
         if k in e.subset:
-            block = cache.get(("coded-Q", d, e.subset))
+            flat = cached(k, e.subset)
         else:
             s_set = tuple(sorted(e.subset + (k,)))
-            flat = transcript.find(("col", step, s_set)).payload.copy()
-            for peer in e.subset:
-                peer_d = demands.pair(peer)[slot - 1]
-                peer_subset = tuple(u for u in s_set if u != peer)
-                flat = (flat - cache.get(("coded-Q", peer_d, peer_subset)).ravel()) % q
-            block = flat.reshape(s, e.width)
-        out[:, e.offset : e.offset + e.width] = block
+            flat = cancel(q, transcript.find(("col", step, s_set)).payload, k, s_set, cached)
+        out[:, e.cols] = flat.reshape(s, e.width)
     return out
 
 
@@ -417,17 +370,11 @@ def decode(
         return cache.get(("raw-cols", i, subset))
 
     if instance.a <= 1:
-        layout = _narrow_matrix_layout(instance)
-        cached_subsets = {e.subset for e in layout.entries if k in e.subset}
-        grid = _decode_grid(
-            instance, layout, k, d1, d2, cache_block, transcript, demands, cached_subsets
-        )
+        (layout,) = _layouts(instance)
+        grid = _decode_grid(instance, layout, k, cache_block, transcript, demands)
         return FieldMatrix(instance.field, grid)
-    lead_layout, coeff_layout = _wide_layouts(instance)
-    cached_subsets = {e.subset for e in lead_layout.entries if k in e.subset}
-    t11 = _decode_grid(
-        instance, lead_layout, k, d1, d2, cache_block, transcript, demands, cached_subsets
-    )
+    lead_layout, coeff_layout = _layouts(instance)
+    t11 = _decode_grid(instance, lead_layout, k, cache_block, transcript, demands)
     q2 = _assemble_coeff(instance, coeff_layout, k, cache, transcript, demands, "step2", 2)
     t12 = _matmul_mod(t11, q2, q)
     q1 = _assemble_coeff(instance, coeff_layout, k, cache, transcript, demands, "step3", 1)
@@ -450,13 +397,12 @@ def formula_load(instance: ProblemInstance, config: ColConfig) -> Fraction:
 def constraints(instance: ProblemInstance, config: ColConfig) -> Mapping[str, Fraction]:
     p = col_params(instance)
     out: dict[str, Fraction] = {}
-    if instance.a <= 1:
-        totals = [("r", instance.r)]
-    else:
-        totals = [("s", instance.s), ("(r-s)", instance.r - instance.s)]
-    for name, total in totals:
+    for name, total in _column_ranges(instance):
         w1, w2 = tier_widths(p, instance.K, total)
         out[f"alpha*{name}/C(K,t)"] = w1
         if p.alpha < 1:
             out[f"(1-alpha)*{name}/C(K,t+1)"] = w2
     return out
+
+
+SCHEME = Scheme("col", ColConfig, validate, place, deliver, decode, formula_load, constraints)

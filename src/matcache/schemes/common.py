@@ -1,11 +1,21 @@
-"""Small helpers shared by the caching schemes."""
+"""Helpers shared by the caching schemes, chief among them the coded
+multicast every scheme delivers through.
+
+The subset-sum multicast of Maddah-Ali and Niesen sends, to each user subset
+S, the sum over k in S of the segment user k wants that every other member of
+S already caches: segment(k, S \\ {k}).  User k decodes by cancelling its
+peers' segments, which it regenerates from its own cache.  `segment(k, rest)`
+names a segment by the user wanting it and the subset caching it.
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
+
+Segment = Callable[[int, tuple[int, ...]], np.ndarray | None]
 
 
 def subsets_of(n: int, size: int) -> list[tuple[int, ...]]:
@@ -23,14 +33,33 @@ def mod_index(k: int, ell: int) -> int:
     return ell if m == 0 else m
 
 
-def exact_int(value: Fraction | int, what: str) -> int:
-    """Integer value of an exact quantity, or ValueError naming the culprit."""
-    frac = Fraction(value)
-    if frac.denominator != 1:
-        raise ValueError(f"{what} = {frac} is not an integer")
-    return int(frac)
+def without(s_set: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """s_set with k removed, order kept."""
+    return tuple(u for u in s_set if u != k)
 
 
-def subtract_mod(acc: np.ndarray, other: np.ndarray, q: int) -> np.ndarray:
-    """(acc - other) mod q for int64 vectors of equal length."""
-    return (acc - other) % q
+def subset_sum(q: int, length: int, s_set: tuple[int, ...], segment: Segment) -> np.ndarray:
+    """Multicast payload for s_set: the sum over k in s_set of
+    segment(k, s_set \\ {k}) mod q.  A segment of None (an absent user)
+    contributes zeros.  Reducing after every addition keeps the sum of two
+    residues below 2^63 for every q up to 2^62."""
+    payload = np.zeros(length, dtype=np.int64)
+    for k in s_set:
+        part = segment(k, without(s_set, k))
+        if part is not None:
+            payload = (payload + part) % q
+    return payload
+
+
+def cancel(
+    q: int, payload: np.ndarray, k: int, s_set: tuple[int, ...], segment: Segment
+) -> np.ndarray:
+    """User k's own segment out of the multicast for s_set: the payload minus
+    segment(p, s_set \\ {p}) for every peer p, mod q.  Here `segment` reads
+    user k's cache."""
+    for p in s_set:
+        if p != k:
+            part = segment(p, without(s_set, p))
+            if part is not None:
+                payload = (payload - part) % q
+    return payload

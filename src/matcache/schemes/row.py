@@ -28,9 +28,10 @@ from ..model import (
     DemandVector,
     Message,
     ProblemInstance,
+    Scheme,
     UserCache,
 )
-from .common import mod_index, subsets_of
+from .common import cancel, mod_index, subset_sum, subsets_of
 
 
 @dataclass(frozen=True)
@@ -69,28 +70,22 @@ def validate(instance: ProblemInstance, config: RowConfig) -> list[str]:
     ell = config.ell
     if not isinstance(ell, int) or not 1 <= ell <= instance.K:
         return [f"ell={ell} outside [1, K={instance.K}]"]
-    p = row_params(instance, ell)
     problems = []
-    if p.h1.denominator != 1 or p.h1 <= 0:
-        problems.append(f"tall-tier block height alpha*s/C(ell,t) = {p.h1} is not a positive integer")
-    if p.alpha < 1 and (p.h2.denominator != 1 or p.h2 <= 0):
-        problems.append(
-            f"short-tier block height (1-alpha)*s/C(ell,t+1) = {p.h2} is not a positive integer"
-        )
+    for name, height in constraints(instance, config).items():
+        tier = "tall" if name.startswith("alpha") else "short"
+        if height.denominator != 1 or height <= 0:
+            problems.append(f"{tier}-tier block height {name} = {height} is not a positive integer")
     return problems
 
 
 def _block_rows(p: RowParams) -> dict[tuple[int, tuple[int, ...]], slice]:
     """Row slice of every (tier, class-subset) block; tall tier first."""
-    h1 = int(p.h1)
     rows: dict[tuple[int, tuple[int, ...]], slice] = {}
-    for idx, subset in enumerate(subsets_of(p.ell, p.t)):
-        rows[(1, subset)] = slice(idx * h1, (idx + 1) * h1)
-    if p.alpha < 1:
-        h2 = int(p.h2)
-        offset = comb(p.ell, p.t) * h1
-        for idx, subset in enumerate(subsets_of(p.ell, p.t + 1)):
-            rows[(2, subset)] = slice(offset + idx * h2, offset + (idx + 1) * h2)
+    offset = 0
+    for tier, h, size in _tiers(p):
+        for subset in subsets_of(p.ell, size - 1):
+            rows[(tier, subset)] = slice(offset, offset + h)
+            offset += h
     return rows
 
 
@@ -119,8 +114,12 @@ def _tiers(p: RowParams) -> list[tuple[int, int, int]]:
     return tiers
 
 
-def _group_of(k: int, ell: int) -> int:
-    return (k - 1) // ell + 1
+def _block_product(
+    instance: ProblemInstance, h: int, rows1: np.ndarray, rows2: np.ndarray
+) -> CompressedProduct:
+    """Compressed rows1^T rows2 for two row blocks of height h."""
+    prod = _matmul_mod(rows1.T, rows2, instance.field.q)
+    return compress_product(FieldMatrix(instance.field, prod), h)
 
 
 def deliver(
@@ -138,23 +137,20 @@ def deliver(
         for tier, h, size in _tiers(p):
             plen = f_len(DimTriple(r, h, r))
             for s_set in subsets_of(p.ell, size):
-                payload = np.zeros(plen, dtype=np.int64)
                 headers = []
-                for u in s_set:
+
+                def segment(u: int, block: tuple[int, ...]) -> np.ndarray | None:
                     k = (j - 1) * p.ell + u
-                    if k > instance.K:
-                        continue
+                    if k > instance.K:  # absent users of the last group send zeros
+                        return None
                     d1, d2 = demands.pair(k)
-                    block = tuple(v for v in s_set if v != u)
                     row_slice = rows[(tier, block)]
-                    prod = _matmul_mod(
-                        library[d1 - 1].data[row_slice, :].T,
-                        library[d2 - 1].data[row_slice, :],
-                        q,
-                    )
-                    cp = compress_product(FieldMatrix(instance.field, prod), h)
-                    payload = (payload + packet_symbols(cp)) % q
+                    w1, w2 = library[d1 - 1].data[row_slice, :], library[d2 - 1].data[row_slice, :]
+                    cp = _block_product(instance, h, w1, w2)
                     headers.append((k, ((cp.rank, cp.basis_row_indices),)))
+                    return packet_symbols(cp)
+
+                payload = subset_sum(q, plen, s_set, segment)
                 messages.append(Message(("row", j, s_set, tier), payload, tuple(headers)))
     return DeliveryTranscript(tuple(messages))
 
@@ -170,11 +166,21 @@ def decode(
     p = row_params(instance, config.ell)
     q, r = instance.field.q, instance.r
     u = mod_index(k, p.ell)
-    j = _group_of(k, p.ell)
+    j = (k - 1) // p.ell + 1
     d1, d2 = demands.pair(k)
     out = np.zeros((r, r), dtype=np.int64)
     for tier, h, size in _tiers(p):
         dims = DimTriple(r, h, r)
+
+        def peer_segment(peer_u: int, peer_block: tuple[int, ...]) -> np.ndarray | None:
+            peer_k = (j - 1) * p.ell + peer_u
+            if peer_k > instance.K:
+                return None
+            e1, e2 = demands.pair(peer_k)
+            c1 = cache.get(("raw-rows", e1, (tier, peer_block)))
+            c2 = cache.get(("raw-rows", e2, (tier, peer_block)))
+            return packet_symbols(_block_product(instance, h, c1, c2))
+
         for block in subsets_of(p.ell, size - 1):
             if u in block:
                 b1 = cache.get(("raw-rows", d1, (tier, block)))
@@ -183,18 +189,7 @@ def decode(
             else:
                 s_set = tuple(sorted(block + (u,)))
                 msg = transcript.find(("row", j, s_set, tier))
-                packet = msg.payload.copy()
-                for peer_u in block:
-                    peer_k = (j - 1) * p.ell + peer_u
-                    if peer_k > instance.K:
-                        continue
-                    e1, e2 = demands.pair(peer_k)
-                    peer_block = tuple(v for v in s_set if v != peer_u)
-                    c1 = cache.get(("raw-rows", e1, (tier, peer_block)))
-                    c2 = cache.get(("raw-rows", e2, (tier, peer_block)))
-                    peer_prod = _matmul_mod(c1.T, c2, q)
-                    peer_cp = compress_product(FieldMatrix(instance.field, peer_prod), h)
-                    packet = (packet - packet_symbols(peer_cp)) % q
+                packet = cancel(q, msg.payload, u, s_set, peer_segment)
                 rank, basis = msg.headers_for(k)[0]
                 cp = CompressedProduct.from_packet(instance.field, dims, rank, tuple(basis), packet)
                 contrib = decompress_product(cp).data
@@ -214,3 +209,6 @@ def constraints(instance: ProblemInstance, config: RowConfig) -> Mapping[str, Fr
     if p.alpha < 1:
         out["(1-alpha)*s/C(ell,t+1)"] = p.h2
     return out
+
+
+SCHEME = Scheme("row", RowConfig, validate, place, deliver, decode, formula_load, constraints)

@@ -152,6 +152,16 @@ def test_sweep_deterministic_and_deduplicated(tmp_path, capsys):
     assert len(lines) == 1 + 4 * 2  # header + ell x {0,1} seeds
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
+def test_sweep_rejects_bad_parallel(tmp_path, capsys, value):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("scheme = row\nK = 4\nN = 20\ns = 12\nr = 6\nM = 10\n")
+    assert main(["sweep", str(cfg), "--parallel", value]) == 2
+    captured = capsys.readouterr()
+    assert "--parallel must be a positive integer" in captured.err
+    assert captured.out == ""
+
+
 def test_sweep_reports_invalid_cells(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("scheme = multireq\nK = 4\nN = 20\ns = 12\nr = 6\nM = 7\nt = 1\n")

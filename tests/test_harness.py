@@ -208,6 +208,55 @@ def test_sweep_rows_record_validation_errors():
     assert "M" in row["error"]
 
 
+def test_sweep_keeps_other_rows_when_a_cell_raises(monkeypatch):
+    cells = harness.expand_sweep_cells(
+        [{"scheme": "col", "K": "2", "N": "4", "s": "2", "r": "2", "M": "2", "seed": "0..2"}]
+    )
+    real = harness.simulate_cell
+
+    def flaky(spec):
+        if spec.seed == 1:
+            raise RuntimeError("user 1 cache 9 symbols exceeds budget 8")
+        return real(spec)
+
+    monkeypatch.setattr(harness, "simulate_cell", flaky)
+    rows = harness.run_sweep(cells)
+    assert [row["seed"] for row in rows] == [0, 1, 2]
+    assert rows[1]["verified"] is False
+    assert rows[1]["error"] == "RuntimeError: user 1 cache 9 symbols exceeds budget 8"
+    assert all(row["verified"] is True and row["error"] == "" for row in (rows[0], rows[2]))
+
+
+def test_sweep_worker_count_clamped_to_cpus_and_cells(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    cells = [
+        ExperimentSpec(scheme="multireq", K=4, N=20, M=F(7), s=12, r=6, t=1, seed=seed)
+        for seed in range(5)
+    ]
+    harness.run_sweep(cells, parallel=10**9)
+    harness.run_sweep(cells[:2], parallel=10**9)
+    assert started == [3, 2]
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert len(harness.run_sweep(cells, parallel=10**9)) == 5  # unknown CPU count: serial
+    assert started == [3, 2]
+
+
 def test_sweep_parallel_matches_serial():
     mapping = {
         "scheme": "col",

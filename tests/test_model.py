@@ -141,6 +141,13 @@ def test_transcript_digest_order_sensitive():
     assert t12.has(("b", 2)) and not t12.has(("c",))
 
 
+def test_transcript_rejects_duplicate_tags():
+    with pytest.raises(ValueError, match=r"duplicate message tag a:\{1,2\}"):
+        DeliveryTranscript(
+            (_message(("a", (1, 2)), [1]), _message(("b",), [2]), _message(("a", (1, 2)), [3]))
+        )
+
+
 def test_measure_load_exact_rational():
     transcript = DeliveryTranscript((_message(("m",), list(range(10))),))
     report = measure_load(transcript, B=4)
@@ -185,10 +192,10 @@ def test_run_scheme_demand_validation():
 
 def test_run_scheme_surfaces_validation_problems():
     inst = ProblemInstance(K=4, N=20, s=12, r=6, M=Fraction(7))
-    from matcache.schemes import CONFIG_TYPES
+    from matcache.schemes.baselines import MultiRequestConfig
 
     with pytest.raises(SchemeParameterError) as err:
-        run_scheme("multireq", inst, CONFIG_TYPES["multireq"](t=1), 0)
+        run_scheme("multireq", inst, MultiRequestConfig(t=1), 0)
     assert err.value.problems
     assert any("M" in p for p in err.value.problems)
 

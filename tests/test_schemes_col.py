@@ -19,8 +19,7 @@ from matcache.model import (
     verify_retrieval,
     worst_case_demands,
 )
-from matcache.schemes import CONFIG_TYPES
-from matcache.schemes.col import ColParams, build_layout, col_params, tier_widths
+from matcache.schemes.col import ColConfig, ColParams, build_layout, col_params, tier_widths
 
 
 def test_col_params_at_corner_and_between():
@@ -122,7 +121,7 @@ def test_singular_leading_block_uses_column_permutation():
     ]
     library = [FieldMatrix.from_rows(DEFAULT_FIELD, rows) for rows in blocks]
     scheme = get_scheme("col")
-    config = CONFIG_TYPES["col"]()
+    config = ColConfig()
     assert scheme.validate(inst, config) == []
     cache = scheme.place(inst, config, library)
     perms = cache.for_user(1).metadata["column-permutations"]
