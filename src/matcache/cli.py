@@ -46,6 +46,16 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return harness.spec_from_mapping(values)
 
 
+def _positive_int(flag: str, text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ConfigurationError(f"{flag} must be a positive integer, got {text!r}")
+    return value
+
+
 def _print_parameter_error(spec: ExperimentSpec, exc: SchemeParameterError) -> None:
     print("parameter validation failed:", file=sys.stderr)
     for problem in exc.problems:
@@ -91,7 +101,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             int(args.K),
             int(args.N),
             a,
-            grid=int(args.grid),
+            grid=_positive_int("--grid", args.grid),
             simulate_scheme=args.simulate,
             seed=int(args.seed),
         )
@@ -110,19 +120,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.instances is not None:
-        try:
-            combos = harness.parse_instances(args.instances)
-        except ConfigurationError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 2
-        if not combos:
-            print("warning: empty instance matrix, nothing to verify")
-            return 0
-    else:
-        combos = harness.default_matrix()
+    try:
+        seeds = _positive_int("--seeds", args.seeds)
+        combos = (
+            harness.default_matrix()
+            if args.instances is None
+            else harness.parse_instances(args.instances)
+        )
+    except ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    if not combos:
+        print("warning: empty instance matrix, nothing to verify")
+        return 0
     results = harness.run_verification(
-        combos, seeds=int(args.seeds), fault_inject=args.fault_inject, progress=print
+        combos, seeds=seeds, fault_inject=args.fault_inject, progress=print
     )
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
@@ -131,16 +143,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        parallel = int(args.parallel)
-    except ValueError:
-        parallel = 0
-    if parallel < 1:
-        print(
-            f"configuration error: --parallel must be a positive integer, got {args.parallel!r}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
+        parallel = _positive_int("--parallel", args.parallel)
         mappings = [harness.parse_config_file(path) for path in args.configs]
         cells = harness.expand_sweep_cells(mappings)
     except ConfigurationError as exc:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import FieldMatrix, FieldSpec, _matmul_mod, row_basis, solve_row_coefficients
+from .field import FieldMatrix, FieldSpec, _matmul_mod, _rref
 
 
 @dataclass(frozen=True)
@@ -126,20 +126,17 @@ def compress_product(product: FieldMatrix, inner_dim: int) -> CompressedProduct:
     """
     m, p = product.rows, product.cols
     dims = DimTriple(m, inner_dim, p)
-    basis = row_basis(product)
+    # Column j of the RREF of P^T holds the coefficients of row j of P in the
+    # basis rows, which are the pivots.
+    reduced, basis = _rref(product.data.T, product.spec.q)
     rank = len(basis)
     if rank > min(inner_dim, m, p):
         raise ValueError("inner-dimension contract violated")
-    a1 = FieldMatrix(product.spec, product.data[basis]) if rank else None
-    non_basis = [i for i in range(m) if i not in set(basis)]
-    parts = []
-    if rank:
-        parts.append(a1.data.ravel())
-        if non_basis:
-            targets = FieldMatrix(product.spec, product.data[non_basis])
-            a2 = solve_row_coefficients(a1, targets)
-            parts.append(a2.data.ravel())
-    payload = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    chosen = set(basis)
+    non_basis = [i for i in range(m) if i not in chosen]
+    a1 = product.data[basis]
+    a2 = reduced[:rank, non_basis].T
+    payload = np.concatenate([a1.ravel(), a2.ravel()])
     return CompressedProduct(product.spec, dims, rank, tuple(basis), payload, f_len(dims))
 
 
@@ -152,7 +149,8 @@ def decompress_product(cp: CompressedProduct) -> FieldMatrix:
         a1 = cp.payload[: rank * p].reshape(rank, p)
         a2 = cp.payload[rank * p :].reshape(m - rank, rank)
         out[list(cp.basis_row_indices)] = a1
-        non_basis = [i for i in range(m) if i not in set(cp.basis_row_indices)]
+        chosen = set(cp.basis_row_indices)
+        non_basis = [i for i in range(m) if i not in chosen]
         if non_basis:
             out[non_basis] = _matmul_mod(a2, a1, cp.spec.q)
     return FieldMatrix(cp.spec, out)

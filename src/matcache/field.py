@@ -179,107 +179,69 @@ def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
     return FieldMatrix(a.spec, _matmul_mod(a.data, b.data, a.spec.q))
 
 
-def _reduce_rows(data: np.ndarray, q: int):
-    """Greedy forward elimination scanning rows in index order.
+def _rref(data: np.ndarray, q: int, ncols: int | None = None) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of `data` mod q, pivoting on its first `ncols` columns.
 
-    Returns (basis_indices, pivots) where pivots is a list of
-    (pivot_col, normalized_row) with pivot entry 1, one per basis row.
-    The scan keeps the first row that is independent of everything kept
-    before it, so basis_indices is the lexicographically smallest
-    independent row set.
+    Returns (reduced, pivot_cols).  For each column in order, the first
+    nonzero row at or below the next pivot row is swapped up, scaled to a
+    unit pivot, and cleared from every other row by one rank-1 update.  The
+    RREF is unique, and pivot_cols are the lexicographically first
+    independent columns, so every caller's result is fixed by the matrix.
     """
-    work = data % q
+    work = np.ascontiguousarray(data % q)
     if q > (1 << 31):
-        work = work.astype(object)
-    basis: list[int] = []
-    pivots: list[tuple[int, np.ndarray]] = []
-    for i in range(work.shape[0]):
-        v = work[i].copy()
-        for pc, prow in pivots:
-            c = v[pc]
-            if c:
-                v = (v - c * prow) % q
-        nz = np.nonzero(v)[0]
-        if nz.size:
-            pc = int(nz[0])
-            v = (v * pow(int(v[pc]), -1, q)) % q
-            pivots.append((pc, v))
-            basis.append(i)
-    return basis, pivots
+        work = work.astype(object)  # a factor times an entry must stay exact
+    m = work.shape[0]
+    pivots: list[int] = []
+    for col in range(work.shape[1] if ncols is None else ncols):
+        row = len(pivots)
+        if row == m:
+            break
+        nonzero = np.flatnonzero(work[row:, col])
+        if nonzero.size == 0:
+            continue
+        sel = row + int(nonzero[0])
+        if sel != row:
+            work[[row, sel]] = work[[sel, row]]
+        # Entries left of `col` are zero in rows at or below `row`, so every
+        # update can be restricted to columns >= col.
+        work[row, col:] = work[row, col:] * pow(int(work[row, col]), -1, q) % q
+        factors = work[:, col].copy()
+        factors[row] = 0
+        work[:, col:] = (work[:, col:] - np.outer(factors, work[row, col:])) % q
+        pivots.append(col)
+    return work, pivots
 
 
 def mat_rank(a: FieldMatrix) -> int:
     """Rank over GF(q) via Gaussian elimination (0 for empty/zero)."""
-    if a.rows == 0 or a.cols == 0:
-        return 0
-    basis, _ = _reduce_rows(a.data, a.spec.q)
-    return len(basis)
+    return len(_rref(a.data, a.spec.q)[1])
 
 
 def row_basis(a: FieldMatrix) -> list[int]:
     """Lexicographically smallest maximal independent row-index set, ascending."""
-    if a.rows == 0 or a.cols == 0:
-        return []
-    basis, _ = _reduce_rows(a.data, a.spec.q)
-    return basis
+    return _rref(a.data.T, a.spec.q)[1]
 
 
 def solve_columns(w1: FieldMatrix, y: FieldMatrix) -> FieldMatrix:
     """Solve W1 Q = Y column-wise; free variables pinned to 0.
 
-    Deterministic: pivot columns scanned left to right, pivot rows chosen
-    first-nonzero, full reduction (RREF).  Raises ValueError("column not in
-    span") when some column of Y is outside the column space of W1.
+    Deterministic: the solution is read off the RREF of [W1 | Y].  Raises
+    ValueError("column not in span") when some column of Y is outside the
+    column space of W1.
     """
     if w1.spec != y.spec:
         raise ValueError("field mismatch in solve_columns")
     if w1.rows != y.rows:
         raise ValueError(f"dimension mismatch in solve_columns: {w1.shape} vs {y.shape}")
-    q = w1.spec.q
     n = w1.cols
-    aug = np.concatenate([w1.data, y.data], axis=1) % q
-    if q > (1 << 31):
-        aug = aug.astype(object)
-    pivot_cols: list[int] = []
-    prow = 0
-    m = aug.shape[0]
-    for col in range(n):
-        sel = -1
-        for row in range(prow, m):
-            if aug[row, col]:
-                sel = row
-                break
-        if sel < 0:
-            continue
-        if sel != prow:
-            aug[[prow, sel]] = aug[[sel, prow]]
-        aug[prow] = (aug[prow] * pow(int(aug[prow, col]), -1, q)) % q
-        for row in range(m):
-            if row != prow and aug[row, col]:
-                aug[row] = (aug[row] - aug[row, col] * aug[prow]) % q
-        pivot_cols.append(col)
-        prow += 1
-    if any(np.any(aug[row, n:]) for row in range(prow, m)):
+    reduced, pivots = _rref(np.concatenate([w1.data, y.data], axis=1), w1.spec.q, ncols=n)
+    rank = len(pivots)
+    if np.any(reduced[rank:, n:]):
         raise ValueError("column not in span")
     sol = np.zeros((n, y.cols), dtype=np.int64)
-    for row, col in enumerate(pivot_cols):
-        sol[col] = aug[row, n:].astype(np.int64)
+    sol[pivots] = reduced[:rank, n:]
     return FieldMatrix(w1.spec, sol)
-
-
-def solve_row_coefficients(basis_rows: FieldMatrix, target_rows: FieldMatrix) -> FieldMatrix:
-    """Coefficients A2 with A2 @ basis_rows = target_rows.
-
-    basis_rows must have full row rank (then A2 is unique).  Raises
-    ValueError("row not in span") on an inconsistent system.
-    """
-    try:
-        qt = solve_columns(basis_rows.transpose(), target_rows.transpose())
-    except ValueError as exc:
-        if "column not in span" in str(exc):
-            raise ValueError("row not in span") from None
-        raise
-    return qt.transpose()
 
 
 def leading_block_column_permutation(w: FieldMatrix, block_cols: int) -> list[int]:
@@ -293,14 +255,13 @@ def leading_block_column_permutation(w: FieldMatrix, block_cols: int) -> list[in
     """
     if block_cols > w.cols:
         raise ValueError(f"block_cols {block_cols} exceeds matrix cols {w.cols}")
-    col_basis = row_basis(w.transpose())
+    col_basis = _rref(w.data, w.spec.q)[1]
     target = min(len(col_basis), block_cols)
-    leading = FieldMatrix(w.spec, w.data[:, :block_cols])
-    if mat_rank(leading) == target:
+    if sum(c < block_cols for c in col_basis) == target:
         return list(range(w.cols))
     selected = col_basis[:target]
-    rest = [c for c in range(w.cols) if c not in set(selected)]
-    return selected + rest
+    chosen = set(selected)
+    return selected + [c for c in range(w.cols) if c not in chosen]
 
 
 def apply_column_permutation(w: FieldMatrix, perm: Sequence[int]) -> FieldMatrix:

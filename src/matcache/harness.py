@@ -188,51 +188,56 @@ def build_scheme_config(spec: ExperimentSpec, instance: ProblemInstance):
     return config_type()
 
 
+def _first_valid_shape(
+    spec: ExperimentSpec, shapes: Iterable[tuple[int, int]]
+) -> tuple[int, int] | None:
+    """First (s, r) in `shapes` whose instance and config pass the scheme's
+    validator; None if none does or the scan reaches a shape that cannot be built."""
+    field_spec = FieldSpec(spec.q)
+    scheme = get_scheme(spec.scheme)
+    for s, r in shapes:
+        try:
+            instance = ProblemInstance(spec.K, spec.N, s, r, field_spec, spec.M)
+            config = build_scheme_config(spec, instance)
+        except (ValueError, SchemeParameterError):
+            return None
+        if not scheme.validate(instance, config):
+            return (s, r)
+    return None
+
+
 def suggest_shape(spec: ExperimentSpec, max_scale: int = 4096) -> tuple[int, int] | None:
     """Minimal (s, r) with r/s = a satisfying the scheme's validator, or None."""
     if spec.a is None:
         return None
     num, den = spec.a.numerator, spec.a.denominator
-    field_spec = FieldSpec(spec.q)
-    scheme = get_scheme(spec.scheme)
-    for scale in range(1, max_scale + 1):
-        try:
-            instance = ProblemInstance(spec.K, spec.N, den * scale, num * scale, field_spec, spec.M)
-            config = build_scheme_config(spec, instance)
-        except (ValueError, SchemeParameterError):
-            return None
-        if not scheme.validate(instance, config):
-            return (den * scale, num * scale)
-    return None
+    return _first_valid_shape(spec, ((den * k, num * k) for k in range(1, max_scale + 1)))
 
 
 def suggest_rescale(spec: ExperimentSpec, max_factor: int = 256) -> tuple[int, int] | None:
     """Smallest integer multiple of the given (s, r) passing validation."""
     if spec.s is None or spec.r is None:
         return None
-    field_spec = FieldSpec(spec.q)
-    scheme = get_scheme(spec.scheme)
-    for factor in range(2, max_factor + 1):
-        try:
-            instance = ProblemInstance(
-                spec.K, spec.N, spec.s * factor, spec.r * factor, field_spec, spec.M
-            )
-            config = build_scheme_config(spec, instance)
-        except (ValueError, SchemeParameterError):
-            return None
-        if not scheme.validate(instance, config):
-            return (spec.s * factor, spec.r * factor)
-    return None
+    return _first_valid_shape(
+        spec, ((spec.s * k, spec.r * k) for k in range(2, max_factor + 1))
+    )
 
 
 def resolve_instance(spec: ExperimentSpec) -> ProblemInstance:
-    field_spec = FieldSpec(spec.q)
-    if spec.s is not None and spec.r is not None:
-        return ProblemInstance(spec.K, spec.N, spec.s, spec.r, field_spec, spec.M)
-    if spec.s is not None or spec.r is not None:
+    """The cell's instance; a bad field, size, memory or ratio is a ConfigurationError."""
+    if (spec.s is None) != (spec.r is None):
         raise ConfigurationError("give both s and r, or neither (with a for the suggester)")
-    if spec.a is None:
+    if spec.s is None and spec.a is None:
         raise ConfigurationError("either (s, r) or the aspect ratio a is required")
+    # With a alone, its base shape checks every shape-independent value before
+    # the suggester scans multiples of it.
+    s, r = (spec.s, spec.r) if spec.s is not None else (spec.a.denominator, spec.a.numerator)
+    try:
+        instance = ProblemInstance(spec.K, spec.N, s, r, FieldSpec(spec.q), spec.M)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
+    if spec.s is not None:
+        return instance
     shape = suggest_shape(spec)
     if shape is None:
         raise SchemeParameterError(
@@ -241,7 +246,7 @@ def resolve_instance(spec: ExperimentSpec) -> ProblemInstance:
                 f"at K={spec.K} N={spec.N} M={spec.M}"
             ]
         )
-    return ProblemInstance(spec.K, spec.N, shape[0], shape[1], field_spec, spec.M)
+    return replace(instance, s=shape[0], r=shape[1])
 
 
 def make_demands(instance: ProblemInstance, mode: str, seed: int) -> DemandVector:
@@ -260,6 +265,8 @@ def make_demands(instance: ProblemInstance, mode: str, seed: int) -> DemandVecto
         ) from exc
     if len(pairs) != instance.K:
         raise ConfigurationError(f"{len(pairs)} demand pairs for K={instance.K} users")
+    if any(not 1 <= d <= instance.N for pair in pairs for d in pair):
+        raise ConfigurationError(f"demand index outside [1, N={instance.N}] in {mode!r}")
     return DemandVector(pairs, worst_case_certified=False)
 
 

@@ -52,6 +52,25 @@ def test_simulate_non_corner_agnostic_memory_exits_two(capsys):
     assert "corner" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ("--s 12 --r 6 --q 100", "field modulus must be prime, got 100"),
+        ("--s 12 --r 6 --K 0", "invalid instance dimensions K=0"),
+        ("--s 12 --r 6 --M 30", "cache size M=30 outside [0, N]"),
+        ("--s 12 --r 6 --demands 1,2;3,4;5,6;7,99", "demand index outside [1, N=20]"),
+        ("--a 1/2 --K 0", "invalid instance dimensions K=0"),
+    ],
+    ids=["q-not-prime", "K-zero", "M-above-N", "demand-above-N", "K-zero-suggester"],
+)
+def test_simulate_bad_cell_values_exit_two(capsys, flags, message):
+    base = "simulate --scheme row --K 4 --N 20 --M 10 --ell 2".split()
+    assert main(base + flags.split()) == 2
+    captured = capsys.readouterr()
+    assert f"configuration error: {message}" in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cell.cfg"
     cfg.write_text("scheme = row\nK = 4\nN = 20\ns = 12\nr = 6\nM = 10\nell = 1\n")
@@ -112,6 +131,22 @@ def test_analyze_svg_well_formed(tmp_path):
 def test_analyze_bad_ratio_exits_two(capsys):
     assert main(["analyze", "--K", "2", "--N", "4", "--a", "zero"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--K", "2", "--N", "4", "--a", "1", "--grid"],
+        ["verify", "--instances", TINY_MATRIX, "--seeds"],
+    ],
+    ids=["analyze-grid", "verify-seeds"],
+)
+def test_grid_and_seeds_must_be_positive_integers(capsys, argv, value):
+    assert main(argv + [value]) == 2
+    captured = capsys.readouterr()
+    assert f"configuration error: {argv[-1]} must be a positive integer" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_empty_matrix_warns_and_passes(capsys):

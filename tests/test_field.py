@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matcache.compress import compress_product
 from matcache.field import (
     DEFAULT_FIELD,
     FieldMatrix,
@@ -20,7 +23,6 @@ from matcache.field import (
     random_matrix,
     row_basis,
     solve_columns,
-    solve_row_coefficients,
     uniform_residues,
 )
 
@@ -122,7 +124,7 @@ def test_row_basis_rows_span_matrix():
     basis = row_basis(a)
     assert basis == [0, 2]
     sub = a.submatrix(basis, slice(None))
-    coeffs = solve_row_coefficients(sub, a)
+    coeffs = solve_columns(sub.transpose(), a.transpose()).transpose()
     assert mat_mul(coeffs, sub) == a
 
 
@@ -176,3 +178,106 @@ def test_leading_block_permutation_random_matrices(s, extra, seed):
     perm = leading_block_column_permutation(w, s)
     shuffled = apply_column_permutation(w, perm)
     assert mat_rank(shuffled.submatrix(slice(None), slice(0, s))) == s
+
+
+# ---------------------------------------------------------------------------
+# The elimination kernel against a pure-Python-int oracle
+
+
+def _oracle_rref(rows: list[list[int]], q: int, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Textbook Gauss-Jordan over Python ints, pivoting on the first ncols columns."""
+    work = [[x % q for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        top = len(pivots)
+        sel = next((i for i in range(top, len(work)) if work[i][col]), None)
+        if sel is None:
+            continue
+        work[top], work[sel] = work[sel], work[top]
+        inv = pow(work[top][col], -1, q)
+        work[top] = [x * inv % q for x in work[top]]
+        for i, row in enumerate(work):
+            if i != top and row[col]:
+                work[i] = [(x - row[col] * y) % q for x, y in zip(row, work[top])]
+        pivots.append(col)
+    return work, pivots
+
+
+def _oracle_rank(rows: list[list[int]], q: int) -> int:
+    return len(_oracle_rref(rows, q, len(rows[0]) if rows else 0)[1])
+
+
+def _oracle_basis(rows: list[list[int]], q: int) -> list[int]:
+    """Greedy: keep each row that raises the rank of the rows kept before it."""
+    basis: list[int] = []
+    for i, row in enumerate(rows):
+        if _oracle_rank([rows[b] for b in basis] + [row], q) > len(basis):
+            basis.append(i)
+    return basis
+
+
+def _oracle_solve(w1: list[list[int]], y: list[list[int]], q: int) -> list[list[int]] | None:
+    """X with W1 X = Y and free variables 0, or None when Y leaves the column span."""
+    n = len(w1[0])
+    reduced, pivots = _oracle_rref([a + b for a, b in zip(w1, y)], q, n)
+    if any(any(row[n:]) for row in reduced[len(pivots) :]):
+        return None
+    sol = [[0] * len(y[0]) for _ in range(n)]
+    for row, col in zip(reduced, pivots):
+        sol[col] = row[n:]
+    return sol
+
+
+def _transpose(rows: list[list[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*rows)]
+
+
+def _random_rows(rng: random.Random, q: int, m: int, p: int) -> list[list[int]]:
+    return [[rng.randrange(q) for _ in range(p)] for _ in range(m)]
+
+
+def _python_product(left: list[list[int]], right: list[list[int]], q: int, p: int) -> list[list[int]]:
+    """left @ right mod q with p output columns (right may have no rows)."""
+    return [[sum(a * r[j] for a, r in zip(row, right)) % q for j in range(p)] for row in left]
+
+
+# (m, k, p): an m x p product with inner dimension k, so rank <= k; k = 0 is the zero matrix.
+_ORACLE_SHAPES = [(1, 1, 5), (5, 1, 1), (1, 0, 4), (4, 0, 1), (3, 0, 3), (3, 3, 3), (2, 2, 5)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 101, 2_147_483_647, (1 << 61) - 1])
+def test_elimination_kernel_matches_python_oracle(q):
+    spec = FieldSpec(q)
+    rng = random.Random(q)
+    shapes = _ORACLE_SHAPES + [
+        (m, rng.randrange(min(m, p)), p)
+        for m, p in ((rng.randint(2, 7), rng.randint(2, 7)) for _ in range(12))
+    ]
+    for m, k, p in shapes:
+        rows = _python_product(_random_rows(rng, q, m, k), _random_rows(rng, q, k, p), q, p)
+        a = FieldMatrix.from_rows(spec, rows)
+        basis = _oracle_basis(rows, q)
+        assert mat_rank(a) == _oracle_rank(rows, q) == len(basis)
+        assert row_basis(a) == basis
+
+        consistent = _python_product(rows, _random_rows(rng, q, p, 2), q, 2)
+        for y_rows in (consistent, _random_rows(rng, q, m, 2)):
+            expected = _oracle_solve(rows, y_rows, q)
+            y = FieldMatrix.from_rows(spec, y_rows)
+            if expected is None:
+                with pytest.raises(ValueError, match="column not in span"):
+                    solve_columns(a, y)
+            else:
+                assert solve_columns(a, y).data.tolist() == expected
+
+        cp = compress_product(a, max(k, 1))
+        a1 = [rows[i] for i in basis]
+        targets = [row for i, row in enumerate(rows) if i not in basis]
+        a2 = _transpose(_oracle_solve(_transpose(a1), _transpose(targets), q)) if a1 and targets else []
+        assert (cp.rank, cp.basis_row_indices) == (len(basis), tuple(basis))
+        assert cp.payload.tolist() == [x for row in a1 + a2 for x in row]
+
+    for m, p in ((0, 3), (3, 0), (0, 0)):
+        empty = FieldMatrix.zeros(spec, m, p)
+        assert mat_rank(empty) == 0
+        assert row_basis(empty) == []
