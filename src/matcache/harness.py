@@ -38,7 +38,8 @@ from .model import (
     worst_case_demands,
 )
 from .schemes import SCHEMES
-from .schemes.col import ColParams, build_layout
+from .schemes.col import intersection_groups
+from .schemes.common import man_split
 
 SCHEME_NAMES = tuple(SCHEMES)
 
@@ -865,13 +866,13 @@ def check_group_length_oracle() -> CheckResult:
                         continue
                     total = 2 * comb(K, t) * max(comb(K, t + 1), 1)
                     s = int(total / a)
-                    layout = build_layout(ColParams(t, alpha), K, total)
+                    groups = intersection_groups(man_split(K, t + 1 - alpha, total))
                     for i in range(t + 2):
                         want = bounds.f_group_fraction(K, t, alpha, i) * total * total
                         for v_set in itertools.combinations(range(1, K + 1), i):
                             got = sum(
-                                f_len(DimTriple(e1.width, s, e2.width))
-                                for e1, e2 in layout.groups.get(v_set, ())
+                                f_len(DimTriple(b1.width, s, b2.width))
+                                for b1, b2 in groups.get(v_set, ())
                             )
                             checked += 1
                             if got != want:

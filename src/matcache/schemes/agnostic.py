@@ -1,10 +1,11 @@
 """Structure-agnostic scheme: treat every distinct product as an opaque file.
 
 The N(N+1)/2 non-isomorphic products W_i^T W_j (i <= j) are each compressed
-to exactly B symbols and handled as independent files: each file is split
-into C(K,t) equal subfiles cached by t-subsets of users, and delivery sends
-one subset-sum per (t+1)-subset of users.  Nothing about the algebraic
-structure of the products is exploited beyond the initial compression.
+to exactly B symbols and handled as independent files: each file gets the MAN
+split at replication t (C(K,t) equal subfiles cached by t-subsets of users),
+and delivery sends one subset-sum per (t+1)-subset of users.  Nothing about
+the algebraic structure of the products is exploited beyond the initial
+compression.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from ..model import (
     Scheme,
     UserCache,
 )
-from .common import cancel, subset_sum, subsets_of
+from .common import man_split, recover, subset_sum
 
 
 @dataclass(frozen=True)
@@ -89,15 +90,14 @@ def place(
     users = [UserCache({}, {}) for _ in range(K)]
     if t == 0:
         return CacheContents(tuple(users))
-    chunk = instance.B // comb(K, t)
+    split = man_split(K, t, instance.B)
     headers: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for pair in product_pairs(instance.N):
         cp, packet = _product_packet(instance, library, pair)
         headers[pair] = (cp.rank, cp.basis_row_indices)
-        for idx, subset in enumerate(subsets_of(K, t)):
-            segment = packet[idx * chunk : (idx + 1) * chunk]
-            for k in subset:
-                users[k - 1].segments[("product-subfile", pair, subset)] = segment
+        for block in split.blocks:
+            for k in block.subset:
+                users[k - 1].segments[("product-subfile", pair, block.subset)] = packet[block.span]
     for cache in users:
         cache.metadata["product-headers"] = headers
     return CacheContents(tuple(users))
@@ -109,26 +109,24 @@ def deliver(
     library: Sequence[FieldMatrix],
     demands: DemandVector,
 ) -> DeliveryTranscript:
-    t, K, q = config.t, instance.K, instance.field.q
+    t, q = config.t, instance.field.q
 
     @cache  # users demanding the same product share one compression
     def packet_for(pair: tuple[int, int]) -> tuple[CompressedProduct, np.ndarray]:
         return _product_packet(instance, library, pair)
 
-    chunk = instance.B // comb(K, t)
-    t_subsets = {subset: idx for idx, subset in enumerate(subsets_of(K, t))}
+    split = man_split(instance.K, t, instance.B)
 
     def segment(k: int, rest: tuple[int, ...]) -> np.ndarray:
-        idx = t_subsets[rest]
-        return packet_for(demands.pair(k))[1][idx * chunk : (idx + 1) * chunk]
+        return packet_for(demands.pair(k))[1][split.by_subset[rest].span]
 
     messages = []
-    for s_set in subsets_of(K, t + 1):
+    for s_set, width in split.multicasts():
         headers = ()
         if t == 0:  # no cache holds the product headers, so they travel with the packet
             cp, _ = packet_for(demands.pair(s_set[0]))
             headers = ((s_set[0], ((cp.rank, cp.basis_row_indices),)),)
-        payload = subset_sum(q, chunk, s_set, segment)
+        payload = subset_sum(q, width, s_set, segment)
         messages.append(Message(("agnostic", s_set), payload, headers))
     return DeliveryTranscript(tuple(messages))
 
@@ -141,26 +139,24 @@ def decode(
     transcript: DeliveryTranscript,
     demands: DemandVector,
 ) -> FieldMatrix:
-    t, K, q = config.t, instance.K, instance.field.q
+    t, q = config.t, instance.field.q
     pair = demands.pair(k)
     dims = DimTriple(instance.r, instance.s, instance.r)
     if t == 0:
         rank, basis = transcript.find(("agnostic", (k,))).headers_for(k)[0]
     else:
         rank, basis = cache.metadata["product-headers"][pair]
-    chunk = instance.B // comb(K, t)
+    split = man_split(instance.K, t, instance.B)
 
     def cached(user: int, subset: tuple[int, ...]) -> np.ndarray:
         return cache.get(("product-subfile", demands.pair(user), subset))
 
+    def payload_for(s_set: tuple[int, ...]) -> np.ndarray:
+        return transcript.find(("agnostic", s_set)).payload
+
     packet = np.zeros(instance.B, dtype=np.int64)
-    for idx, subset in enumerate(subsets_of(K, t)):
-        if k in subset:
-            segment = cached(k, subset)
-        else:
-            s_set = tuple(sorted(subset + (k,)))
-            segment = cancel(q, transcript.find(("agnostic", s_set)).payload, k, s_set, cached)
-        packet[idx * chunk : (idx + 1) * chunk] = segment
+    for block, part in zip(split.blocks, recover(q, k, split.by_subset, payload_for, cached)):
+        packet[block.span] = cached(k, block.subset) if part is None else part
     cp = CompressedProduct.from_packet(instance.field, dims, rank, basis, packet)
     return decompress_product(cp)
 

@@ -6,9 +6,9 @@ product locally; the server unicasts the remaining r^2 - c^2 raw product
 entries to each user.
 
 Multi-request baseline: each matrix is treated as a flat file of s*r symbols
-placed with the classic t-subset replication; delivery runs one subset-sum
-per (t+1)-subset for each of the two demanded matrices, and users multiply
-the recovered matrices themselves.
+placed by the MAN split at replication t (one equal chunk per t-subset of
+users); delivery runs one subset-sum per (t+1)-subset for each of the two
+demanded matrices, and users multiply the recovered matrices themselves.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from ..model import (
     Scheme,
     UserCache,
 )
-from .common import cancel, subset_sum, subsets_of
+from .common import man_split, recover, split_widths, subset_sum
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,6 @@ class MultiRequestConfig:
     t: int
 
 
-def _mr_chunk(instance: ProblemInstance, t: int) -> Fraction:
-    return Fraction(instance.s * instance.r, comb(instance.K, t))
-
-
 def multireq_validate(instance: ProblemInstance, config: MultiRequestConfig) -> list[str]:
     t, K = config.t, instance.K
     if not isinstance(t, int) or not 0 <= t <= K:
@@ -148,7 +144,7 @@ def multireq_validate(instance: ProblemInstance, config: MultiRequestConfig) -> 
     problems = []
     if instance.M != Fraction(instance.N * t, K):
         problems.append(f"memory M={instance.M} != N*t/K = {Fraction(instance.N * t, K)}")
-    if _mr_chunk(instance, t).denominator != 1:
+    if split_widths(K, t, instance.s * instance.r)[2].denominator != 1:
         problems.append(
             f"matrix length s*r={instance.s * instance.r} not divisible by C(K,t)={comb(K, t)}"
         )
@@ -158,15 +154,13 @@ def multireq_validate(instance: ProblemInstance, config: MultiRequestConfig) -> 
 def multireq_place(
     instance: ProblemInstance, config: MultiRequestConfig, library: Sequence[FieldMatrix]
 ) -> CacheContents:
-    t, K = config.t, instance.K
-    users = [UserCache({}, {}) for _ in range(K)]
-    chunk = int(_mr_chunk(instance, t))
+    users = [UserCache({}, {}) for _ in range(instance.K)]
+    split = man_split(instance.K, config.t, instance.s * instance.r)
     for i, w in enumerate(library, start=1):
         flat = w.data.reshape(-1)
-        for idx, subset in enumerate(subsets_of(K, t)):
-            segment = flat[idx * chunk : (idx + 1) * chunk]
-            for k in subset:
-                users[k - 1].segments[("raw-rows", i, subset)] = segment
+        for block in split.blocks:
+            for k in block.subset:
+                users[k - 1].segments[("raw-rows", i, block.subset)] = flat[block.span]
     return CacheContents(tuple(users))
 
 
@@ -176,19 +170,17 @@ def multireq_deliver(
     library: Sequence[FieldMatrix],
     demands: DemandVector,
 ) -> DeliveryTranscript:
-    t, K, q = config.t, instance.K, instance.field.q
-    chunk = int(_mr_chunk(instance, t))
-    t_subsets = {subset: idx for idx, subset in enumerate(subsets_of(K, t))}
+    q = instance.field.q
+    split = man_split(instance.K, config.t, instance.s * instance.r)
 
     def segment(slot: int, k: int, rest: tuple[int, ...]) -> np.ndarray:
-        idx = t_subsets[rest]
         flat = library[demands.pair(k)[slot - 1] - 1].data.reshape(-1)
-        return flat[idx * chunk : (idx + 1) * chunk]
+        return flat[split.by_subset[rest].span]
 
     messages = []
-    for s_set in subsets_of(K, t + 1):
+    for s_set, width in split.multicasts():
         for slot in (1, 2):
-            payload = subset_sum(q, chunk, s_set, partial(segment, slot))
+            payload = subset_sum(q, width, s_set, partial(segment, slot))
             messages.append(Message(("multireq", slot, s_set), payload))
     return DeliveryTranscript(tuple(messages))
 
@@ -201,22 +193,20 @@ def multireq_decode(
     transcript: DeliveryTranscript,
     demands: DemandVector,
 ) -> FieldMatrix:
-    t, K, q = config.t, instance.K, instance.field.q
-    chunk = int(_mr_chunk(instance, t))
+    q = instance.field.q
+    split = man_split(instance.K, config.t, instance.s * instance.r)
 
     def cached(slot: int, user: int, subset: tuple[int, ...]) -> np.ndarray:
         return cache.get(("raw-rows", demands.pair(user)[slot - 1], subset))
 
+    def payload_for(slot: int, s_set: tuple[int, ...]) -> np.ndarray:
+        return transcript.find(("multireq", slot, s_set)).payload
+
     flats = np.zeros((2, instance.s * instance.r), dtype=np.int64)
     for slot, flat in zip((1, 2), flats):
-        for idx, subset in enumerate(subsets_of(K, t)):
-            if k in subset:
-                segment = cached(slot, k, subset)
-            else:
-                s_set = tuple(sorted(subset + (k,)))
-                payload = transcript.find(("multireq", slot, s_set)).payload
-                segment = cancel(q, payload, k, s_set, partial(cached, slot))
-            flat[idx * chunk : (idx + 1) * chunk] = segment
+        parts = recover(q, k, split.by_subset, partial(payload_for, slot), partial(cached, slot))
+        for block, part in zip(split.blocks, parts):
+            flat[block.span] = cached(slot, k, block.subset) if part is None else part
     w1, w2 = flats.reshape(2, instance.s, instance.r)
     return FieldMatrix(instance.field, _matmul_mod(w1.T, w2, q))
 
@@ -233,7 +223,7 @@ def multireq_constraints(
 ) -> Mapping[str, Fraction]:
     return {
         "K*M/N": Fraction(instance.K * instance.M, instance.N),
-        "s*r/C(K,t)": _mr_chunk(instance, config.t),
+        "s*r/C(K,t)": split_widths(instance.K, config.t, instance.s * instance.r)[2],
     }
 
 

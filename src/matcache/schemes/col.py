@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, floor
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -42,7 +42,16 @@ from ..model import (
     Scheme,
     UserCache,
 )
-from .common import cancel, subset_sum, subsets_of, without
+from .common import (
+    Block,
+    ManSplit,
+    man_split,
+    recover,
+    split_widths,
+    subset_sum,
+    subsets_of,
+    without,
+)
 
 BlockGetter = Callable[[int, tuple[int, ...]], np.ndarray]
 
@@ -52,86 +61,45 @@ class ColConfig:
     """No free parameters: t = floor(K*M/N) and the tier split are derived."""
 
 
-@dataclass(frozen=True)
-class ColParams:
-    """t = floor(K*M/N), alpha = t + 1 - K*M/N in (0, 1]."""
-
-    t: int
-    alpha: Fraction
+Groups = dict[tuple[int, ...], list[tuple[Block, Block]]]
 
 
-def col_params(instance: ProblemInstance) -> ColParams:
+def _column_ranges(instance: ProblemInstance) -> list[tuple[str, int]]:
+    """(name, column count) of each range split into blocks on its own: all r
+    columns when a <= 1, else the leading s columns and the remaining r - s."""
+    if instance.a <= 1:
+        return [("r", instance.r)]
+    return [("s", instance.s), ("(r-s)", instance.r - instance.s)]
+
+
+def _splits(instance: ProblemInstance) -> tuple[ManSplit, ManSplit | None]:
+    """The MAN split at x = K*M/N of the lead columns, and of the coefficient
+    columns (None for narrow matrices, which have none)."""
     x = Fraction(instance.K) * instance.M / instance.N
-    t = floor(x)
-    return ColParams(t, t + 1 - x)
+    splits = [man_split(instance.K, x, total) for _, total in _column_ranges(instance)]
+    return splits[0], (splits[1] if len(splits) > 1 else None)
 
 
-@dataclass(frozen=True)
-class BlockEntry:
-    """One vertical block: user subset, column offset, and width."""
-
-    subset: tuple[int, ...]
-    offset: int
-    width: int
-
-    @property
-    def cols(self) -> slice:
-        return slice(self.offset, self.offset + self.width)
-
-
-@dataclass(frozen=True)
-class ColLayout:
-    """Ordered block list covering `total` columns: wide tier then narrow tier,
-    each in lexicographic subset order.
-
-    `blocks` finds a block by its user subset.  `groups` maps each
-    intersection set V to the ordered block pairs whose subsets intersect
-    exactly in V, row-major in layout order (the canonical group ordering on
-    both ends of the link).
-    """
-
-    entries: tuple[BlockEntry, ...]
-    total: int
-    blocks: dict[tuple[int, ...], BlockEntry]
-    groups: dict[tuple[int, ...], list[tuple[BlockEntry, BlockEntry]]]
+def intersection_groups(split: ManSplit) -> Groups:
+    """Intersection set V -> the ordered block pairs whose subsets intersect
+    exactly in V, row-major in split order (the canonical group ordering on
+    both ends of the link)."""
+    groups: Groups = {}
+    for b1 in split.blocks:
+        for b2 in split.blocks:
+            v_set = tuple(u for u in b1.subset if u in b2.subset)
+            groups.setdefault(v_set, []).append((b1, b2))
+    return groups
 
 
-def tier_widths(params: ColParams, K: int, total: int) -> tuple[Fraction, Fraction]:
-    """(wide width, narrow width) of the split of `total` columns."""
-    w1 = params.alpha * total / comb(K, params.t)
-    w2 = (1 - params.alpha) * total / comb(K, params.t + 1) if params.alpha < 1 else Fraction(0)
-    return w1, w2
-
-
-def build_layout(params: ColParams, K: int, total: int) -> ColLayout:
-    w1, w2 = tier_widths(params, K, total)
-    entries = []
-    offset = 0
-    for subset in subsets_of(K, params.t):
-        entries.append(BlockEntry(subset, offset, int(w1)))
-        offset += int(w1)
-    if params.alpha < 1:
-        for subset in subsets_of(K, params.t + 1):
-            entries.append(BlockEntry(subset, offset, int(w2)))
-            offset += int(w2)
-    if offset != total:
-        raise AssertionError(f"layout covers {offset} of {total} columns")
-    groups: dict[tuple[int, ...], list[tuple[BlockEntry, BlockEntry]]] = {}
-    for e1 in entries:
-        for e2 in entries:
-            v_set = tuple(u for u in e1.subset if u in e2.subset)
-            groups.setdefault(v_set, []).append((e1, e2))
-    return ColLayout(tuple(entries), total, {e.subset: e for e in entries}, groups)
-
-
-def _block_getter(layout: ColLayout, matrices: Mapping[int, np.ndarray]) -> BlockGetter:
+def _block_getter(split: ManSplit, matrices: Mapping[int, np.ndarray]) -> BlockGetter:
     """Block (matrix index, user subset) -> columns of that matrix."""
-    return lambda i, subset: matrices[i][:, layout.blocks[subset].cols]
+    return lambda i, subset: matrices[i][:, split.by_subset[subset].span]
 
 
 def _group_packet(
     instance: ProblemInstance,
-    layout: ColLayout,
+    groups: Groups,
     pair: tuple[int, int],
     v_set: tuple[int, ...],
     get_block: BlockGetter,
@@ -142,8 +110,8 @@ def _group_packet(
     q = instance.field.q
     d1, d2 = pair
     packets, headers = [], []
-    for e1, e2 in layout.groups.get(v_set, ()):
-        prod = _matmul_mod(get_block(d1, e1.subset).T, get_block(d2, e2.subset), q)
+    for b1, b2 in groups.get(v_set, ()):
+        prod = _matmul_mod(get_block(d1, b1.subset).T, get_block(d2, b2.subset), q)
         cp = compress_product(FieldMatrix(instance.field, prod), instance.s)
         packets.append(packet_symbols(cp))
         headers.append((cp.rank, cp.basis_row_indices))
@@ -152,36 +120,34 @@ def _group_packet(
 
 
 def _round_messages(
-    instance: ProblemInstance,
-    layout: ColLayout,
-    demands: DemandVector,
-    get_block: BlockGetter,
+    instance: ProblemInstance, split: ManSplit, demands: DemandVector, get_block: BlockGetter
 ) -> list[Message]:
     """Round i sends, to every (i+1)-subset S, the subset sum of each member's
     group for the intersection set S minus that member."""
     q, K = instance.field.q, instance.K
+    groups = intersection_groups(split)
     messages = []
-    for i in range(1 + max(len(v_set) for v_set in layout.groups)):
+    for i in range(1 + max(len(v_set) for v_set in groups)):
         for s_set in subsets_of(K, i + 1):
-            groups = {
-                k: _group_packet(instance, layout, demands.pair(k), without(s_set, k), get_block)
+            packets = {
+                k: _group_packet(instance, groups, demands.pair(k), without(s_set, k), get_block)
                 for k in s_set
             }
-            lengths = {packet.size for packet, _ in groups.values()}
+            lengths = {packet.size for packet, _ in packets.values()}
             if len(lengths) != 1:
                 raise AssertionError(f"group lengths differ across users: {lengths}")
             (length,) = lengths
             if length == 0:
                 continue
-            payload = subset_sum(q, length, s_set, lambda k, _: groups[k][0])
-            headers = tuple((k, groups[k][1]) for k in s_set)
+            payload = subset_sum(q, length, s_set, lambda k, _: packets[k][0])
+            headers = tuple((k, packets[k][1]) for k in s_set)
             messages.append(Message(("col", i, s_set), payload, headers))
     return messages
 
 
 def _decode_grid(
     instance: ProblemInstance,
-    layout: ColLayout,
+    split: ManSplit,
     k: int,
     cache_block: BlockGetter,
     transcript: DeliveryTranscript,
@@ -193,45 +159,35 @@ def _decode_grid(
     of the round message for V + {k}."""
     q = instance.field.q
     d1, d2 = demands.pair(k)
+    groups = intersection_groups(split)
 
     def peer_packet(p: int, rest: tuple[int, ...]) -> np.ndarray:
-        return _group_packet(instance, layout, demands.pair(p), rest, cache_block)[0]
+        return _group_packet(instance, groups, demands.pair(p), rest, cache_block)[0]
 
-    grid = np.zeros((layout.total, layout.total), dtype=np.int64)
-    for v_set, pairs in layout.groups.items():
-        if k in v_set:
-            for e1, e2 in pairs:
-                block = _matmul_mod(cache_block(d1, e1.subset).T, cache_block(d2, e2.subset), q)
-                grid[e1.cols, e2.cols] = block
+    def message(s_set: tuple[int, ...]) -> Message:
+        return transcript.find(("col", len(s_set) - 1, s_set))
+
+    grid = np.zeros((split.total, split.total), dtype=np.int64)
+    packets = recover(q, k, groups, lambda s_set: message(s_set).payload, peer_packet)
+    for (v_set, pairs), packet in zip(groups.items(), packets):
+        if packet is None:
+            for b1, b2 in pairs:
+                block = _matmul_mod(cache_block(d1, b1.subset).T, cache_block(d2, b2.subset), q)
+                grid[b1.span, b2.span] = block
             continue
-        s_set = tuple(sorted(v_set + (k,)))
-        msg = transcript.find(("col", len(v_set), s_set))
-        packet = cancel(q, msg.payload, k, s_set, peer_packet)
+        headers = message(tuple(sorted(v_set + (k,)))).headers_for(k)
         pos = 0
-        for (e1, e2), (rank, basis) in zip(pairs, msg.headers_for(k), strict=True):
-            dims = DimTriple(e1.width, instance.s, e2.width)
+        for (b1, b2), (rank, basis) in zip(pairs, headers, strict=True):
+            dims = DimTriple(b1.width, instance.s, b2.width)
             step = f_len(dims)
             cp = CompressedProduct.from_packet(
                 instance.field, dims, rank, tuple(basis), packet[pos : pos + step]
             )
-            grid[e1.cols, e2.cols] = decompress_product(cp).data
+            grid[b1.span, b2.span] = decompress_product(cp).data
             pos += step
         if pos != packet.size:
             raise AssertionError("group payload length mismatch")
     return grid
-
-
-def _column_ranges(instance: ProblemInstance) -> list[tuple[str, int]]:
-    """(name, column count) of each range split into blocks on its own: all r
-    columns when a <= 1, else the leading s columns and the remaining r - s."""
-    if instance.a <= 1:
-        return [("r", instance.r)]
-    return [("s", instance.s), ("(r-s)", instance.r - instance.s)]
-
-
-def _layouts(instance: ProblemInstance) -> list[ColLayout]:
-    p = col_params(instance)
-    return [build_layout(p, instance.K, total) for _, total in _column_ranges(instance)]
 
 
 def validate(instance: ProblemInstance, config: ColConfig) -> list[str]:
@@ -257,53 +213,26 @@ def _wide_split(w: FieldMatrix, s: int) -> tuple[tuple[int, ...], np.ndarray, np
 def place(
     instance: ProblemInstance, config: ColConfig, library: Sequence[FieldMatrix]
 ) -> CacheContents:
+    lead, coeff = _splits(instance)
     users = [UserCache({}, {}) for _ in range(instance.K)]
 
-    def store(kind: str, i: int, matrix: np.ndarray, layout: ColLayout) -> None:
-        for e in layout.entries:
-            block = matrix[:, e.cols]
-            for k in e.subset:
-                users[k - 1].segments[(kind, i, e.subset)] = block
+    def store(kind: str, i: int, matrix: np.ndarray, split: ManSplit) -> None:
+        for block in split.blocks:
+            for k in block.subset:
+                users[k - 1].segments[(kind, i, block.subset)] = matrix[:, block.span]
 
-    if instance.a <= 1:
-        (layout,) = _layouts(instance)
-        for i, w in enumerate(library, start=1):
-            store("raw-cols", i, w.data, layout)
-        return CacheContents(tuple(users))
-    lead_layout, coeff_layout = _layouts(instance)
     perms = {}
     for i, w in enumerate(library, start=1):
-        perms[i], lead, coeff = _wide_split(w, instance.s)
-        store("raw-cols", i, lead, lead_layout)
-        store("coded-Q", i, coeff, coeff_layout)
-    for user in users:
-        user.metadata["column-permutations"] = perms
+        if coeff is None:
+            store("raw-cols", i, w.data, lead)
+            continue
+        perms[i], lead_cols, coeffs = _wide_split(w, instance.s)
+        store("raw-cols", i, lead_cols, lead)
+        store("coded-Q", i, coeffs, coeff)
+    if coeff is not None:
+        for user in users:
+            user.metadata["column-permutations"] = perms
     return CacheContents(tuple(users))
-
-
-def _coeff_multicasts(
-    instance: ProblemInstance,
-    coeff_layout: ColLayout,
-    demands: DemandVector,
-    coeffs: Mapping[int, np.ndarray],
-    step: str,
-    slot: int,
-) -> list[Message]:
-    """Plain coded multicasts of the cached coefficient blocks each user in the
-    subset is missing (slot picks which demanded matrix's coefficients): one
-    per (|block subset| + 1)-subset, wide tier first."""
-    q, s = instance.field.q, instance.s
-    get_block = _block_getter(coeff_layout, coeffs)
-
-    def segment(k: int, rest: tuple[int, ...]) -> np.ndarray:
-        return get_block(demands.pair(k)[slot - 1], rest).ravel()
-
-    widths = {len(e.subset): e.width for e in coeff_layout.entries}
-    messages = []
-    for size, width in widths.items():
-        for s_set in subsets_of(instance.K, size + 1):
-            messages.append(Message(("col", step, s_set), subset_sum(q, s * width, s_set, segment)))
-    return messages
 
 
 def deliver(
@@ -312,24 +241,34 @@ def deliver(
     library: Sequence[FieldMatrix],
     demands: DemandVector,
 ) -> DeliveryTranscript:
-    if instance.a <= 1:
-        (layout,) = _layouts(instance)
-        get_block = _block_getter(layout, {i: w.data for i, w in enumerate(library, start=1)})
-        return DeliveryTranscript(tuple(_round_messages(instance, layout, demands, get_block)))
-    lead_layout, coeff_layout = _layouts(instance)
-    leads: dict[int, np.ndarray] = {}
+    q, s = instance.field.q, instance.s
+    lead, coeff = _splits(instance)
+    demanded = sorted({d for pair in demands.normalized for d in pair})
+    leads = {i: library[i - 1].data for i in demanded}
     coeffs: dict[int, np.ndarray] = {}
-    for i in sorted({d for pair in demands.normalized for d in pair}):
-        _, leads[i], coeffs[i] = _wide_split(library[i - 1], instance.s)
-    messages = _round_messages(instance, lead_layout, demands, _block_getter(lead_layout, leads))
-    messages.extend(_coeff_multicasts(instance, coeff_layout, demands, coeffs, "step2", 2))
-    messages.extend(_coeff_multicasts(instance, coeff_layout, demands, coeffs, "step3", 1))
+    if coeff is not None:
+        for i in demanded:
+            _, leads[i], coeffs[i] = _wide_split(library[i - 1], s)
+    messages = _round_messages(instance, lead, demands, _block_getter(lead, leads))
+    if coeff is None:
+        return DeliveryTranscript(tuple(messages))
+    get_coeff = _block_getter(coeff, coeffs)
+
+    def coeff_segment(slot: int, k: int, rest: tuple[int, ...]) -> np.ndarray:
+        return get_coeff(demands.pair(k)[slot - 1], rest).ravel()
+
+    # Steps 2 and 3 send the coefficient blocks of each user's second, then
+    # first, demanded matrix by plain coded multicasts.
+    for step, slot in (("step2", 2), ("step3", 1)):
+        for s_set, width in coeff.multicasts():
+            payload = subset_sum(q, s * width, s_set, partial(coeff_segment, slot))
+            messages.append(Message(("col", step, s_set), payload))
     return DeliveryTranscript(tuple(messages))
 
 
 def _assemble_coeff(
     instance: ProblemInstance,
-    coeff_layout: ColLayout,
+    split: ManSplit,
     k: int,
     cache: UserCache,
     transcript: DeliveryTranscript,
@@ -344,14 +283,13 @@ def _assemble_coeff(
     def cached(user: int, subset: tuple[int, ...]) -> np.ndarray:
         return cache.get(("coded-Q", demands.pair(user)[slot - 1], subset)).ravel()
 
-    out = np.zeros((s, coeff_layout.total), dtype=np.int64)
-    for e in coeff_layout.entries:
-        if k in e.subset:
-            flat = cached(k, e.subset)
-        else:
-            s_set = tuple(sorted(e.subset + (k,)))
-            flat = cancel(q, transcript.find(("col", step, s_set)).payload, k, s_set, cached)
-        out[:, e.cols] = flat.reshape(s, e.width)
+    def payload_for(s_set: tuple[int, ...]) -> np.ndarray:
+        return transcript.find(("col", step, s_set)).payload
+
+    out = np.zeros((s, split.total), dtype=np.int64)
+    for block, flat in zip(split.blocks, recover(q, k, split.by_subset, payload_for, cached)):
+        flat = cached(k, block.subset) if flat is None else flat
+        out[:, block.span] = flat.reshape(s, block.width)
     return out
 
 
@@ -365,19 +303,17 @@ def decode(
 ) -> FieldMatrix:
     q, r = instance.field.q, instance.r
     d1, d2 = demands.pair(k)
+    lead, coeff = _splits(instance)
 
     def cache_block(i: int, subset: tuple[int, ...]) -> np.ndarray:
         return cache.get(("raw-cols", i, subset))
 
-    if instance.a <= 1:
-        (layout,) = _layouts(instance)
-        grid = _decode_grid(instance, layout, k, cache_block, transcript, demands)
-        return FieldMatrix(instance.field, grid)
-    lead_layout, coeff_layout = _layouts(instance)
-    t11 = _decode_grid(instance, lead_layout, k, cache_block, transcript, demands)
-    q2 = _assemble_coeff(instance, coeff_layout, k, cache, transcript, demands, "step2", 2)
+    t11 = _decode_grid(instance, lead, k, cache_block, transcript, demands)
+    if coeff is None:
+        return FieldMatrix(instance.field, t11)
+    q2 = _assemble_coeff(instance, coeff, k, cache, transcript, demands, "step2", 2)
     t12 = _matmul_mod(t11, q2, q)
-    q1 = _assemble_coeff(instance, coeff_layout, k, cache, transcript, demands, "step3", 1)
+    q1 = _assemble_coeff(instance, coeff, k, cache, transcript, demands, "step3", 1)
     top = np.concatenate([t11, t12], axis=1)
     bottom = _matmul_mod(q1.T, top, q)
     shuffled = np.concatenate([top, bottom], axis=0)
@@ -395,12 +331,12 @@ def formula_load(instance: ProblemInstance, config: ColConfig) -> Fraction:
 
 
 def constraints(instance: ProblemInstance, config: ColConfig) -> Mapping[str, Fraction]:
-    p = col_params(instance)
+    x = Fraction(instance.K) * instance.M / instance.N
     out: dict[str, Fraction] = {}
     for name, total in _column_ranges(instance):
-        w1, w2 = tier_widths(p, instance.K, total)
+        _, alpha, w1, w2 = split_widths(instance.K, x, total)
         out[f"alpha*{name}/C(K,t)"] = w1
-        if p.alpha < 1:
+        if alpha < 1:
             out[f"(1-alpha)*{name}/C(K,t+1)"] = w2
     return out
 

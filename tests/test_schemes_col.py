@@ -19,25 +19,23 @@ from matcache.model import (
     verify_retrieval,
     worst_case_demands,
 )
-from matcache.schemes.col import ColConfig, ColParams, build_layout, col_params, tier_widths
+from matcache.schemes.col import ColConfig, constraints
+from matcache.schemes.common import man_split, split_widths
 
 
-def test_col_params_at_corner_and_between():
+def test_col_split_at_corner_and_between():
     corner = ProblemInstance(K=4, N=20, s=12, r=6, M=F(10))
-    assert col_params(corner) == ColParams(2, F(1))
+    assert split_widths(4, 4 * corner.M / corner.N, corner.r)[:2] == (2, F(1))
+    assert constraints(corner, ColConfig()) == {"alpha*r/C(K,t)": 1}
     between = ProblemInstance(K=4, N=20, s=12, r=6, M=F(15, 2))
-    assert col_params(between) == ColParams(1, F(1, 2))
+    assert split_widths(4, 4 * between.M / between.N, between.r)[:2] == (1, F(1, 2))
 
 
 def test_layout_covers_all_columns_once():
-    params = ColParams(2, F(1))
-    layout = build_layout(params, 4, 6)
-    assert layout.total == 6
-    w1, w2 = tier_widths(params, 4, 6)
-    assert (w1, w2) == (1, 0)
-    covered = sorted(
-        c for e in layout.entries for c in range(e.offset, e.offset + e.width)
-    )
+    split = man_split(4, 2, 6)  # t = 2, alpha = 1
+    assert split.total == 6
+    assert split_widths(4, 2, 6)[2:] == (1, 0)
+    covered = sorted(c for b in split.blocks for c in range(b.offset, b.offset + b.width))
     assert covered == list(range(6))
 
 

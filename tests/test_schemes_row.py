@@ -10,22 +10,25 @@ from hypothesis import strategies as st
 
 from matcache.bounds import load_Rrow, row_partition_load
 from matcache.model import ProblemInstance, SchemeParameterError, run_scheme
-from matcache.schemes.row import RowConfig, row_params
+from matcache.schemes.common import split_widths
+from matcache.schemes.row import RowConfig, constraints
 
 
-def test_row_params_integral_split():
+def test_row_split_integral():
     inst = ProblemInstance(K=4, N=20, s=12, r=6, M=F(10))
-    params = row_params(inst, ell=2)
-    assert (params.t, params.alpha) == (1, F(1))
-    assert params.h1 == 6  # alpha * s / C(2,1)
-    assert params.h2 == 0
+    t, alpha, h1, h2 = split_widths(2, 2 * inst.M / inst.N, inst.s)  # ell = 2
+    assert (t, alpha) == (1, F(1))
+    assert h1 == 6  # alpha * s / C(2,1)
+    assert h2 == 0
+    assert constraints(inst, RowConfig(ell=2)) == {"alpha*s/C(ell,t)": 6}
 
 
-def test_row_params_fractional_split():
+def test_row_split_fractional():
     inst = ProblemInstance(K=4, N=20, s=12, r=6, M=F(5))
-    params = row_params(inst, ell=2)
-    assert (params.t, params.alpha) == (0, F(1, 2))
-    assert params.h1 == 6 and params.h2 == 3
+    t, alpha, h1, h2 = split_widths(2, 2 * inst.M / inst.N, inst.s)  # ell = 2
+    assert (t, alpha) == (0, F(1, 2))
+    assert h1 == 6 and h2 == 3
+    assert list(constraints(inst, RowConfig(ell=2)).values()) == [6, 3]
 
 
 def test_single_packet_fixture():
