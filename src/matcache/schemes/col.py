@@ -1,6 +1,7 @@
 """Column-partition structure-aware scheme.
 
-Matrices are split into vertical blocks indexed by t-subsets (wide tier) and
+The columns of every matrix get the MAN split over the K users at
+replication x = K*M/N: vertical blocks indexed by t-subsets (wide tier) and
 (t+1)-subsets (narrow tier) of users, where t = floor(K*M/N); user k caches
 the blocks whose subset contains it.  A demanded product decomposes into the
 grid of cross-block products block(d1, T1)^T block(d2, T2), and delivery runs
@@ -11,8 +12,10 @@ align; zero-length groups produce no message.
 
 For wide matrices (r > s) each matrix is first column-permuted so its
 leading s columns span it; those columns get the treatment above, while the
-remaining columns are represented by cached coefficient blocks Q with
-W1 @ Q = W2, delivered by plain coded multicasts and combined locally.
+remaining r - s columns are represented by cached coefficient blocks Q with
+W1 @ Q = W2, placed by their own MAN split, delivered by its plain coded
+multicasts and combined locally.  Matrices with r <= s have no coefficient
+split.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def _column_ranges(instance: ProblemInstance) -> list[tuple[str, int]]:
 
 def _splits(instance: ProblemInstance) -> tuple[ManSplit, ManSplit | None]:
     """The MAN split at x = K*M/N of the lead columns, and of the coefficient
-    columns (None for narrow matrices, which have none)."""
+    columns (None when r <= s, where there are none)."""
     x = Fraction(instance.K) * instance.M / instance.N
     splits = [man_split(instance.K, x, total) for _, total in _column_ranges(instance)]
     return splits[0], (splits[1] if len(splits) > 1 else None)
