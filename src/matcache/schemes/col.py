@@ -57,14 +57,12 @@ from .common import (
 )
 
 BlockGetter = Callable[[int, tuple[int, ...]], np.ndarray]
+Groups = dict[tuple[int, ...], list[tuple[Block, Block]]]
 
 
 @dataclass(frozen=True)
 class ColConfig:
     """No free parameters: t = floor(K*M/N) and the tier split are derived."""
-
-
-Groups = dict[tuple[int, ...], list[tuple[Block, Block]]]
 
 
 def _column_ranges(instance: ProblemInstance) -> list[tuple[str, int]]:
