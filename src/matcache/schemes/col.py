@@ -121,7 +121,10 @@ def _group_packet(
 
 
 def _round_messages(
-    instance: ProblemInstance, split: ManSplit, demands: DemandVector, get_block: BlockGetter
+    instance: ProblemInstance,
+    split: ManSplit,
+    demands: DemandVector,
+    get_block: BlockGetter,
 ) -> list[Message]:
     """Round i sends, to every (i+1)-subset S, the subset sum of each member's
     group for the intersection set S minus that member."""

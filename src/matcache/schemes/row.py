@@ -91,8 +91,9 @@ def deliver(
     ell = config.ell
     split = _split(instance, ell)
     q, r = instance.field.q, instance.r
+    groups = -(-instance.K // ell)
     messages = []
-    for j in range(1, -(-instance.K // ell) + 1):
+    for j in range(1, groups + 1):
         for s_set, h in split.multicasts():
             headers = []
 
