@@ -6,6 +6,22 @@ every operation is a pure deterministic function of its inputs — two callers
 holding the same matrix always compute byte-identical results, which the
 multicast-cancellation logic elsewhere relies on.
 
+Products and eliminations for q < 2^31 each have two exact paths.  Small
+ones stay in int64: the product splits b into 16-bit halves, and the
+elimination is a rank-1 loop, one pivot at a time.  Larger products run in
+float64 BLAS on k-bit limbs of a, k = 53 - bitlen(q-1) - bitlen(n) for inner
+dimension n.  Each dot product of n limbs (< 2^k) with n residues (< q) is
+then an integer of at most n*(q-1)*(2^k - 1) < 2^53, and so is every partial
+sum of it, which float64 holds exactly: the result is the same for every
+order and thread count the BLAS sums in (the delayed reduction of Dumas,
+Giorgi and Pernet, "FFLAS/FFPACK", ACM TOMS 35(3), 2008).  Larger
+eliminations run in column panels whose trailing updates are such products
+(after the blocked elimination of Jeannerod, Pernet and Storjohann,
+J. Symbolic Comput. 56, 2013).  The cut-overs (_BLAS_MIN_INNER,
+_BLAS_MIN_OUTPUT, _BLOCKED_MIN_COLS, _BLOCKED_MIN_ENTRIES) come from a timing
+sweep: below them the int64 paths are faster, and the tests hold the BLAS
+paths to them as oracles.  q > 2^31 computes on Python ints (object dtype).
+
 Random matrices come from a counter-based PRNG (SplitMix64 finalizer over a
 linear counter encoding) with rejection sampling, so entry (i, j) of a matrix
 depends only on (seed, rows, cols, i, j) — never on generation order or
@@ -28,9 +44,25 @@ _GAMMA2 = 0xD1B54A32D192ED03
 _MASK64 = (1 << 64) - 1
 
 # int64 storage keeps a*b for residues a, b < q exact only when q^2 < 2^63;
-# q below 2^31 additionally enables the fast split-multiply path.  Primes up
+# q below 2^31 additionally enables the int64 and float64 kernels.  Primes up
 # to 2^62 are still accepted (exact via object-dtype fallback).
 _MAX_Q = 1 << 62
+# Below this q, products run in int64 or float64 and elimination in int64.
+_WORD_Q = 1 << 31
+# Longest inner dimension of the int64 split product.
+_INT64_MAX_INNER = 1 << 15
+# float64 holds every integer below 2^53 exactly.
+_MANTISSA_BITS = 53
+# Cut-overs from a timing sweep on a 2-CPU x86-64 host with OpenBLAS.
+# Products with an inner dimension of at least _BLAS_MIN_INNER and at least
+# _BLAS_MIN_OUTPUT result entries go to float64 BLAS.
+_BLAS_MIN_INNER = 16
+_BLAS_MIN_OUTPUT = 256
+# Eliminations of matrices with at least _BLOCKED_MIN_COLS columns and
+# _BLOCKED_MIN_ENTRIES entries run in panels of _PANEL columns.
+_BLOCKED_MIN_COLS = 112
+_BLOCKED_MIN_ENTRIES = 1 << 13
+_PANEL = 32
 
 # Miller-Rabin with this witness set is deterministic for n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -154,18 +186,63 @@ class FieldMatrix:
         return cls(spec, np.eye(n, dtype=np.int64))
 
 
+def _limb_bits(q: int, n: int) -> int:
+    """Limb width k of the float64 product with inner dimension n.
+
+    As q - 1 < 2^bitlen(q-1) and n < 2^bitlen(n), a dot product of n
+    residues with n k-bit limbs is at most n*(q-1)*(2^k - 1) < 2^53.  Below 1
+    there is no such limb.
+    """
+    return _MANTISSA_BITS - (q - 1).bit_length() - n.bit_length()
+
+
+def _matmul_mod_int64(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Exact (a @ b) mod q in int64, for q <= 2^31 and inner dimension <= 2^15."""
+    # Split b into 16-bit halves so every partial dot product fits int64:
+    # a*b_hi < 2^31 * 2^15 summed over <= 2^15 terms < 2^61.
+    b_hi = b >> 16
+    b_lo = b & 0xFFFF
+    hi = (a @ b_hi) % q
+    return ((hi << 16) + a @ b_lo) % q
+
+
+def _matmul_mod_float64(a: np.ndarray, b: np.ndarray, q: int, k: int) -> np.ndarray:
+    """Exact (a @ b) mod q from float64 BLAS products of the k-bit limbs of a with b."""
+    b = b.astype(np.float64)
+    acc = None
+    # Most significant limb first: Horner's rule recombines the limb products.
+    for shift in range(((q - 1).bit_length() - 1) // k * k, -1, -k):
+        part = (((a >> shift) & ((1 << k) - 1)).astype(np.float64) @ b).astype(np.int64)
+        if acc is None:
+            acc = part
+        else:
+            acc <<= k
+            acc += part
+        acc %= q
+    return acc
+
+
 def _matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Exact (a @ b) mod q for residue matrices."""
-    n = a.shape[1]
+    """Exact (a @ b) mod q for residue matrices.
+
+    For q < 2^31, a product with inner dimension n >= _BLAS_MIN_INNER and at
+    least _BLAS_MIN_OUTPUT entries, or with n past the int64 split's 2^15,
+    runs in float64 BLAS on k-bit limbs of a, k = _limb_bits(q, n): every
+    partial dot product is an integer below 2^53, so the result is exact for
+    any summation order and thread count.  Smaller products take the int64
+    split, which is faster there and the oracle of the tests.  Larger q, and
+    inner dimensions too long for a 1-bit limb, take the object product.
+    """
+    m, n = a.shape
+    p = b.shape[1]
     if n == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    if q <= (1 << 31) and n <= (1 << 15):
-        # Split b into 16-bit halves so every partial dot product fits int64:
-        # a*b_hi < 2^31 * 2^15 summed over <= 2^15 terms < 2^61.
-        b_hi = b >> 16
-        b_lo = b & 0xFFFF
-        hi = (a @ b_hi) % q
-        return ((hi << 16) + a @ b_lo) % q
+        return np.zeros((m, p), dtype=np.int64)
+    if q < _WORD_Q:
+        if n <= _INT64_MAX_INNER and (n < _BLAS_MIN_INNER or m * p < _BLAS_MIN_OUTPUT):
+            return _matmul_mod_int64(a, b, q)
+        k = _limb_bits(q, n)
+        if k >= 1:
+            return _matmul_mod_float64(a, b, q, k)
     prod = a.astype(object) @ b.astype(object)
     return (prod % q).astype(np.int64)
 
@@ -187,13 +264,36 @@ def _rref(data: np.ndarray, q: int, ncols: int | None = None) -> tuple[np.ndarra
     unit pivot, and cleared from every other row by one rank-1 update.  The
     RREF is unique, and pivot_cols are the lexicographically first
     independent columns, so every caller's result is fixed by the matrix.
+
+    For q < 2^31, matrices with at least _BLOCKED_MIN_COLS columns and
+    _BLOCKED_MIN_ENTRIES entries are eliminated in panels with BLAS trailing
+    updates (`_eliminate_blocked`); smaller ones, and q > 2^31, by the rank-1
+    loop (`_eliminate`), which is faster there and the oracle of the tests.
+    Both give the same pivots and reduced[:rank].  Rows from rank on are zero
+    on the first ncols columns; after those they span the residual of a
+    `solve_columns` system in either path, but in a path-dependent basis.
+    While that residual is nonzero, reduced[:rank, ncols:] is path-dependent
+    too; callers then read only that the residual is nonzero.
     """
     work = np.ascontiguousarray(data % q)
-    if q > (1 << 31):
+    ncols = work.shape[1] if ncols is None else ncols
+    if q > _WORD_Q:
         work = work.astype(object)  # a factor times an entry must stay exact
+    elif work.shape[1] >= _BLOCKED_MIN_COLS and work.size >= _BLOCKED_MIN_ENTRIES:
+        return work, _eliminate_blocked(work, q, ncols)
+    return work, _eliminate(work, q, ncols)[0]
+
+
+def _eliminate(work: np.ndarray, q: int, ncols: int) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan on `work` in place, one rank-1 update per pivot.
+
+    Returns (pivot_cols, order): the input rows order[:rank] span the same
+    row space as the first rank rows of the result, so they are independent.
+    """
     m = work.shape[0]
     pivots: list[int] = []
-    for col in range(work.shape[1] if ncols is None else ncols):
+    order = list(range(m))
+    for col in range(ncols):
         row = len(pivots)
         if row == m:
             break
@@ -203,6 +303,7 @@ def _rref(data: np.ndarray, q: int, ncols: int | None = None) -> tuple[np.ndarra
         sel = row + int(nonzero[0])
         if sel != row:
             work[[row, sel]] = work[[sel, row]]
+            order[row], order[sel] = order[sel], order[row]
         # Entries left of `col` are zero in rows at or below `row`, so every
         # update can be restricted to columns >= col.
         work[row, col:] = work[row, col:] * pow(int(work[row, col]), -1, q) % q
@@ -210,7 +311,41 @@ def _rref(data: np.ndarray, q: int, ncols: int | None = None) -> tuple[np.ndarra
         factors[row] = 0
         work[:, col:] = (work[:, col:] - np.outer(factors, work[row, col:])) % q
         pivots.append(col)
-    return work, pivots
+    return pivots, order
+
+
+def _eliminate_blocked(work: np.ndarray, q: int, ncols: int) -> list[int]:
+    """Gauss-Jordan on `work` in place, _PANEL pivot columns at a time.
+
+    The rank-1 loop runs on a copy of the panel's non-pivot rows only, to find
+    the panel's pivot columns J and the rows R that carry them.  Those rows
+    become S^-1 R with S = R[:, J], which is the unit basis of their span on
+    J, and every other row x gets one BLAS update x - x[:, J] S^-1 R.
+    """
+    m = work.shape[0]
+    pivots: list[int] = []
+    for c0 in range(0, ncols, _PANEL):
+        r = len(pivots)
+        if r == m:
+            break
+        c1 = min(c0 + _PANEL, ncols)
+        found, order = _eliminate(work[r:, c0:c1].copy(), q, c1 - c0)
+        k = len(found)
+        if k == 0:
+            continue
+        rows = r + np.array(order[:k])
+        cols = c0 + np.array(found)
+        unit = np.concatenate([work[np.ix_(rows, cols)], np.eye(k, dtype=np.int64)], axis=1)
+        _eliminate(unit, q, k)  # [S | I] -> [I | S^-1]
+        basis = _matmul_mod(unit[:, k:], work[rows, c0:], q)
+        others = np.concatenate([np.arange(r), r + np.array(order[k:], dtype=np.int64)])
+        rest = work[others, c0:]
+        rest = (rest - _matmul_mod(rest[:, found], basis, q)) % q
+        work[:r, c0:] = rest[:r]
+        work[r : r + k, c0:] = basis
+        work[r + k :, c0:] = rest[r:]
+        pivots.extend(cols.tolist())
+    return pivots
 
 
 def mat_rank(a: FieldMatrix) -> int:

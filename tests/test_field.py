@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matcache import field as field_mod
 from matcache.compress import compress_product
 from matcache.field import (
     DEFAULT_FIELD,
@@ -281,3 +288,223 @@ def test_elimination_kernel_matches_python_oracle(q):
         empty = FieldMatrix.zeros(spec, m, p)
         assert mat_rank(empty) == 0
         assert row_basis(empty) == []
+
+
+# ---------------------------------------------------------------------------
+# The BLAS kernels against the int64/object product and the rank-1 loop
+
+Q31 = (1 << 31) - 1
+Q61 = (1 << 61) - 1
+
+
+def _object_product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    return ((a.astype(object) @ b.astype(object)) % q).astype(np.int64)
+
+
+def _inner_dims() -> list[int]:
+    """n = 0, then 2^j - 1, 2^j and 2^j + 1, where bitlen(n) and so the limb width change."""
+    dims = {0}
+    for j in range(13):
+        dims.update((2**j - 1, 2**j, 2**j + 1))
+    return sorted(dims)
+
+
+@pytest.mark.parametrize("q", [2, 3, 65521, Q31])
+def test_float64_limb_bound_holds_for_every_inner_dim(q):
+    for n in range(1, (1 << 20) + 1):
+        k = field_mod._limb_bits(q, n)
+        assert k >= 1 and n * (q - 1) * ((1 << k) - 1) < 1 << 53
+
+
+@pytest.mark.parametrize("q", [2, 3, 65521, Q31])
+def test_blas_product_matches_oracle_on_worst_case_operands(q):
+    """Every entry q - 1 makes every dot product n*(q-1)^2 = n mod q as large as it gets."""
+    rng = np.random.default_rng(q)
+    for n in _inner_dims():
+        # (16, 16) reaches the BLAS cut-over once n does; (1, 256) and (256, 1)
+        # are the 1 x n and n x 1 operand shapes.
+        for m, p in ((16, 16), (1, 256), (256, 1), (3, 5)):
+            # With q odd, q - 1 is even and so is every sum of its products;
+            # q - 2 makes the sums odd, so one that float64 rounds shows.
+            for a, b in (
+                (np.full((m, n), q - 1), np.full((n, p), q - 1)),
+                (np.full((m, n), q - 1), np.full((n, p), max(q - 2, 1))),
+                (rng.integers(0, q, (m, n)), rng.integers(0, q, (n, p))),
+            ):
+                expected = field_mod._matmul_mod_int64(a, b, q)
+                assert np.array_equal(field_mod._matmul_mod(a, b, q), expected), (m, n, p)
+                if n:
+                    fast = field_mod._matmul_mod_float64(a, b, q, field_mod._limb_bits(q, n))
+                    assert np.array_equal(fast, expected), (m, n, p)
+        worst = field_mod._matmul_mod(np.full((16, n), q - 1), np.full((n, 16), q - 1), q)
+        assert np.all(worst == n % q)
+    a, b = rng.integers(0, q, (16, 100)), rng.integers(0, q, (100, 16))
+    assert np.array_equal(field_mod._matmul_mod_int64(a, b, q), _object_product(a, b, q))
+
+
+def test_blas_product_past_the_int64_inner_limit():
+    """n = 2^15 + 1 is too long for the int64 split; at q = 2^31 - 1 it still has 6-bit limbs."""
+    n = (1 << 15) + 1
+    assert field_mod._limb_bits(Q31, n) == 6
+    rng = np.random.default_rng(7)
+    for a, b in (
+        (np.full((2, n), Q31 - 1), np.full((n, 3), Q31 - 1)),
+        (rng.integers(0, Q31, (2, n)), rng.integers(0, Q31, (n, 3))),
+    ):
+        assert np.array_equal(field_mod._matmul_mod(a, b, Q31), _object_product(a, b, Q31))
+
+
+def _loop_rref(data: np.ndarray, q: int, ncols: int | None = None) -> tuple[np.ndarray, list[int]]:
+    """The rank-1 loop alone: the oracle of the blocked elimination."""
+    work = data % q
+    return work, field_mod._eliminate(work, q, work.shape[1] if ncols is None else ncols)[0]
+
+
+def _same_elimination(data: np.ndarray, q: int, ncols: int | None = None) -> None:
+    """Blocked and loop RREF agree on every byte a caller reads."""
+    reduced, pivots = field_mod._rref(data, q, ncols)
+    expected, expected_pivots = _loop_rref(data, q, ncols)
+    rank = len(pivots)
+    assert pivots == expected_pivots
+    width = data.shape[1] if ncols is None else ncols
+    residual = bool(reduced[rank:, width:].any())
+    assert residual == bool(expected[rank:, width:].any())
+    read = width if residual else data.shape[1]
+    assert np.array_equal(reduced[:rank, :read], expected[:rank, :read])
+
+
+def _product_of_rank(rng: np.random.Generator, q: int, m: int, p: int, rank: int) -> np.ndarray:
+    left, right = rng.integers(0, q, (m, rank)), rng.integers(0, q, (rank, p))
+    return field_mod._matmul_mod_int64(left, right, q)
+
+
+def _with_pivots(rng: np.random.Generator, q: int, m: int, p: int, pivots: list[int]) -> np.ndarray:
+    """An m x p matrix whose column rank profile is `pivots` (m >= len(pivots))."""
+    echelon = np.zeros((len(pivots), p), dtype=np.int64)
+    for i, col in enumerate(pivots):
+        echelon[i, col] = 1
+        echelon[i, col + 1 :] = rng.integers(0, q, p - col - 1)
+        echelon[i, [c for c in pivots if c > col]] = 0
+    # A lower-unitriangular left factor keeps the rows independent.
+    left = np.tril(rng.integers(0, q, (m, len(pivots))), -1)
+    left[np.arange(len(pivots)), np.arange(len(pivots))] = 1
+    return field_mod._matmul_mod_int64(left, echelon, q)
+
+
+@pytest.fixture
+def blocked_spy(monkeypatch):
+    calls = []
+    real = field_mod._eliminate_blocked
+
+    def spy(work, q, ncols):
+        calls.append(work.shape)
+        return real(work, q, ncols)
+
+    monkeypatch.setattr(field_mod, "_eliminate_blocked", spy)
+    return calls
+
+
+@pytest.mark.parametrize("q", [2, 3, Q31])
+def test_blocked_elimination_matches_loop(q, blocked_spy):
+    rng = np.random.default_rng(q)
+    b = field_mod._PANEL
+    matrices = [
+        _product_of_rank(rng, q, 256, 256, 32),
+        _product_of_rank(rng, q, 256, 256, 128),
+        rng.integers(0, q, (150, 150)),
+        np.zeros((256, 256), dtype=np.int64),
+        *(_product_of_rank(rng, q, 150, 150, rank) for rank in (b - 1, b, b + 1)),
+        _with_pivots(rng, q, 150, 160, [0, b - 1, b, b + 1, 2 * b - 1, 2 * b, 3 * b + 5, 159]),
+        _with_pivots(rng, q, 200, 150, list(range(b - 3, 2 * b + 3)) + [149]),
+    ]
+    for data in matrices:
+        _same_elimination(data, q)
+        _same_elimination(np.ascontiguousarray(data.T), q)
+    assert len(blocked_spy) == 2 * len(matrices)
+    straddling = _with_pivots(rng, q, 150, 160, [b - 1, b, 3 * b + 5])
+    assert field_mod._rref(straddling, q)[1] == [b - 1, b, 3 * b + 5]
+
+
+@pytest.mark.parametrize("q", [2, 3, Q31])
+def test_blocked_solve_columns_matches_loop(q, blocked_spy, monkeypatch):
+    spec = FieldSpec(q)
+    rng = np.random.default_rng(q + 1)
+    w1 = _product_of_rank(rng, q, 200, 120, 40)
+    consistent = field_mod._matmul_mod_int64(w1, rng.integers(0, q, (120, 8)), q)
+    inconsistent = consistent.copy()
+    inconsistent[:, 3] = rng.integers(0, q, 200)
+    for y in (consistent, inconsistent):
+        _same_elimination(np.concatenate([w1, y], axis=1), q, ncols=120)
+    assert blocked_spy
+
+    def solved(y: np.ndarray) -> np.ndarray:
+        return solve_columns(FieldMatrix(spec, w1), FieldMatrix(spec, y)).data
+
+    fast = solved(consistent)
+    with pytest.raises(ValueError, match="column not in span"):
+        solved(inconsistent)
+    monkeypatch.setattr(field_mod, "_BLOCKED_MIN_COLS", 1 << 62)  # the loop alone
+    assert np.array_equal(solved(consistent), fast)
+    with pytest.raises(ValueError, match="column not in span"):
+        solved(inconsistent)
+
+
+@pytest.mark.parametrize("q", [2, 3, Q31])
+def test_blocked_compress_product_bytes_match_loop(q, blocked_spy, monkeypatch):
+    """The row scheme compresses 256 x 256 products with inner dimension 32."""
+    spec = FieldSpec(q)
+    rng = np.random.default_rng(q + 2)
+    products = [FieldMatrix(spec, _product_of_rank(rng, q, 256, 256, inner)) for inner in (32, 128)]
+    fast = [compress_product(product, inner) for product, inner in zip(products, (32, 128))]
+    assert len(blocked_spy) == len(products)
+    monkeypatch.setattr(field_mod, "_BLOCKED_MIN_COLS", 1 << 62)
+    slow = [compress_product(product, inner) for product, inner in zip(products, (32, 128))]
+    for got, expected in zip(fast, slow):
+        assert (got.rank, got.basis_row_indices) == (expected.rank, expected.basis_row_indices)
+        assert got.payload.tobytes() == expected.payload.tobytes()
+
+
+def test_q61_keeps_the_object_paths(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("q = 2^61 - 1 must not reach a float64 or blocked kernel")
+
+    monkeypatch.setattr(field_mod, "_matmul_mod_float64", refuse)
+    monkeypatch.setattr(field_mod, "_eliminate_blocked", refuse)
+    spec = FieldSpec(Q61)
+    a = random_matrix(spec, 40, 40, 1)
+    assert mat_mul(a, FieldMatrix.identity(spec, 40)) == a
+    data = random_matrix(spec, 120, 120, 2).data
+    reduced, pivots = field_mod._rref(data, Q61)
+    assert reduced.dtype == object and pivots == list(range(120))
+
+
+_DIGEST_SCRIPT = """
+import hashlib
+from matcache.compress import compress_product
+from matcache.field import DEFAULT_FIELD, mat_mul, random_matrix
+def product(m, n, p, seed):
+    left = random_matrix(DEFAULT_FIELD, m, n, seed)
+    return mat_mul(left, random_matrix(DEFAULT_FIELD, n, p, seed + 1))
+print(hashlib.sha256(product(384, 192, 384, 11).data.tobytes()).hexdigest())
+print(hashlib.sha256(compress_product(product(256, 32, 256, 13), 32).payload.tobytes()).hexdigest())
+"""
+
+
+def test_blas_kernels_agree_across_thread_counts():
+    """BLAS may sum in any order with any thread count; every partial sum is exact."""
+    namespace: dict = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(_DIGEST_SCRIPT, namespace)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    src = str(Path(field_mod.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    single = subprocess.run(
+        [sys.executable, "-c", _DIGEST_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert single.stdout.split() == out.getvalue().split()
+    assert len(single.stdout.split()) == 2
