@@ -57,6 +57,16 @@ CELLS = {
     "uncoded-random-q3": ExperimentSpec(
         scheme="uncoded", demands="random", q=3, seed=10, **REFERENCE
     ),
+    # Many-block two-tier col at K=6, N=12, M=3 (x = 3/2, L = 15 + 20
+    # blocks) in suggest_shape's shape for a = 1/2.  Over GF(2) rank-deficient
+    # cross products put different headers side by side in one group; at
+    # q = 2^61 - 1 every product takes the object path.
+    "col-many-blocks-two-tier-q2": ExperimentSpec(
+        scheme="col", K=6, N=12, s=120, r=60, M=F(3), q=2, seed=11
+    ),
+    "col-many-blocks-random-q61": ExperimentSpec(
+        scheme="col", K=6, N=12, s=120, r=60, M=F(3), q=Q61, demands="random", seed=12
+    ),
 }
 
 FIELDS = (
