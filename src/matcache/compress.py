@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
-from .field import FieldMatrix, FieldSpec, _matmul_mod, _rref
+from .field import _WORD_Q, FieldMatrix, FieldSpec, _eliminate_stack, _matmul_mod, _rref
+
+Header = tuple[int, tuple[int, ...]]  # (rank, basis row indices)
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,19 @@ def g_ratio(alpha: Fraction, beta: Fraction) -> Fraction:
     return alpha * beta
 
 
+def _check_header(dims: DimTriple, rank: int, basis_row_indices: Sequence[int]) -> None:
+    """Raise ValueError unless (rank, basis_row_indices) can head a packet of
+    an m x p product with inner dimension n."""
+    if not 0 <= rank <= min(dims.n, dims.m, dims.p):
+        raise ValueError(f"rank {rank} out of range for dims {dims}")
+    if len(basis_row_indices) != rank:
+        raise ValueError("basis index count must equal rank")
+    if any(i < 0 or i >= dims.m for i in basis_row_indices):
+        raise ValueError("basis index out of range")
+    if any(b >= c for b, c in zip(basis_row_indices, basis_row_indices[1:])):
+        raise ValueError("basis indices must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class CompressedProduct:
     """P(C, B) encoding: basis rows A1, coefficients A2, basis-index header.
@@ -74,15 +90,8 @@ class CompressedProduct:
     padded_length: int
 
     def __post_init__(self) -> None:
-        m, n, p = self.dims.m, self.dims.n, self.dims.p
-        if not 0 <= self.rank <= min(n, m, p):
-            raise ValueError(f"rank {self.rank} out of range for dims {self.dims}")
-        if len(self.basis_row_indices) != self.rank:
-            raise ValueError("basis index count must equal rank")
-        if any(i < 0 or i >= m for i in self.basis_row_indices):
-            raise ValueError("basis index out of range")
-        if any(b >= c for b, c in zip(self.basis_row_indices, self.basis_row_indices[1:])):
-            raise ValueError("basis indices must be strictly increasing")
+        m, p = self.dims.m, self.dims.p
+        _check_header(self.dims, self.rank, self.basis_row_indices)
         expected = self.rank * p + (m - self.rank) * self.rank
         arr = np.ascontiguousarray(self.payload, dtype=np.int64)
         if arr.ndim != 1 or arr.shape[0] != expected:
@@ -161,3 +170,69 @@ def packet_symbols(cp: CompressedProduct) -> np.ndarray:
     packet = np.zeros(cp.padded_length, dtype=np.int64)
     packet[: cp.payload.shape[0]] = cp.payload
     return packet
+
+
+def _basis_first(basis: np.ndarray) -> np.ndarray:
+    """Per item of a (b, m) basis-row mask: the basis rows, then the other
+    rows, each ascending."""
+    return np.argsort(~basis, axis=1, kind="stable")
+
+
+def compress_stack(products: np.ndarray, inner_dim: int, q: int) -> tuple[np.ndarray, list[Header]]:
+    """compress_product over a (b, m, p) stack of residue products with inner
+    dimension n: the (b, f(m,n,p)) packets, item i equal to
+    packet_symbols(compress_product(products[i], n)), and each item's
+    (rank, basis_row_indices).  The items share one stacked elimination and
+    one gather per distinct rank.
+
+    Raises ValueError("inner-dimension contract violated") when some item's
+    rank exceeds min(n, m, p).
+    """
+    b, m, p = products.shape
+    dims = DimTriple(m, inner_dim, p)
+    reduced = products.transpose(0, 2, 1).copy()
+    if q > _WORD_Q:
+        reduced = reduced.astype(object)
+    basis = _eliminate_stack(reduced, q, m)
+    ranks = basis.sum(axis=1)
+    if np.any(ranks > min(inner_dim, m, p)):
+        raise ValueError("inner-dimension contract violated")
+    order = _basis_first(basis)
+    packets = np.zeros((b, f_len(dims)), dtype=np.int64)
+    for rank in sorted(set(ranks.tolist()) - {0}):
+        items = np.flatnonzero(ranks == rank)
+        rows = order[items]
+        a1 = np.take_along_axis(products[items], rows[:, :rank, None], axis=1)
+        a2 = np.take_along_axis(reduced[items, :rank], rows[:, None, rank:], axis=2)
+        packets[items, : rank * p] = a1.reshape(items.size, -1)
+        packets[items, rank * p : rank * p + (m - rank) * rank] = a2.transpose(0, 2, 1).reshape(items.size, -1)
+    headers = [(rank, tuple(row[:rank])) for rank, row in zip(ranks.tolist(), order.tolist())]
+    return packets, headers
+
+
+def decompress_stack(packets: np.ndarray, headers: Sequence[Header], dims: DimTriple, q: int) -> np.ndarray:
+    """decompress_product over a (b, f(m,n,p)) stack of packets with their
+    (rank, basis_row_indices) headers: the (b, m, p) products.  The items
+    share one stacked product per distinct rank.
+
+    Raises ValueError on a packet or header that CompressedProduct.from_packet
+    would refuse.
+    """
+    m, p = dims.m, dims.p
+    b = len(headers)
+    if packets.shape != (b, f_len(dims)):
+        raise ValueError(f"packet stack of shape {packets.shape}, expected {(b, f_len(dims))}")
+    for rank, basis_rows in headers:
+        _check_header(dims, rank, basis_rows)
+    ranks = np.array([rank for rank, _ in headers], dtype=np.int64)
+    basis = np.zeros((b, m), dtype=bool)
+    rows = np.array([i for _, basis_rows in headers for i in basis_rows], dtype=np.int64)
+    basis[np.repeat(np.arange(b), ranks), rows] = True
+    order = _basis_first(basis)
+    out = np.zeros((b, m, p), dtype=np.int64)
+    for rank in sorted(set(ranks.tolist()) - {0}):
+        items = np.flatnonzero(ranks == rank)
+        a1 = packets[items, : rank * p].reshape(items.size, rank, p)
+        a2 = packets[items, rank * p : rank * p + (m - rank) * rank].reshape(items.size, m - rank, rank)
+        out[items[:, None], order[items]] = np.concatenate([a1, _matmul_mod(a2, a1, q)], axis=1)
+    return out

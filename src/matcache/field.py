@@ -223,7 +223,8 @@ def _matmul_mod_float64(a: np.ndarray, b: np.ndarray, q: int, k: int) -> np.ndar
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Exact (a @ b) mod q for residue matrices.
+    """Exact (a @ b) mod q for residue matrices, or item by item for
+    (b, m, n) @ (b, n, p) stacks of them.
 
     For q < 2^31, a product with inner dimension n >= _BLAS_MIN_INNER and at
     least _BLAS_MIN_OUTPUT entries, or with n past the int64 split's 2^15,
@@ -233,10 +234,10 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     split, which is faster there and the oracle of the tests.  Larger q, and
     inner dimensions too long for a 1-bit limb, take the object product.
     """
-    m, n = a.shape
-    p = b.shape[1]
+    m, n = a.shape[-2:]
+    p = b.shape[-1]
     if n == 0:
-        return np.zeros((m, p), dtype=np.int64)
+        return np.zeros(a.shape[:-1] + (p,), dtype=np.int64)
     if q < _WORD_Q:
         if n <= _INT64_MAX_INNER and (n < _BLAS_MIN_INNER or m * p < _BLAS_MIN_OUTPUT):
             return _matmul_mod_int64(a, b, q)
@@ -312,6 +313,40 @@ def _eliminate(work: np.ndarray, q: int, ncols: int) -> tuple[list[int], list[in
         work[:, col:] = (work[:, col:] - np.outer(factors, work[row, col:])) % q
         pivots.append(col)
     return pivots, order
+
+
+def _eliminate_stack(work: np.ndarray, q: int, ncols: int) -> np.ndarray:
+    """Gauss-Jordan on every item of the (b, m, n) stack `work` in place.
+
+    Each item gets the steps `_eliminate` takes on it alone: for each column,
+    the first nonzero row at or below the item's next pivot row is swapped
+    up, scaled to a unit pivot and cleared from the item's other rows.  The
+    items of one column step share each numpy call.  Returns the (b, ncols)
+    mask of each item's pivot columns.
+    """
+    b, m = work.shape[:2]
+    pivots = np.zeros((b, ncols), dtype=bool)
+    rank = np.zeros(b, dtype=np.int64)
+    rows = np.arange(m)
+    for col in range(ncols):
+        candidates = (work[:, :, col] != 0) & (rows >= rank[:, None])
+        items = np.flatnonzero(candidates.any(axis=1))
+        if items.size == 0:
+            continue
+        row = rank[items]
+        sel = candidates[items].argmax(axis=1)
+        top = work[items, row]
+        work[items, row] = work[items, sel]
+        work[items, sel] = top
+        inverse = [pow(int(x), -1, q) for x in work[items, row, col].tolist()]
+        lead = work[items, row, col:] * np.array(inverse, dtype=work.dtype)[:, None] % q
+        work[items, row, col:] = lead
+        factors = work[items, :, col]
+        factors[np.arange(items.size), row] = 0
+        work[items, :, col:] = (work[items, :, col:] - factors[:, :, None] * lead[:, None, :]) % q
+        pivots[items, col] = True
+        rank[items] += 1
+    return pivots
 
 
 def _eliminate_blocked(work: np.ndarray, q: int, ncols: int) -> list[int]:

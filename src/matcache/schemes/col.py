@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..compress import CompressedProduct, DimTriple, compress_product, decompress_product, f_len, packet_symbols
+from ..compress import DimTriple, compress_stack, decompress_stack, f_len
 from ..field import (
     FieldMatrix,
     _matmul_mod,
@@ -98,45 +98,93 @@ def _block_getter(split: ManSplit, matrices: Mapping[int, np.ndarray]) -> BlockG
     return lambda i, subset: matrices[i][:, split.by_subset[subset].span]
 
 
-def _group_packet(
-    instance: ProblemInstance,
-    groups: Groups,
-    pair: tuple[int, int],
-    v_set: tuple[int, ...],
-    get_block: BlockGetter,
-) -> tuple[np.ndarray, tuple[PacketHeader, ...]]:
-    """One user's group for the demanded pair: the compressed cross products
-    over every block pair intersecting exactly in v_set, concatenated, and
-    their rank/basis headers."""
+@dataclass(frozen=True)
+class _Plan:
+    """The block pairs of the groups in `keys`, laid end to end in group
+    order.  Group V's packet is symbols[V] of the flat packet and its headers
+    are pairs[V] of the flat header list.  Each block shape (w1, w2) has one
+    bucket: the flat index of each of its pairs, the offset of each pair's
+    packet in the flat packet, and the block pairs themselves."""
+
+    symbols: dict[tuple[int, ...], slice]
+    pairs: dict[tuple[int, ...], slice]
+    buckets: dict[tuple[int, int], tuple[list[int], np.ndarray, list[tuple[Block, Block]]]]
+    size: int
+    count: int
+
+
+def _plan(groups: Groups, keys: Sequence[tuple[int, ...]], s: int) -> _Plan:
+    symbols, pairs, buckets, lengths = {}, {}, {}, {}
+    size = count = 0
+    for v_set in keys:
+        start, first = size, count
+        for b1, b2 in groups[v_set]:
+            shape = (b1.width, b2.width)
+            if shape not in buckets:
+                buckets[shape] = ([], [], [])
+                lengths[shape] = f_len(DimTriple(b1.width, s, b2.width))
+            index, offsets, block_pairs = buckets[shape]
+            index.append(count)
+            offsets.append(size)
+            block_pairs.append((b1, b2))
+            size += lengths[shape]
+            count += 1
+        symbols[v_set] = slice(start, size)
+        pairs[v_set] = slice(first, count)
+    buckets = {
+        shape: (index, np.array(offsets)[:, None] + np.arange(lengths[shape]), block_pairs)
+        for shape, (index, offsets, block_pairs) in buckets.items()
+    }
+    return _Plan(symbols, pairs, buckets, size, count)
+
+
+def _cells(block_pairs: Sequence[tuple[Block, Block]], at: Mapping[tuple[int, ...], int]) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays selecting each pair's (w1, w2) block of a cross product
+    whose rows and columns put block b at position at[b.subset]."""
+    b1, b2 = block_pairs[0]
+    rows = np.array([at[b1.subset] for b1, _ in block_pairs])[:, None, None] + np.arange(b1.width)[:, None]
+    cols = np.array([at[b2.subset] for _, b2 in block_pairs])[:, None, None] + np.arange(b2.width)
+    return rows, cols
+
+
+def _group_packets(
+    instance: ProblemInstance, plan: _Plan, product: np.ndarray, at: Mapping[tuple[int, ...], int]
+) -> dict[tuple[int, ...], tuple[np.ndarray, tuple[PacketHeader, ...]]]:
+    """A user's packet and headers for each group of the plan: the
+    compressed cross products of its block pairs, in group order.  `product`
+    is the user's demanded product, block b at position at[b.subset]; each
+    block shape takes one stacked compression."""
     q = instance.field.q
-    d1, d2 = pair
-    packets, headers = [], []
-    for b1, b2 in groups.get(v_set, ()):
-        prod = _matmul_mod(get_block(d1, b1.subset).T, get_block(d2, b2.subset), q)
-        cp = compress_product(FieldMatrix(instance.field, prod), instance.s)
-        packets.append(packet_symbols(cp))
-        headers.append((cp.rank, cp.basis_row_indices))
-    packet = np.concatenate(packets) if packets else np.zeros(0, dtype=np.int64)
-    return packet, tuple(headers)
+    flat = np.zeros(plan.size, dtype=np.int64)
+    headers: list[PacketHeader] = [()] * plan.count
+    for index, offsets, block_pairs in plan.buckets.values():
+        flat[offsets], heads = compress_stack(product[_cells(block_pairs, at)], instance.s, q)
+        for i, head in zip(index, heads):
+            headers[i] = head
+    return {v_set: (flat[span], tuple(headers[plan.pairs[v_set]])) for v_set, span in plan.symbols.items()}
 
 
 def _round_messages(
     instance: ProblemInstance,
     split: ManSplit,
     demands: DemandVector,
-    get_block: BlockGetter,
+    leads: Mapping[int, np.ndarray],
 ) -> list[Message]:
     """Round i sends, to every (i+1)-subset S, the subset sum of each member's
     group for the intersection set S minus that member."""
     q, K = instance.field.q, instance.K
     groups = intersection_groups(split)
+    at = {block.subset: block.offset for block in split.blocks}
+    own = {}
+    for k in range(1, K + 1):
+        d1, d2 = demands.pair(k)
+        plan = _plan(groups, [v_set for v_set in groups if k not in v_set], instance.s)
+        own[k] = _group_packets(instance, plan, _matmul_mod(leads[d1].T, leads[d2], q), at)
+    empty = (np.zeros(0, dtype=np.int64), ())
     messages = []
     for i in range(1 + max(len(v_set) for v_set in groups)):
         for s_set in subsets_of(K, i + 1):
-            packets = {
-                k: _group_packet(instance, groups, demands.pair(k), without(s_set, k), get_block)
-                for k in s_set
-            }
+            packets = {k: own[k].get(without(s_set, k), empty) for k in s_set}
             lengths = {packet.size for packet, _ in packets.values()}
             if len(lengths) != 1:
                 raise AssertionError(f"group lengths differ across users: {lengths}")
@@ -157,40 +205,58 @@ def _decode_grid(
     transcript: DeliveryTranscript,
     demands: DemandVector,
 ) -> np.ndarray:
-    """Reassemble user k's full cross-product grid group by group.  User k
-    caches both blocks of a pair exactly when k is in their intersection V,
-    so those groups are computed locally; every other group is cancelled out
-    of the round message for V + {k}."""
-    q = instance.field.q
-    d1, d2 = demands.pair(k)
+    """Reassemble user k's full cross-product grid.  User k caches both
+    blocks of a pair exactly when k is in their intersection V, so those
+    groups are cut from the product of its cached columns; every other group
+    is cancelled out of the round message for V + {k}, from the groups of
+    each peer p for the sets holding k but not p, which user k regenerates
+    from its cache, and decompressed one stack per block shape."""
+    q, s = instance.field.q, instance.s
     groups = intersection_groups(split)
+    cached = [v_set for v_set in groups if k in v_set]
+    missing = [v_set for v_set in groups if k not in v_set]
+    mine = [block for block in split.blocks if k in block.subset]
+    local = dict(zip((block.subset for block in mine), np.cumsum([0] + [b.width for b in mine]).tolist()))
+    columns: dict[int, np.ndarray] = {}
+    products: dict[tuple[int, int], np.ndarray] = {}
 
-    def peer_packet(p: int, rest: tuple[int, ...]) -> np.ndarray:
-        return _group_packet(instance, groups, demands.pair(p), rest, cache_block)[0]
+    def product(pair: tuple[int, int]) -> np.ndarray:
+        """The demanded product over user k's cached columns only."""
+        for i in pair:
+            if i not in columns:
+                columns[i] = np.concatenate([cache_block(i, block.subset) for block in mine], axis=1)
+        if pair not in products:
+            products[pair] = _matmul_mod(columns[pair[0]].T, columns[pair[1]], q)
+        return products[pair]
+
+    peers = {}
+    for p in range(1, instance.K + 1):
+        keys = [v_set for v_set in cached if p not in v_set]
+        if p != k and keys:
+            peers[p] = _group_packets(instance, _plan(groups, keys, s), product(demands.pair(p)), local)
 
     def message(s_set: tuple[int, ...]) -> Message:
         return transcript.find(("col", len(s_set) - 1, s_set))
 
-    grid = np.zeros((split.total, split.total), dtype=np.int64)
-    packets = recover(q, k, groups, lambda s_set: message(s_set).payload, peer_packet)
-    for (v_set, pairs), packet in zip(groups.items(), packets):
-        if packet is None:
-            for b1, b2 in pairs:
-                block = _matmul_mod(cache_block(d1, b1.subset).T, cache_block(d2, b2.subset), q)
-                grid[b1.span, b2.span] = block
-            continue
-        headers = message(tuple(sorted(v_set + (k,)))).headers_for(k)
-        pos = 0
-        for (b1, b2), (rank, basis) in zip(pairs, headers, strict=True):
-            dims = DimTriple(b1.width, instance.s, b2.width)
-            step = f_len(dims)
-            cp = CompressedProduct.from_packet(
-                instance.field, dims, rank, tuple(basis), packet[pos : pos + step]
-            )
-            grid[b1.span, b2.span] = decompress_product(cp).data
-            pos += step
-        if pos != packet.size:
+    plan = _plan(groups, missing, s)
+    received = recover(q, k, missing, lambda s_set: message(s_set).payload, lambda p, rest: peers[p][rest][0])
+    flat = np.zeros(plan.size, dtype=np.int64)
+    headers: list[PacketHeader] = []
+    for v_set, packet in zip(missing, received):
+        span = plan.symbols[v_set]
+        if packet.size != span.stop - span.start:
             raise AssertionError("group payload length mismatch")
+        flat[span] = packet
+        headers.extend(message(tuple(sorted(v_set + (k,)))).headers_for(k))
+    if len(headers) != plan.count:
+        raise AssertionError("group header count mismatch")
+    at = {block.subset: block.offset for block in split.blocks}
+    grid = np.zeros((split.total, split.total), dtype=np.int64)
+    for (w1, w2), (index, offsets, block_pairs) in plan.buckets.items():
+        heads = [headers[i] for i in index]
+        grid[_cells(block_pairs, at)] = decompress_stack(flat[offsets], heads, DimTriple(w1, s, w2), q)
+    for _, _, block_pairs in _plan(groups, cached, s).buckets.values():
+        grid[_cells(block_pairs, at)] = product(demands.pair(k))[_cells(block_pairs, local)]
     return grid
 
 
@@ -253,7 +319,7 @@ def deliver(
     if coeff is not None:
         for i in demanded:
             _, leads[i], coeffs[i] = _wide_split(library[i - 1], s)
-    messages = _round_messages(instance, lead, demands, _block_getter(lead, leads))
+    messages = _round_messages(instance, lead, demands, leads)
     if coeff is None:
         return DeliveryTranscript(tuple(messages))
     get_coeff = _block_getter(coeff, coeffs)
