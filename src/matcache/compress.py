@@ -60,19 +60,6 @@ def g_ratio(alpha: Fraction, beta: Fraction) -> Fraction:
     return alpha * beta
 
 
-def _check_header(dims: DimTriple, rank: int, basis_row_indices: Sequence[int]) -> None:
-    """Raise ValueError unless (rank, basis_row_indices) can head a packet of
-    an m x p product with inner dimension n."""
-    if not 0 <= rank <= min(dims.n, dims.m, dims.p):
-        raise ValueError(f"rank {rank} out of range for dims {dims}")
-    if len(basis_row_indices) != rank:
-        raise ValueError("basis index count must equal rank")
-    if any(i < 0 or i >= dims.m for i in basis_row_indices):
-        raise ValueError("basis index out of range")
-    if any(b >= c for b, c in zip(basis_row_indices, basis_row_indices[1:])):
-        raise ValueError("basis indices must be strictly increasing")
-
-
 @dataclass(frozen=True)
 class CompressedProduct:
     """P(C, B) encoding: basis rows A1, coefficients A2, basis-index header.
@@ -90,8 +77,15 @@ class CompressedProduct:
     padded_length: int
 
     def __post_init__(self) -> None:
-        m, p = self.dims.m, self.dims.p
-        _check_header(self.dims, self.rank, self.basis_row_indices)
+        m, n, p = self.dims.m, self.dims.n, self.dims.p
+        if not 0 <= self.rank <= min(n, m, p):
+            raise ValueError(f"rank {self.rank} out of range for dims {self.dims}")
+        if len(self.basis_row_indices) != self.rank:
+            raise ValueError("basis index count must equal rank")
+        if any(i < 0 or i >= m for i in self.basis_row_indices):
+            raise ValueError("basis index out of range")
+        if any(b >= c for b, c in zip(self.basis_row_indices, self.basis_row_indices[1:])):
+            raise ValueError("basis indices must be strictly increasing")
         expected = self.rank * p + (m - self.rank) * self.rank
         arr = np.ascontiguousarray(self.payload, dtype=np.int64)
         if arr.ndim != 1 or arr.shape[0] != expected:
@@ -215,20 +209,29 @@ def decompress_stack(packets: np.ndarray, headers: Sequence[Header], dims: DimTr
     (rank, basis_row_indices) headers: the (b, m, p) products.  The items
     share one stacked product per distinct rank.
 
-    Raises ValueError on a packet or header that CompressedProduct.from_packet
-    would refuse.
+    Raises ValueError, with CompressedProduct's message, on a header it
+    would refuse, and on a stack of the wrong shape.
     """
-    m, p = dims.m, dims.p
+    m, n, p = dims.m, dims.n, dims.p
     b = len(headers)
     if packets.shape != (b, f_len(dims)):
         raise ValueError(f"packet stack of shape {packets.shape}, expected {(b, f_len(dims))}")
-    for rank, basis_rows in headers:
-        _check_header(dims, rank, basis_rows)
     ranks = np.array([rank for rank, _ in headers], dtype=np.int64)
-    basis = np.zeros((b, m), dtype=bool)
+    bad = np.flatnonzero((ranks < 0) | (ranks > min(n, m, p)))
+    if bad.size:
+        raise ValueError(f"rank {ranks[bad[0]]} out of range for dims {dims}")
+    if any(len(basis_rows) != rank for rank, basis_rows in headers):
+        raise ValueError("basis index count must equal rank")
     rows = np.array([i for _, basis_rows in headers for i in basis_rows], dtype=np.int64)
+    if np.any((rows < 0) | (rows >= m)):
+        raise ValueError("basis index out of range")
+    basis = np.zeros((b, m), dtype=bool)
     basis[np.repeat(np.arange(b), ranks), rows] = True
     order = _basis_first(basis)
+    # Each item's indices are strictly increasing exactly when they are the
+    # leading `rank` entries of its basis-first order.
+    if not np.array_equal(order[np.arange(m) < ranks[:, None]], rows):
+        raise ValueError("basis indices must be strictly increasing")
     out = np.zeros((b, m, p), dtype=np.int64)
     for rank in sorted(set(ranks.tolist()) - {0}):
         items = np.flatnonzero(ranks == rank)

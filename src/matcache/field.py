@@ -30,7 +30,10 @@ platform.
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -246,6 +249,37 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
             return _matmul_mod_float64(a, b, q, k)
     prod = a.astype(object) @ b.astype(object)
     return (prod % q).astype(np.int64)
+
+
+def _openblas_paths() -> list[str]:
+    """The OpenBLAS libraries numpy may have loaded: the ones bundled with a
+    numpy wheel (numpy.libs beside the package on Linux, numpy/.dylibs on
+    macOS), else the system's."""
+    package = Path(np.__file__).parent
+    bundled = [*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]
+    system = ctypes.util.find_library("openblas")
+    return [str(path) for path in bundled] or ([system] if system else [])
+
+
+def single_blas_thread() -> bool:
+    """Run this process's OpenBLAS products on one thread; True if an
+    OpenBLAS was found and set.  A process pool calls this in each worker,
+    so that its workers do not each start one BLAS thread per CPU; no other
+    process is affected, and the results do not depend on the thread count.
+    """
+    done = False
+    for path in _openblas_paths():
+        try:
+            lib = ctypes.CDLL(path)  # numpy's copy, when it is loaded already
+        except OSError:
+            continue
+        for prefix in ("scipy_", ""):
+            for suffix in ("64_", ""):
+                setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+                if setter is not None:
+                    setter(1)
+                    done = True
+    return done
 
 
 def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:

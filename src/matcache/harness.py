@@ -24,7 +24,15 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import bounds
 from .compress import DimTriple, compress_product, decompress_product, f_len, g_ratio
-from .field import DEFAULT_FIELD, FieldSpec, derive_seed, mat_mul, random_matrix, uniform_residues
+from .field import (
+    DEFAULT_FIELD,
+    FieldSpec,
+    derive_seed,
+    mat_mul,
+    random_matrix,
+    single_blas_thread,
+    uniform_residues,
+)
 from .model import (
     DeliveryTranscript,
     DemandVector,
@@ -561,11 +569,12 @@ def sweep_row(spec: ExperimentSpec) -> dict[str, object]:
 def run_sweep(cells: Sequence[ExperimentSpec], parallel: int = 1) -> list[dict[str, object]]:
     """Run cells (already deduplicated/sorted) and return rows in cell order
     regardless of completion order or worker count.  At most one worker per
-    CPU and per cell is started, whatever `parallel` asks for."""
+    CPU and per cell is started, whatever `parallel` asks for, and each
+    worker runs its BLAS products on one thread."""
     workers = min(parallel, os.cpu_count() or 1, len(cells))
     if workers <= 1:
         return [sweep_row(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=single_blas_thread) as pool:
         return list(pool.map(sweep_row, cells))
 
 

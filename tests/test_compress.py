@@ -13,12 +13,14 @@ from matcache.compress import (
     CompressedProduct,
     DimTriple,
     compress_product,
+    compress_stack,
     decompress_product,
+    decompress_stack,
     f_len,
     g_ratio,
     packet_symbols,
 )
-from matcache.field import DEFAULT_FIELD, FieldMatrix, derive_seed, mat_mul, random_matrix
+from matcache.field import DEFAULT_FIELD, FieldMatrix, FieldSpec, _matmul_mod, derive_seed, mat_mul, random_matrix
 
 
 def random_product(m: int, n: int, p: int, seed: int) -> FieldMatrix:
@@ -139,3 +141,90 @@ def test_large_field_packets_reach_full_length():
         if cp.payload.size == f_len(DimTriple(m, n, p)):
             full += 1
     assert full >= trials * 99 // 100
+
+
+# ---------------------------------------------------------------------------
+# Stacked compression against compress_product item by item
+
+Q31 = (1 << 31) - 1
+Q61 = (1 << 61) - 1
+# (m, n, p): 1 x 1, m < p, m > p, n below min(m, p), n above it, square.
+STACK_SHAPES = ((1, 4, 1), (2, 5, 6), (6, 5, 2), (5, 2, 6), (4, 9, 3), (5, 5, 5))
+
+
+def _stack(q: int, b: int, m: int, n: int, p: int, seed: int) -> np.ndarray:
+    """b products of inner dimension n whose ranks run through 0..min(n, m, p):
+    item i is a product of inner dimension i mod (min(n, m, p) + 1), so zero
+    items and rank-deficient items share the stack with full-rank ones."""
+    rng = np.random.default_rng(seed)
+    hi = min(q, 1 << 62)
+    items = []
+    for i in range(b):
+        k = i % (min(n, m, p) + 1)
+        left = rng.integers(0, hi, (m, k), dtype=np.int64)
+        items.append(_matmul_mod(left, rng.integers(0, hi, (k, p), dtype=np.int64), q))
+    return np.array(items, dtype=np.int64).reshape(b, m, p)
+
+
+@pytest.mark.parametrize("q", [2, 3, Q31, Q61])
+@pytest.mark.parametrize("m, n, p", STACK_SHAPES)
+def test_stacked_compression_matches_items(q, m, n, p):
+    spec = FieldSpec(q)
+    dims = DimTriple(m, n, p)
+    for b in (0, 1, 13):
+        products = _stack(q, b, m, n, p, seed=b * 31 + m)
+        before = products.copy()
+        packets, headers = compress_stack(products, n, q)
+        assert np.array_equal(products, before)  # the input is left as it was
+        assert packets.shape == (b, f_len(dims)) and packets.dtype == np.int64
+        assert len(headers) == b
+        singles = [compress_product(FieldMatrix(spec, products[i]), n) for i in range(b)]
+        for i, cp in enumerate(singles):
+            assert packets[i].tobytes() == packet_symbols(cp).tobytes()
+            assert headers[i] == (cp.rank, cp.basis_row_indices)
+            assert all(type(x) is int for x in (headers[i][0], *headers[i][1]))
+        rebuilt = decompress_stack(packets, headers, dims, q)
+        assert rebuilt.shape == (b, m, p) and rebuilt.dtype == np.int64
+        for i, cp in enumerate(singles):
+            assert rebuilt[i].tobytes() == decompress_product(cp).data.tobytes()
+        if b > 1:
+            assert len({rank for rank, _ in headers}) > 1  # mixed ranks in one stack
+
+
+@pytest.mark.parametrize("q", [2, Q31, Q61])
+def test_stacked_compression_rejects_rank_above_inner_dimension(q):
+    products = np.array([np.zeros((3, 3)), np.eye(3)], dtype=np.int64)
+    with pytest.raises(ValueError, match="inner-dimension contract violated"):
+        compress_product(FieldMatrix(FieldSpec(q), products[1]), 2)
+    with pytest.raises(ValueError, match="inner-dimension contract violated"):
+        compress_stack(products, 2, q)
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        compress_stack(products, 0, q)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ((3, (0, 1, 2)), "rank 3 out of range"),
+        ((-1, ()), "rank -1 out of range"),
+        ((2, (1,)), "basis index count must equal rank"),
+        ((1, (4,)), "basis index out of range"),
+        ((2, (2, 1)), "basis indices must be strictly increasing"),
+        ((2, (1, 1)), "basis indices must be strictly increasing"),
+    ],
+)
+def test_stacked_decompression_rejects_what_from_packet_rejects(header, message):
+    dims = DimTriple(4, 2, 3)
+    packet = np.zeros(64, dtype=np.int64)  # long enough for any rank
+    with pytest.raises(ValueError, match=message):
+        CompressedProduct.from_packet(DEFAULT_FIELD, dims, header[0], header[1], packet)
+    good = (2, (0, 3))
+    stack = np.zeros((3, f_len(dims)), dtype=np.int64)
+    with pytest.raises(ValueError, match=message):
+        decompress_stack(stack, [good, header, good], dims, DEFAULT_FIELD.q)
+
+
+def test_stacked_decompression_rejects_a_misshapen_stack():
+    dims = DimTriple(2, 2, 2)
+    with pytest.raises(ValueError, match="packet stack of shape"):
+        decompress_stack(np.zeros((2, f_len(dims) + 1), dtype=np.int64), [(0, ()), (0, ())], dims, 2)

@@ -508,3 +508,56 @@ def test_blas_kernels_agree_across_thread_counts():
     )
     assert single.stdout.split() == out.getvalue().split()
     assert len(single.stdout.split()) == 2
+
+
+# ---------------------------------------------------------------------------
+# Stacked kernels against the same kernels item by item
+
+
+@pytest.mark.parametrize("q", [2, 3, Q31, Q61])
+def test_stacked_product_matches_items_on_every_path(q, monkeypatch):
+    calls = []
+    blas = field_mod._matmul_mod_float64
+    monkeypatch.setattr(
+        field_mod, "_matmul_mod_float64", lambda a, b, q, k: calls.append(a.ndim) or blas(a, b, q, k)
+    )
+    rng = np.random.default_rng(q % 1000)
+    hi = min(q, 1 << 62)
+    # (2, 3, 4) and (1, 7, 1) take the int64 split and (16, 32, 16) float64
+    # BLAS for q < 2^31; q = 2^61 - 1 takes the object product on all three.
+    for b, m, n, p in ((5, 2, 3, 4), (4, 1, 7, 1), (3, 16, 32, 16), (0, 2, 3, 4), (3, 2, 0, 4)):
+        left = rng.integers(0, hi, (b, m, n), dtype=np.int64)
+        right = rng.integers(0, hi, (b, n, p), dtype=np.int64)
+        stacked = field_mod._matmul_mod(left, right, q)
+        assert stacked.shape == (b, m, p) and stacked.dtype == np.int64
+        for i in range(b):
+            assert np.array_equal(stacked[i], field_mod._matmul_mod(left[i], right[i], q))
+            assert np.array_equal(stacked[i], _object_product(left[i], right[i], q))
+    assert calls == ([3, 2, 2, 2] if q < 1 << 31 else [])
+
+
+def _mixed_rank_stack(rng: np.random.Generator, q: int, b: int, m: int, p: int) -> np.ndarray:
+    """b products m x p, item i of inner dimension i mod (min(m, p) + 1): zero
+    items, rank-deficient ones and full-rank ones side by side."""
+    hi = min(q, 1 << 62)
+    items = []
+    for i in range(b):
+        k = i % (min(m, p) + 1)
+        left = rng.integers(0, hi, (m, k), dtype=np.int64)
+        items.append(field_mod._matmul_mod(left, rng.integers(0, hi, (k, p), dtype=np.int64), q))
+    return np.array(items, dtype=np.int64).reshape(b, m, p)
+
+
+@pytest.mark.parametrize("q", [2, 3, Q31, Q61])
+def test_stacked_elimination_matches_loop_item_by_item(q):
+    rng = np.random.default_rng(q % 997)
+    for b, m, p in ((7, 1, 1), (9, 3, 5), (9, 5, 3), (11, 6, 6), (0, 3, 4)):
+        stack = _mixed_rank_stack(rng, q, b, m, p)
+        work = stack.astype(object) if q > 1 << 31 else stack.copy()
+        pivots = field_mod._eliminate_stack(work, q, p)
+        assert pivots.shape == (b, p)
+        for i in range(b):
+            alone = stack[i].astype(object) if q > 1 << 31 else stack[i].copy()
+            expected, _ = field_mod._eliminate(alone, q, p)
+            assert np.flatnonzero(pivots[i]).tolist() == expected
+            assert np.array_equal(work[i], alone)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ctypes
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from matcache import harness
+from matcache.field import _openblas_paths, single_blas_thread
 from matcache.harness import ConfigurationError, ExperimentSpec
 from matcache.model import get_scheme, run_scheme
 
@@ -231,7 +234,8 @@ def test_sweep_worker_count_clamped_to_cpus_and_cells(monkeypatch):
     started = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
+            assert initializer is single_blas_thread
             started.append(max_workers)
 
         def __enter__(self):
@@ -269,6 +273,27 @@ def test_sweep_parallel_matches_serial():
     }
     cells = harness.expand_sweep_cells([mapping])
     assert harness.sweep_csv(cells, parallel=1) == harness.sweep_csv(cells, parallel=3)
+
+
+def _blas_threads() -> int | None:
+    """This process's OpenBLAS thread count, or None without an OpenBLAS."""
+    for path in _openblas_paths():
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_", ""):
+            for suffix in ("64_", ""):
+                getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+                if getter is not None:
+                    return getter()
+    return None
+
+
+def test_pool_workers_run_one_blas_thread_and_leave_the_parent_alone():
+    before = _blas_threads()
+    if before is None:
+        pytest.skip("numpy runs no OpenBLAS here")
+    with ProcessPoolExecutor(max_workers=1, initializer=single_blas_thread) as pool:
+        assert pool.submit(_blas_threads).result() == 1
+    assert _blas_threads() == before
 
 
 # ---------------------------------------------------------------------------
