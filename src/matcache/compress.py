@@ -199,12 +199,15 @@ def compress_stack(products: np.ndarray, inner_dim: int, q: int) -> tuple[np.nda
         a1 = np.take_along_axis(products[items], rows[:, :rank, None], axis=1)
         a2 = np.take_along_axis(reduced[items, :rank], rows[:, None, rank:], axis=2)
         packets[items, : rank * p] = a1.reshape(items.size, -1)
-        packets[items, rank * p : rank * p + (m - rank) * rank] = a2.transpose(0, 2, 1).reshape(items.size, -1)
+        a2 = a2.transpose(0, 2, 1).reshape(items.size, -1)
+        packets[items, rank * p : rank * p + (m - rank) * rank] = a2
     headers = [(rank, tuple(row[:rank])) for rank, row in zip(ranks.tolist(), order.tolist())]
     return packets, headers
 
 
-def decompress_stack(packets: np.ndarray, headers: Sequence[Header], dims: DimTriple, q: int) -> np.ndarray:
+def decompress_stack(
+    packets: np.ndarray, headers: Sequence[Header], dims: DimTriple, q: int
+) -> np.ndarray:
     """decompress_product over a (b, f(m,n,p)) stack of packets with their
     (rank, basis_row_indices) headers: the (b, m, p) products.  The items
     share one stacked product per distinct rank.
@@ -236,6 +239,7 @@ def decompress_stack(packets: np.ndarray, headers: Sequence[Header], dims: DimTr
     for rank in sorted(set(ranks.tolist()) - {0}):
         items = np.flatnonzero(ranks == rank)
         a1 = packets[items, : rank * p].reshape(items.size, rank, p)
-        a2 = packets[items, rank * p : rank * p + (m - rank) * rank].reshape(items.size, m - rank, rank)
+        a2 = packets[items, rank * p : rank * p + (m - rank) * rank]
+        a2 = a2.reshape(items.size, m - rank, rank)
         out[items[:, None], order[items]] = np.concatenate([a1, _matmul_mod(a2, a1, q)], axis=1)
     return out

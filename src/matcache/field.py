@@ -21,6 +21,9 @@ J. Symbolic Comput. 56, 2013).  The cut-overs (_BLAS_MIN_INNER,
 _BLAS_MIN_OUTPUT, _BLOCKED_MIN_COLS, _BLOCKED_MIN_ENTRIES) come from a timing
 sweep: below them the int64 paths are faster, and the tests hold the BLAS
 paths to them as oracles.  q > 2^31 computes on Python ints (object dtype).
+For many small products of one shape, `_matmul_mod` also multiplies
+(b, m, n) @ (b, n, p) stacks and `_eliminate_stack` runs the rank-1 loop on
+every item of a stack in the same numpy calls.
 
 Random matrices come from a counter-based PRNG (SplitMix64 finalizer over a
 linear counter encoding) with rejection sampling, so entry (i, j) of a matrix
@@ -277,6 +280,7 @@ def single_blas_thread() -> bool:
             for suffix in ("64_", ""):
                 setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
                 if setter is not None:
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
                     setter(1)
                     done = True
     return done

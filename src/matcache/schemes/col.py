@@ -10,6 +10,14 @@ user k's group of compressed cross products whose block subsets intersect
 exactly in S \\ {k}.  Group lengths depend only on i, so the summed packets
 align; zero-length groups produce no message.
 
+The cross products run in stacks, one per block shape (w1, w2), not one
+block pair at a time.  The server cuts each user's cross products out of
+one product of the user's demanded columns and compresses each shape's
+stack with one `compress_stack`.  A decoder regenerates each peer's groups
+the same way from the product of its own cached columns, and rebuilds the
+groups it receives with one `decompress_stack` per shape.  Both are
+byte-equal to `compress_product` and `decompress_product` item by item.
+
 For wide matrices (r > s) each matrix is first column-permuted so its
 leading s columns span it; those columns get the treatment above, while the
 remaining r - s columns are represented by cached coefficient blocks Q with
@@ -23,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -100,11 +109,11 @@ def _block_getter(split: ManSplit, matrices: Mapping[int, np.ndarray]) -> BlockG
 
 @dataclass(frozen=True)
 class _Plan:
-    """The block pairs of the groups in `keys`, laid end to end in group
-    order.  Group V's packet is symbols[V] of the flat packet and its headers
-    are pairs[V] of the flat header list.  Each block shape (w1, w2) has one
-    bucket: the flat index of each of its pairs, the offset of each pair's
-    packet in the flat packet, and the block pairs themselves."""
+    """The block pairs of some groups, laid end to end in group order: group
+    V's packet is symbols[V] of one flat packet and its headers are pairs[V]
+    of one flat header list.  Each cross-product shape (w1, w2) has one
+    bucket: the flat index of each of its pairs, the symbols of each pair's
+    packet in the flat packet (one row per pair), and the pairs themselves."""
 
     symbols: dict[tuple[int, ...], slice]
     pairs: dict[tuple[int, ...], slice]
@@ -114,6 +123,7 @@ class _Plan:
 
 
 def _plan(groups: Groups, keys: Sequence[tuple[int, ...]], s: int) -> _Plan:
+    """The plan of the groups in `keys`, in that order."""
     symbols, pairs, buckets, lengths = {}, {}, {}, {}
     size = count = 0
     for v_set in keys:
@@ -138,13 +148,16 @@ def _plan(groups: Groups, keys: Sequence[tuple[int, ...]], s: int) -> _Plan:
     return _Plan(symbols, pairs, buckets, size, count)
 
 
-def _cells(block_pairs: Sequence[tuple[Block, Block]], at: Mapping[tuple[int, ...], int]) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays selecting each pair's (w1, w2) block of a cross product
-    whose rows and columns put block b at position at[b.subset]."""
-    b1, b2 = block_pairs[0]
-    rows = np.array([at[b1.subset] for b1, _ in block_pairs])[:, None, None] + np.arange(b1.width)[:, None]
-    cols = np.array([at[b2.subset] for _, b2 in block_pairs])[:, None, None] + np.arange(b2.width)
-    return rows, cols
+def _cells(
+    block_pairs: Sequence[tuple[Block, Block]], at: Mapping[tuple[int, ...], int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays selecting the (w1, w2) cross product of each pair, all of
+    one shape, from a product whose rows and columns hold block b from
+    at[b.subset] on."""
+    w1, w2 = block_pairs[0][0].width, block_pairs[0][1].width
+    rows = np.array([at[b1.subset] for b1, _ in block_pairs])[:, None, None]
+    cols = np.array([at[b2.subset] for _, b2 in block_pairs])[:, None, None]
+    return rows + np.arange(w1)[:, None], cols + np.arange(w2)
 
 
 def _group_packets(
@@ -152,16 +165,17 @@ def _group_packets(
 ) -> dict[tuple[int, ...], tuple[np.ndarray, tuple[PacketHeader, ...]]]:
     """A user's packet and headers for each group of the plan: the
     compressed cross products of its block pairs, in group order.  `product`
-    is the user's demanded product, block b at position at[b.subset]; each
-    block shape takes one stacked compression."""
+    is the user's demanded product with block b from at[b.subset] on; each
+    cross-product shape takes one stacked compression."""
     q = instance.field.q
     flat = np.zeros(plan.size, dtype=np.int64)
     headers: list[PacketHeader] = [()] * plan.count
-    for index, offsets, block_pairs in plan.buckets.values():
-        flat[offsets], heads = compress_stack(product[_cells(block_pairs, at)], instance.s, q)
+    for index, symbols, block_pairs in plan.buckets.values():
+        packets, heads = compress_stack(product[_cells(block_pairs, at)], instance.s, q)
+        flat[symbols] = packets
         for i, head in zip(index, heads):
             headers[i] = head
-    return {v_set: (flat[span], tuple(headers[plan.pairs[v_set]])) for v_set, span in plan.symbols.items()}
+    return {v: (flat[span], tuple(headers[plan.pairs[v]])) for v, span in plan.symbols.items()}
 
 
 def _round_messages(
@@ -216,7 +230,8 @@ def _decode_grid(
     cached = [v_set for v_set in groups if k in v_set]
     missing = [v_set for v_set in groups if k not in v_set]
     mine = [block for block in split.blocks if k in block.subset]
-    local = dict(zip((block.subset for block in mine), np.cumsum([0] + [b.width for b in mine]).tolist()))
+    # Where each cached block starts among user k's cached columns.
+    local = dict(zip((b.subset for b in mine), accumulate((b.width for b in mine), initial=0)))
     columns: dict[int, np.ndarray] = {}
     products: dict[tuple[int, int], np.ndarray] = {}
 
@@ -224,7 +239,7 @@ def _decode_grid(
         """The demanded product over user k's cached columns only."""
         for i in pair:
             if i not in columns:
-                columns[i] = np.concatenate([cache_block(i, block.subset) for block in mine], axis=1)
+                columns[i] = np.concatenate([cache_block(i, b.subset) for b in mine], axis=1)
         if pair not in products:
             products[pair] = _matmul_mod(columns[pair[0]].T, columns[pair[1]], q)
         return products[pair]
@@ -233,28 +248,31 @@ def _decode_grid(
     for p in range(1, instance.K + 1):
         keys = [v_set for v_set in cached if p not in v_set]
         if p != k and keys:
-            peers[p] = _group_packets(instance, _plan(groups, keys, s), product(demands.pair(p)), local)
+            plan = _plan(groups, keys, s)
+            peers[p] = _group_packets(instance, plan, product(demands.pair(p)), local)
 
     def message(s_set: tuple[int, ...]) -> Message:
         return transcript.find(("col", len(s_set) - 1, s_set))
 
     plan = _plan(groups, missing, s)
-    received = recover(q, k, missing, lambda s_set: message(s_set).payload, lambda p, rest: peers[p][rest][0])
+    received = recover(
+        q, k, missing, lambda s_set: message(s_set).payload, lambda p, rest: peers[p][rest][0]
+    )
     flat = np.zeros(plan.size, dtype=np.int64)
     headers: list[PacketHeader] = []
     for v_set, packet in zip(missing, received):
-        span = plan.symbols[v_set]
-        if packet.size != span.stop - span.start:
-            raise AssertionError("group payload length mismatch")
+        span, group = plan.symbols[v_set], plan.pairs[v_set]
+        heads = message(tuple(sorted(v_set + (k,)))).headers_for(k)
+        if packet.size != span.stop - span.start or len(heads) != group.stop - group.start:
+            raise AssertionError("group payload or header count mismatch")
         flat[span] = packet
-        headers.extend(message(tuple(sorted(v_set + (k,)))).headers_for(k))
-    if len(headers) != plan.count:
-        raise AssertionError("group header count mismatch")
+        headers.extend(heads)
     at = {block.subset: block.offset for block in split.blocks}
     grid = np.zeros((split.total, split.total), dtype=np.int64)
-    for (w1, w2), (index, offsets, block_pairs) in plan.buckets.items():
+    for (w1, w2), (index, symbols, block_pairs) in plan.buckets.items():
         heads = [headers[i] for i in index]
-        grid[_cells(block_pairs, at)] = decompress_stack(flat[offsets], heads, DimTriple(w1, s, w2), q)
+        blocks = decompress_stack(flat[symbols], heads, DimTriple(w1, s, w2), q)
+        grid[_cells(block_pairs, at)] = blocks
     for _, _, block_pairs in _plan(groups, cached, s).buckets.values():
         grid[_cells(block_pairs, at)] = product(demands.pair(k))[_cells(block_pairs, local)]
     return grid

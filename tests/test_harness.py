@@ -283,6 +283,7 @@ def _blas_threads() -> int | None:
             for suffix in ("64_", ""):
                 getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
                 if getter is not None:
+                    getter.argtypes, getter.restype = [], ctypes.c_int
                     return getter()
     return None
 
