@@ -232,24 +232,20 @@ def _decode_grid(
     mine = [block for block in split.blocks if k in block.subset]
     # Where each cached block starts among user k's cached columns.
     local = dict(zip((b.subset for b in mine), accumulate((b.width for b in mine), initial=0)))
-    columns: dict[int, np.ndarray] = {}
-    products: dict[tuple[int, int], np.ndarray] = {}
-
-    def product(pair: tuple[int, int]) -> np.ndarray:
-        """The demanded product over user k's cached columns only."""
-        for i in pair:
-            if i not in columns:
-                columns[i] = np.concatenate([cache_block(i, b.subset) for b in mine], axis=1)
-        if pair not in products:
-            products[pair] = _matmul_mod(columns[pair[0]].T, columns[pair[1]], q)
-        return products[pair]
-
+    # The demanded products over user k's cached columns only.
+    products = {}
+    if mine:
+        columns = {
+            i: np.concatenate([cache_block(i, b.subset) for b in mine], axis=1)
+            for i in {d for pair in demands.normalized for d in pair}
+        }
+        for d1, d2 in set(demands.normalized):
+            products[d1, d2] = _matmul_mod(columns[d1].T, columns[d2], q)
     peers = {}
     for p in range(1, instance.K + 1):
-        keys = [v_set for v_set in cached if p not in v_set]
-        if p != k and keys:
-            plan = _plan(groups, keys, s)
-            peers[p] = _group_packets(instance, plan, product(demands.pair(p)), local)
+        if p != k and mine:
+            plan = _plan(groups, [v_set for v_set in cached if p not in v_set], s)
+            peers[p] = _group_packets(instance, plan, products[demands.pair(p)], local)
 
     def message(s_set: tuple[int, ...]) -> Message:
         return transcript.find(("col", len(s_set) - 1, s_set))
@@ -274,7 +270,7 @@ def _decode_grid(
         blocks = decompress_stack(flat[symbols], heads, DimTriple(w1, s, w2), q)
         grid[_cells(block_pairs, at)] = blocks
     for _, _, block_pairs in _plan(groups, cached, s).buckets.values():
-        grid[_cells(block_pairs, at)] = product(demands.pair(k))[_cells(block_pairs, local)]
+        grid[_cells(block_pairs, at)] = products[demands.pair(k)][_cells(block_pairs, local)]
     return grid
 
 
