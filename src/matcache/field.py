@@ -264,13 +264,12 @@ def _openblas_paths() -> list[str]:
     return [str(path) for path in bundled] or ([system] if system else [])
 
 
-def single_blas_thread() -> bool:
-    """Run this process's OpenBLAS products on one thread; True if an
-    OpenBLAS was found and set.  A process pool calls this in each worker,
-    so that its workers do not each start one BLAS thread per CPU; no other
-    process is affected, and the results do not depend on the thread count.
+def single_blas_thread() -> None:
+    """Run this process's OpenBLAS products on one thread, if numpy has an
+    OpenBLAS.  A process pool calls this in each worker, so that its workers
+    do not each start one BLAS thread per CPU; no other process is affected,
+    and the results do not depend on the thread count.
     """
-    done = False
     for path in _openblas_paths():
         try:
             lib = ctypes.CDLL(path)  # numpy's copy, when it is loaded already
@@ -282,8 +281,6 @@ def single_blas_thread() -> bool:
                 if setter is not None:
                     setter.argtypes, setter.restype = [ctypes.c_int], None
                     setter(1)
-                    done = True
-    return done
 
 
 def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:

@@ -189,11 +189,13 @@ def _round_messages(
     q, K = instance.field.q, instance.K
     groups = intersection_groups(split)
     at = {block.subset: block.offset for block in split.blocks}
+    products = {}
+    for d1, d2 in set(demands.normalized):
+        products[d1, d2] = _matmul_mod(leads[d1].T, leads[d2], q)
     own = {}
     for k in range(1, K + 1):
-        d1, d2 = demands.pair(k)
         plan = _plan(groups, [v_set for v_set in groups if k not in v_set], instance.s)
-        own[k] = _group_packets(instance, plan, _matmul_mod(leads[d1].T, leads[d2], q), at)
+        own[k] = _group_packets(instance, plan, products[demands.pair(k)], at)
     empty = (np.zeros(0, dtype=np.int64), ())
     messages = []
     for i in range(1 + max(len(v_set) for v_set in groups)):
