@@ -1,5 +1,5 @@
 """Golden transcript digests: SHA-256 of every broadcast transcript, plus the
-load and symbol counts, pinned for a dozen cells covering every scheme, both
+load and symbol counts, pinned for sixteen cells covering every scheme, both
 column-scheme paths, padded row groups, irregular demands and the field range.
 
 The values in golden/transcript_digests.json were produced by this module's
