@@ -58,10 +58,23 @@ def fingerprint(instances: int | None = None) -> tuple[str, int]:
     return h.hexdigest(), runs
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument(
-        "--instances", type=int, help="only the first INSTANCES (K, N, a) of the default matrix"
+        "--instances",
+        type=positive_int,
+        help="only the first INSTANCES (K, N, a) of the default matrix; an integer >= 1",
     )
     args = parser.parse_args()
     digest, runs = fingerprint(args.instances)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, floor
 from typing import Iterable, Sequence
 
@@ -152,6 +153,7 @@ def _split_params(units: int, M: Rational, N: int) -> tuple[int, Fraction]:
     return t, t + 1 - ratio
 
 
+@lru_cache(maxsize=1024)  # a closed form: every run of a cell asks for the same value
 def row_partition_load(K: int, N: int, a: Rational, M: Rational, ell: int) -> Fraction:
     """Load of the row-partition scheme with ell placement classes."""
     af = _check_kna(K, N, a)
@@ -220,6 +222,7 @@ def col_y(K: int, t: int, alpha: Rational) -> Fraction:
     )
 
 
+@lru_cache(maxsize=1024)  # a closed form: every run of a cell asks for the same value
 def load_Rcol(K: int, N: int, a: Rational, M: Rational) -> Fraction:
     """Column-partition scheme load at memory M."""
     af = _check_kna(K, N, a)

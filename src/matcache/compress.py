@@ -6,19 +6,35 @@ coefficients expressing the remaining rows in that basis ((m-rank) x rank),
 and the basis-row index list.  The index list travels as an uncounted
 header; the numeric payload is zero-padded to the fixed packet length
 f(m, n, p) so equal-shaped packets can be summed in multicasts.
+
+Within a `compression_memo` block, which `model.run_scheme` opens around
+place, deliver and decode, `compress_product` compresses each distinct
+product once: a call with the same field, shape, inner dimension and raw
+bytes as an earlier one in the block returns the earlier (immutable)
+result.  The caller still computes every product it passes; the memo only
+skips the elimination.  It holds no more than the block's own products and
+is emptied when the block ends.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .field import _WORD_Q, FieldMatrix, FieldSpec, _eliminate_stack, _matmul_mod, _rref
 
 Header = tuple[int, tuple[int, ...]]  # (rank, basis row indices)
+# (q, shape, inner dimension, product bytes) -> result, while a
+# `compression_memo` block runs in this context.
+_MemoKey = tuple[int, tuple[int, int], int, bytes]
+_memo: ContextVar[dict[_MemoKey, "CompressedProduct"] | None] = ContextVar(
+    "compression_memo", default=None
+)
 
 
 @dataclass(frozen=True)
@@ -121,12 +137,39 @@ class CompressedProduct:
         return cls(spec, dims, rank, basis_row_indices, packet[:expected], f_len(dims))
 
 
+@contextmanager
+def compression_memo() -> Iterator[None]:
+    """Let `compress_product` reuse its results for the length of the block;
+    the memo is emptied and closed when the block ends, also when it
+    raises.  Nested blocks each get their own memo."""
+    memo: dict[_MemoKey, CompressedProduct] = {}
+    token = _memo.set(memo)
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+        memo.clear()
+
+
 def compress_product(product: FieldMatrix, inner_dim: int) -> CompressedProduct:
     """Deterministically encode an m x p product with inner dimension n.
+
+    Inside a `compression_memo` block, a product already compressed there
+    (same q, shape, inner dimension and bytes) returns the earlier result.
 
     Raises ValueError("inner-dimension contract violated") when the matrix
     rank exceeds min(n, m, p) — i.e. the caller's product claim is wrong.
     """
+    memo = _memo.get()
+    if memo is None:
+        return _compress_product(product, inner_dim)
+    key = (product.spec.q, product.shape, inner_dim, product.data.tobytes())
+    if key not in memo:
+        memo[key] = _compress_product(product, inner_dim)
+    return memo[key]
+
+
+def _compress_product(product: FieldMatrix, inner_dim: int) -> CompressedProduct:
     m, p = product.rows, product.cols
     dims = DimTriple(m, inner_dim, p)
     # Column j of the RREF of P^T holds the coefficients of row j of P in the

@@ -28,7 +28,15 @@ every item of a stack in the same numpy calls.
 Random matrices come from a counter-based PRNG (SplitMix64 finalizer over a
 linear counter encoding) with rejection sampling, so entry (i, j) of a matrix
 depends only on (seed, rows, cols, i, j) — never on generation order or
-platform.
+platform.  `random_matrices` draws a whole library in one vectorized pass
+over its vector of seeds, in batches of at most _DRAW_BATCH_SYMBOLS symbols,
+with the same bytes as one `random_matrix` per seed.
+
+`FieldMatrix(spec, data)` is the boundary: it reduces its input mod q and
+copies an array the caller can still write to.  Results the code has just
+computed (products, library draws, solutions, transposes) are already
+reduced and owned by no one else, so they go through the private
+`FieldMatrix._trusted`, which only freezes them.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from __future__ import annotations
 import ctypes
 import ctypes.util
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -69,11 +78,15 @@ _BLAS_MIN_OUTPUT = 256
 _BLOCKED_MIN_COLS = 112
 _BLOCKED_MIN_ENTRIES = 1 << 13
 _PANEL = 32
+# Most symbols `random_matrices` draws in one vectorized pass; a larger
+# library is drawn in batches, so its temporaries do not grow peak memory.
+_DRAW_BATCH_SYMBOLS = 1 << 15
 
 # Miller-Rabin with this witness set is deterministic for n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=256)  # every FieldSpec(q) asks, mostly for the same few q
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
     if n < 2:
@@ -146,6 +159,18 @@ class FieldMatrix:
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
+    @classmethod
+    def _trusted(cls, spec: FieldSpec, data: np.ndarray) -> "FieldMatrix":
+        """A matrix over `data` as it is, frozen: for a 2-D int64 array of
+        residues in [0, q) that the caller has just computed and that no one
+        else can write to.  Skips the public constructor's range scan and
+        copy."""
+        data.flags.writeable = False
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "spec", spec)
+        object.__setattr__(matrix, "data", data)
+        return matrix
+
     @property
     def rows(self) -> int:
         return self.data.shape[0]
@@ -169,11 +194,10 @@ class FieldMatrix:
         return hash((self.spec, self.data.shape, self.data.tobytes()))
 
     def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.spec, self.data.T)
+        return FieldMatrix._trusted(self.spec, np.ascontiguousarray(self.data.T))
 
     def submatrix(self, rows: slice | Sequence[int], cols: slice | Sequence[int]) -> "FieldMatrix":
-        sub = self.data[rows][:, cols]
-        return FieldMatrix(self.spec, sub)
+        return FieldMatrix._trusted(self.spec, np.ascontiguousarray(self.data[rows][:, cols]))
 
     def entries(self) -> list[int]:
         """Row-major entry list (spec-level accessor)."""
@@ -289,7 +313,7 @@ def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
         raise ValueError("field mismatch in mat_mul")
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch in mat_mul: {a.shape} x {b.shape}")
-    return FieldMatrix(a.spec, _matmul_mod(a.data, b.data, a.spec.q))
+    return FieldMatrix._trusted(a.spec, _matmul_mod(a.data, b.data, a.spec.q))
 
 
 def _rref(data: np.ndarray, q: int, ncols: int | None = None) -> tuple[np.ndarray, list[int]]:
@@ -446,7 +470,7 @@ def solve_columns(w1: FieldMatrix, y: FieldMatrix) -> FieldMatrix:
         raise ValueError("column not in span")
     sol = np.zeros((n, y.cols), dtype=np.int64)
     sol[pivots] = reduced[:rank, n:]
-    return FieldMatrix(w1.spec, sol)
+    return FieldMatrix._trusted(w1.spec, sol)
 
 
 def leading_block_column_permutation(w: FieldMatrix, block_cols: int) -> list[int]:
@@ -470,7 +494,7 @@ def leading_block_column_permutation(w: FieldMatrix, block_cols: int) -> list[in
 
 
 def apply_column_permutation(w: FieldMatrix, perm: Sequence[int]) -> FieldMatrix:
-    return FieldMatrix(w.spec, w.data[:, list(perm)])
+    return FieldMatrix._trusted(w.spec, w.data[:, list(perm)])
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -503,17 +527,26 @@ def uniform_residues(seed: int, count: int, q: int) -> np.ndarray:
     draws >= floor(2^64 / q) * q are rejected and retried with t+1, which
     makes the accepted value exactly uniform.
     """
+    return _residue_rows([seed], count, q)[0]
+
+
+def _residue_rows(seeds: Sequence[int], count: int, q: int) -> np.ndarray:
+    """The (len(seeds), count) draws whose row i is
+    uniform_residues(seeds[i], count, q), in one vectorized pass; a rejected
+    draw is retried in its own entry only."""
     if q < 2:
         raise ValueError("q must be >= 2")
     limit = np.uint64(((1 << 64) // q) * q - 1)  # accept v <= limit
     counters = np.arange(1, count + 1, dtype=np.uint64)
-    base = _mix64(np.uint64(seed & _MASK64) + counters * np.uint64(_GOLDEN))
+    start = np.array([seed & _MASK64 for seed in seeds], dtype=np.uint64)[:, None]
+    base = _mix64(start + counters * np.uint64(_GOLDEN))
     vals = _mix64(base)
-    attempt = np.uint64(0)
+    attempt = 0
     reject = vals > limit
     while np.any(reject):
-        attempt = attempt + np.uint64(1)
-        vals[reject] = _mix64(base[reject] + attempt * np.uint64(_GAMMA2))
+        attempt += 1
+        # t*GAMMA2 wraps mod 2^64; taken in Python ints, numpy does not warn.
+        vals[reject] = _mix64(base[reject] + np.uint64(attempt * _GAMMA2 & _MASK64))
         reject = vals > limit
     return (vals % np.uint64(q)).astype(np.int64)
 
@@ -525,4 +558,22 @@ def random_matrix(spec: FieldSpec, rows: int, cols: int, seed: int) -> FieldMatr
     (seed, rows, cols, i, j).
     """
     vals = uniform_residues(seed, rows * cols, spec.q)
-    return FieldMatrix(spec, vals.reshape(rows, cols))
+    return FieldMatrix._trusted(spec, vals.reshape(rows, cols))
+
+
+def random_matrices(
+    spec: FieldSpec, rows: int, cols: int, seeds: Sequence[int]
+) -> list[FieldMatrix]:
+    """[random_matrix(spec, rows, cols, seed) for seed in seeds], byte for
+    byte, drawn in vectorized batches of at most _DRAW_BATCH_SYMBOLS symbols
+    (one matrix when a single matrix is larger).  The matrices of a batch are
+    read-only views of one frozen array that only they reach."""
+    per_batch = max(1, _DRAW_BATCH_SYMBOLS // max(1, rows * cols))
+    matrices = []
+    for start in range(0, len(seeds), per_batch):
+        chunk = seeds[start : start + per_batch]
+        draws = _residue_rows(chunk, rows * cols, spec.q)
+        draws.flags.writeable = False
+        for matrix in draws.reshape(-1, rows, cols):
+            matrices.append(FieldMatrix._trusted(spec, matrix))
+    return matrices

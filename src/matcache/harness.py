@@ -18,6 +18,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -63,6 +64,9 @@ def parse_fraction(text: str) -> Fraction:
         raise ConfigurationError(f"cannot parse rational value {text!r}") from exc
 
 
+# Equal values share one string, so a caller that keeps many reports (a
+# sweep, a benchmark loop) holds each load string once.
+@lru_cache(maxsize=4096)
 def fraction_str(value: Fraction) -> str:
     value = Fraction(value)
     return f"{value.numerator}/{value.denominator}"

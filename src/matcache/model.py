@@ -20,8 +20,16 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .compress import DimTriple, f_len, g_ratio
-from .field import DEFAULT_FIELD, FieldMatrix, FieldSpec, derive_seed, mat_mul, random_matrix, uniform_residues
+from .compress import DimTriple, compression_memo, f_len, g_ratio
+from .field import (
+    DEFAULT_FIELD,
+    FieldMatrix,
+    FieldSpec,
+    derive_seed,
+    mat_mul,
+    random_matrices,
+    uniform_residues,
+)
 
 # Sub-seed index reserved for random demand vectors (library matrices use 0..N-1).
 _DEMAND_SEED_INDEX = 1 << 32
@@ -135,11 +143,10 @@ def random_demands(instance: ProblemInstance, seed: int) -> DemandVector:
 
 
 def build_library(instance: ProblemInstance, seed: int) -> list[FieldMatrix]:
-    """The N library matrices; matrix i uses sub-seed derive_seed(seed, i)."""
-    return [
-        random_matrix(instance.field, instance.s, instance.r, derive_seed(seed, i))
-        for i in range(instance.N)
-    ]
+    """The N library matrices; matrix i uses sub-seed derive_seed(seed, i).
+    They are drawn together (`random_matrices`) and are read-only."""
+    seeds = [derive_seed(seed, i) for i in range(instance.N)]
+    return random_matrices(instance.field, instance.s, instance.r, seeds)
 
 
 @dataclass
@@ -359,6 +366,11 @@ def run_scheme(
 ) -> RunResult:
     """Full pipeline: validate, place, deliver, decode every user, verify.
 
+    Place, deliver and decode share one `compression_memo`, so a product
+    that the server and a decoder each compute, or two decoders, is
+    compressed once per call; each still computes the product itself.  The
+    memo is emptied when the call returns or raises.
+
     Raises SchemeParameterError when validation fails and RuntimeError when a
     placement exceeds the cache budget (a scheme bug, not a user error).
     """
@@ -374,18 +386,19 @@ def run_scheme(
     if any(not 1 <= d <= instance.N for pair in demands.pairs for d in pair):
         raise ValueError("demand index outside [1, N]")
     library = build_library(instance, seed)
-    cache = scheme.place(instance, config, library)
-    budget = instance.cache_budget
-    for k, total in enumerate(cache.totals(), start=1):
-        if total > budget:
-            raise RuntimeError(f"user {k} cache {total} symbols exceeds budget {budget}")
-    transcript = scheme.deliver(instance, config, library, demands)
-    decoded = []
-    for k in range(1, instance.K + 1):
-        out = scheme.decode(instance, config, k, cache.for_user(k), transcript, demands)
-        if demands.transposed(k):
-            out = out.transpose()
-        decoded.append(out)
+    with compression_memo():
+        cache = scheme.place(instance, config, library)
+        budget = instance.cache_budget
+        for k, total in enumerate(cache.totals(), start=1):
+            if total > budget:
+                raise RuntimeError(f"user {k} cache {total} symbols exceeds budget {budget}")
+        transcript = scheme.deliver(instance, config, library, demands)
+        decoded = []
+        for k in range(1, instance.K + 1):
+            out = scheme.decode(instance, config, k, cache.for_user(k), transcript, demands)
+            if demands.transposed(k):
+                out = out.transpose()
+            decoded.append(out)
     report = measure_load(transcript, instance.B, instance.field.symbol_bytes)
     verified = verify_retrieval(instance, library, demands, decoded)
     return RunResult(instance, config, seed, demands, library, cache, transcript, report, decoded, verified)

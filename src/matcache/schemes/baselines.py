@@ -208,7 +208,7 @@ def multireq_decode(
         for block, part in zip(split.blocks, parts):
             flat[block.span] = cached(slot, k, block.subset) if part is None else part
     w1, w2 = flats.reshape(2, instance.s, instance.r)
-    return FieldMatrix(instance.field, _matmul_mod(w1.T, w2, q))
+    return FieldMatrix._trusted(instance.field, _matmul_mod(w1.T, w2, q))
 
 
 def multireq_formula_load(instance: ProblemInstance, config: MultiRequestConfig) -> Fraction:

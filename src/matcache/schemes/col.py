@@ -30,8 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -66,7 +67,7 @@ from .common import (
 )
 
 BlockGetter = Callable[[int, tuple[int, ...]], np.ndarray]
-Groups = dict[tuple[int, ...], list[tuple[Block, Block]]]
+Groups = Mapping[tuple[int, ...], tuple[tuple[Block, Block], ...]]
 
 
 @dataclass(frozen=True)
@@ -93,13 +94,18 @@ def _splits(instance: ProblemInstance) -> tuple[ManSplit, ManSplit | None]:
 def intersection_groups(split: ManSplit) -> Groups:
     """Intersection set V -> the ordered block pairs whose subsets intersect
     exactly in V, row-major in split order (the canonical group ordering on
-    both ends of the link)."""
-    groups: Groups = {}
-    for b1 in split.blocks:
-        for b2 in split.blocks:
+    both ends of the link).  Read-only: callers share it."""
+    return _intersection_groups(split.blocks)
+
+
+@lru_cache(maxsize=256)
+def _intersection_groups(blocks: tuple[Block, ...]) -> Groups:
+    groups: dict[tuple[int, ...], list[tuple[Block, Block]]] = {}
+    for b1 in blocks:
+        for b2 in blocks:
             v_set = tuple(u for u in b1.subset if u in b2.subset)
             groups.setdefault(v_set, []).append((b1, b2))
-    return groups
+    return MappingProxyType({v_set: tuple(pairs) for v_set, pairs in groups.items()})
 
 
 def _block_getter(split: ManSplit, matrices: Mapping[int, np.ndarray]) -> BlockGetter:

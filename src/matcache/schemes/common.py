@@ -13,16 +13,22 @@ k in S of the segment user k wants that every other member of S already
 caches, segment(k, S \\ {k}).  User k decodes by cancelling its peers'
 segments, which it regenerates from its own cache.  `segment(k, rest)` names a
 segment by the user wanting it and the subset caching it.
+
+A split depends only on (n, x, total), and place, deliver and every user's
+decode ask for the same one, so `man_split` keeps the splits it built last;
+a `ManSplit` is immutable, as every caller shares it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, floor
 from numbers import Rational
-from typing import Callable, Iterable, Iterator
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -65,14 +71,15 @@ def split_widths(n: int, x: Rational, total: int) -> tuple[int, Fraction, Fracti
 @dataclass(frozen=True)
 class ManSplit:
     """Blocks covering [0, total) in order: the tall tier, then the short
-    tier, each in lexicographic subset order.  `by_subset` finds a block by
-    its user subset and iterates the subsets in block order."""
+    tier, each in lexicographic subset order.  `by_subset`, a read-only
+    mapping, finds a block by its user subset and iterates the subsets in
+    block order."""
 
     n: int
     t: int
     total: int
     blocks: tuple[Block, ...]
-    by_subset: dict[tuple[int, ...], Block]
+    by_subset: Mapping[tuple[int, ...], Block]
 
     def multicasts(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """(multicast set, segment width) tier by tier: every (t+1)-subset of
@@ -83,9 +90,10 @@ class ManSplit:
                 yield s_set, width
 
 
+@lru_cache(maxsize=512)
 def man_split(n: int, x: Rational, total: int) -> ManSplit:
     """The MAN split of `total` positions at replication x over n users; the
-    widths must be integers."""
+    widths must be integers.  Callers share the result."""
     t, alpha, tall, short = split_widths(n, x, total)
     if tall.denominator != 1 or short.denominator != 1:
         raise ValueError(f"split of {total} positions at x={x} over {n} users is not integral")
@@ -95,7 +103,8 @@ def man_split(n: int, x: Rational, total: int) -> ManSplit:
         for subset in subsets_of(n, size):
             blocks.append(Block(subset, offset, width))
             offset += width
-    return ManSplit(n, t, total, tuple(blocks), {block.subset: block for block in blocks})
+    by_subset = MappingProxyType({block.subset: block for block in blocks})
+    return ManSplit(n, t, total, tuple(blocks), by_subset)
 
 
 def without(s_set: tuple[int, ...], k: int) -> tuple[int, ...]:

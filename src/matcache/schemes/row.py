@@ -79,7 +79,7 @@ def _block_product(
 ) -> CompressedProduct:
     """Compressed rows1^T rows2 for two row blocks of height h."""
     prod = _matmul_mod(rows1.T, rows2, instance.field.q)
-    return compress_product(FieldMatrix(instance.field, prod), h)
+    return compress_product(FieldMatrix._trusted(instance.field, prod), h)
 
 
 def deliver(
@@ -154,7 +154,7 @@ def decode(
             cp = CompressedProduct.from_packet(instance.field, dims, rank, tuple(basis), packet)
             contrib = decompress_product(cp).data
         out = (out + contrib) % q
-    return FieldMatrix(instance.field, out)
+    return FieldMatrix._trusted(instance.field, out)
 
 
 def formula_load(instance: ProblemInstance, config: RowConfig) -> Fraction:

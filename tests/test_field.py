@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import os
 import random
@@ -72,6 +73,40 @@ def test_uniform_residues_chi_squared_frozen_seed():
     expected = draws.size / 101
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < CHI2_CRIT_DF100_P001
+
+
+def test_batched_draws_retry_rejections_entry_by_entry():
+    """At q = 2^62 + 1 a quarter of all raw draws is rejected, many more
+    than once; each row of a batched draw still equals its seed's own."""
+    q = (1 << 62) + 1
+    seeds = [derive_seed(31, i) for i in range(6)]
+    rows = field_mod._residue_rows(seeds, 500, q)
+    for seed, row in zip(seeds, rows):
+        assert np.array_equal(row, uniform_residues(seed, 500, q))
+    # The retry stream as drawn before draws were batched.
+    digest = hashlib.sha256(uniform_residues(7, 5000, q).tobytes()).hexdigest()
+    assert digest == "9a7b82b3def2bc1db0de734fb96d036e2e316eb62f440c56734b311f8b35c60a"
+
+
+def test_public_constructor_reduces_and_copies():
+    spec = FieldSpec(7)
+    reduced = FieldMatrix(spec, np.array([[7, -1], [15, -15]], dtype=np.int64))
+    assert reduced.data.tolist() == [[0, 6], [1, 6]]
+    owned = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    matrix = FieldMatrix(spec, owned)
+    assert not np.shares_memory(matrix.data, owned) and owned.flags.writeable
+    owned[0, 0] = 5
+    assert matrix.data[0, 0] == 1 and not matrix.data.flags.writeable
+
+
+def test_internal_results_are_read_only():
+    a = random_matrix(SMALL_PRIME, 3, 4, 1)
+    b = random_matrix(SMALL_PRIME, 4, 2, 2)
+    for result in (a, mat_mul(a, b), a.transpose(), a.submatrix(slice(0, 2), [1, 3])):
+        assert not result.data.flags.writeable
+        with pytest.raises(ValueError):
+            result.data[0, 0] = 1
+    assert a.transpose().transpose() == a
 
 
 def test_derive_seed_collision_free_on_grid():

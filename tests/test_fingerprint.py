@@ -12,6 +12,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "fingerprint.py"
 SLICE_DIGEST = "997a753b03697b54cd33a65d4c1b05e9d112b6ba89d5f7a5fd865fea3390240e"
 
@@ -41,3 +43,13 @@ def test_fingerprint_main_prints_digest_and_run_count(capsys, monkeypatch):
     assert fingerprint.main() == 0
     digest, count, word = capsys.readouterr().out.split()
     assert (len(digest), count, word) == (64, "96", "runs")
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_fingerprint_rejects_an_instance_count_below_one(value, capsys, monkeypatch):
+    fingerprint = _load()
+    monkeypatch.setattr("sys.argv", ["fingerprint.py", "--instances", value])
+    with pytest.raises(SystemExit) as exit_info:
+        fingerprint.main()
+    assert exit_info.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matcache import compress, harness, model
 from matcache.compress import DimTriple, f_len
-from matcache.field import DEFAULT_FIELD, FieldMatrix
+from matcache.field import (
+    _DRAW_BATCH_SYMBOLS,
+    DEFAULT_FIELD,
+    FieldMatrix,
+    FieldSpec,
+    derive_seed,
+    random_matrix,
+)
 from matcache.model import (
     DeliveryTranscript,
     DemandVector,
@@ -18,6 +29,7 @@ from matcache.model import (
     ProblemInstance,
     SchemeParameterError,
     build_library,
+    get_scheme,
     instance_g,
     measure_load,
     normalize_demand,
@@ -113,6 +125,168 @@ def test_build_library_deterministic_shapes():
     assert all(w.shape == (inst.s, inst.r) for w in library)
     assert library == build_library(inst, seed=3)
     assert library != build_library(inst, seed=4)
+
+
+LIBRARY_FIELDS = (2, 3, 65521, (1 << 31) - 1, (1 << 61) - 1)
+
+
+def _library_sizes():
+    """(s, r, N): N = 2 for 1x1 and 12x6, then libraries whose N*s*r sits
+    just below, at and just above the batch cap, and past two batches."""
+    sizes = [(1, 1, 2), (12, 6, 2)]
+    per_batch = _DRAW_BATCH_SYMBOLS // 72
+    sizes += [(12, 6, per_batch), (12, 6, per_batch + 1), (12, 6, 2 * per_batch + 1)]
+    sizes += [(64, 64, n) for n in (7, 8, 9)]  # 64*64*8 is the cap exactly
+    return sizes
+
+
+@pytest.mark.parametrize("q", LIBRARY_FIELDS)
+@pytest.mark.parametrize("s, r, n", _library_sizes())
+def test_batched_library_matches_one_draw_per_matrix(q, s, r, n):
+    inst = ProblemInstance(K=1, N=n, s=s, r=r, field=FieldSpec(q))
+    library = build_library(inst, seed=5)
+    assert len(library) == n
+    for i, w in enumerate(library):
+        alone = random_matrix(inst.field, s, r, derive_seed(5, i))
+        assert w.data.dtype == np.int64 and w.data.tobytes() == alone.data.tobytes()
+
+
+def _library_digest(inst: ProblemInstance, seed: int) -> str:
+    h = hashlib.sha256()
+    for w in build_library(inst, seed):
+        h.update(w.data.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+def test_library_stream_is_pinned():
+    """Digests of two libraries as drawn before the library was batched;
+    the second spans two batches at q = 2^61 - 1."""
+    paper = ProblemInstance(K=4, N=20, s=12, r=6, M=Fraction(10))
+    want = "d7801b9955555487dfedb8cc98d9c42251057ab32ce249862331d8df0cd94f81"
+    assert _library_digest(paper, 7) == want
+    wide = ProblemInstance(K=2, N=9, s=64, r=64, field=FieldSpec((1 << 61) - 1))
+    want = "61051b250eaa076d2d277c394fc74fbacb9068d459465317704c15a2cb29d830"
+    assert _library_digest(wide, 11) == want
+
+
+def _bases(array: np.ndarray):
+    while isinstance(array, np.ndarray):
+        yield array
+        array = array.base
+
+
+@pytest.mark.parametrize("s, r, n", [(12, 6, 20), (64, 64, 9)])
+def test_library_matrices_are_read_only_and_own_their_memory(s, r, n):
+    library = build_library(ProblemInstance(K=1, N=n, s=s, r=r), seed=2)
+    for i, w in enumerate(library):
+        assert all(not array.flags.writeable for array in _bases(w.data))
+        with pytest.raises(ValueError):
+            w.data[0, 0] = 1
+        for other in library[i + 1 :]:
+            assert not np.shares_memory(w.data, other.data)
+
+
+def _count_eliminations(monkeypatch) -> list:
+    """Record, for each elimination compress_product runs, the memo open in
+    the context."""
+    seen = []
+    original = compress._compress_product
+
+    def counted(product, inner_dim):
+        seen.append(compress._memo.get())
+        return original(product, inner_dim)
+
+    monkeypatch.setattr(compress, "_compress_product", counted)
+    return seen
+
+
+def test_compression_memo_lives_for_one_run(monkeypatch):
+    """row's decoders regenerate the packets the server compressed: inside
+    run_scheme they reuse them from one memo, which is emptied on return,
+    and the run's bytes equal those of a run without the memo."""
+    from matcache.schemes.row import RowConfig
+
+    inst = ProblemInstance(K=4, N=20, s=12, r=6, M=Fraction(10))
+    seen = _count_eliminations(monkeypatch)
+    result = run_scheme("row", inst, RowConfig(ell=2), 3)
+    memos = {id(memo): memo for memo in seen}
+    assert result.verified and len(memos) == 1
+    assert next(iter(memos.values())) == {} and compress._memo.get() is None
+    with_memo = len(seen)
+    monkeypatch.setattr(model, "compression_memo", contextlib.nullcontext)
+    plain = run_scheme("row", inst, RowConfig(ell=2), 3)
+    assert 0 < with_memo < len(seen) - with_memo
+    assert plain.transcript.digest() == result.transcript.digest()
+    assert plain.decoded == result.decoded
+
+
+def _over_budget(place):
+    def wrapped(instance, config, library):
+        cache = place(instance, config, library)
+        cache.users[0].segments["extra"] = np.zeros(instance.cache_budget + 1, dtype=np.int64)
+        return cache
+
+    return wrapped
+
+
+def _failing_decode(decode):
+    def wrapped(instance, config, k, cache, transcript, demands):
+        decode(instance, config, k, cache, transcript, demands)
+        raise ZeroDivisionError("decoder fault")
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "broken, error",
+    [
+        (lambda scheme: replace(scheme, place=_over_budget(scheme.place)), RuntimeError),
+        (lambda scheme: replace(scheme, decode=_failing_decode(scheme.decode)), ZeroDivisionError),
+    ],
+    ids=["over-budget", "decode-raises"],
+)
+def test_compression_memo_is_emptied_when_a_run_raises(broken, error, monkeypatch):
+    """agnostic compresses every product in place, so the memo is full when
+    the budget check or a decoder raises."""
+    from matcache.schemes.agnostic import AgnosticConfig
+
+    inst = ProblemInstance(K=2, N=4, s=4, r=2, M=Fraction(5, 2))
+    seen = _count_eliminations(monkeypatch)
+    with pytest.raises(error):
+        run_scheme(broken(get_scheme("agnostic")), inst, AgnosticConfig(t=1), 0)
+    assert seen and seen[0] == {} and compress._memo.get() is None
+
+
+def test_memoized_structure_is_bounded():
+    from matcache import bounds, field
+    from matcache.schemes import col, common
+
+    memoized = (
+        field.is_prime,
+        common.man_split,
+        col._intersection_groups,
+        bounds.row_partition_load,
+        bounds.load_Rcol,
+        harness.fraction_str,
+    )
+    assert all(f.cache_info().maxsize is not None for f in memoized)
+
+
+@pytest.mark.parametrize("name", harness.SCHEME_NAMES)
+def test_tampered_transcript_fails_verification_on_a_corner_cell(name):
+    """The memo reuses compressions, never messages: one corrupted symbol
+    still fails the run, on the first corner cell with a nonzero load."""
+    for cell in harness.corner_cells(2, 4, Fraction(1)):
+        if cell.scheme != name:
+            continue
+        s, r = harness.corner_shape(cell)
+        spec = cell.spec(s, r, 0)
+        inst = harness.resolve_instance(spec)
+        config = harness.build_scheme_config(spec, inst)
+        if get_scheme(name).formula_load(inst, config) > 0:
+            break
+    assert run_scheme(name, inst, config, 4).verified
+    assert not run_scheme(harness.tampered(get_scheme(name)), inst, config, 4).verified
 
 
 def _message(tag, payload, headers=()):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb, lcm
@@ -9,6 +10,7 @@ from math import comb, lcm
 import pytest
 
 from matcache.bounds import _split_params
+from matcache.schemes.col import intersection_groups
 from matcache.schemes.common import man_split, split_widths
 
 
@@ -52,3 +54,21 @@ def test_man_split_blocks_and_multicasts(n):
 def test_man_split_rejects_fractional_widths():
     with pytest.raises(ValueError, match="not integral"):
         man_split(3, F(1, 2), 5)
+
+
+def test_a_shared_split_and_its_groups_are_read_only():
+    """man_split and col's group map are memoized, so every caller holds the
+    same objects: none of them may change."""
+    split = man_split(3, F(3, 2), 12)
+    assert man_split(3, F(3, 2), 12) is split
+    with pytest.raises(TypeError):
+        split.by_subset[(9,)] = split.blocks[0]
+    with pytest.raises(TypeError):
+        del split.by_subset[split.blocks[0].subset]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        split.blocks = ()
+    groups = intersection_groups(split)
+    assert intersection_groups(man_split(3, F(3, 2), 12)) is groups
+    with pytest.raises(TypeError):
+        groups[(9,)] = ()
+    assert all(isinstance(pairs, tuple) for pairs in groups.values())
