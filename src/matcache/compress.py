@@ -9,11 +9,12 @@ f(m, n, p) so equal-shaped packets can be summed in multicasts.
 
 Within a `compression_memo` block, which `model.run_scheme` opens around
 place, deliver and decode, `compress_product` compresses each distinct
-product once: a call with the same field, shape, inner dimension and raw
-bytes as an earlier one in the block returns the earlier (immutable)
-result.  The caller still computes every product it passes; the memo only
-skips the elimination.  It holds no more than the block's own products and
-is emptied when the block ends.
+product once: a call with the same field, shape, inner dimension and
+entries (its residues as raw bytes, not a hash of them) as an earlier one
+in the block returns the earlier (immutable) result.  The caller still
+computes every product it passes; the memo only skips the elimination.  It
+holds no more than the block's own products and is emptied when the block
+ends.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .field import _WORD_Q, FieldMatrix, FieldSpec, _eliminate_stack, _matmul_mod, _rref
 
 Header = tuple[int, tuple[int, ...]]  # (rank, basis row indices)
-# (q, shape, inner dimension, product bytes) -> result, while a
+# (q, shape, inner dimension, product residues as bytes) -> result, while a
 # `compression_memo` block runs in this context.
 _MemoKey = tuple[int, tuple[int, int], int, bytes]
 _memo: ContextVar[dict[_MemoKey, "CompressedProduct"] | None] = ContextVar(
@@ -155,7 +156,7 @@ def compress_product(product: FieldMatrix, inner_dim: int) -> CompressedProduct:
     """Deterministically encode an m x p product with inner dimension n.
 
     Inside a `compression_memo` block, a product already compressed there
-    (same q, shape, inner dimension and bytes) returns the earlier result.
+    (same q, shape, inner dimension and entries) returns the earlier result.
 
     Raises ValueError("inner-dimension contract violated") when the matrix
     rank exceeds min(n, m, p) — i.e. the caller's product claim is wrong.
@@ -163,7 +164,10 @@ def compress_product(product: FieldMatrix, inner_dim: int) -> CompressedProduct:
     memo = _memo.get()
     if memo is None:
         return _compress_product(product, inner_dim)
-    key = (product.spec.q, product.shape, inner_dim, product.data.tobytes())
+    # Residues below 2^32 are keyed as 4-byte words: the key stays exact and
+    # the memo, which holds every distinct product of the run, half as large.
+    width = np.uint32 if product.spec.q <= 1 << 32 else np.int64
+    key = (product.spec.q, product.shape, inner_dim, product.data.astype(width).tobytes())
     if key not in memo:
         memo[key] = _compress_product(product, inner_dim)
     return memo[key]

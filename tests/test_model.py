@@ -176,7 +176,9 @@ def _bases(array: np.ndarray):
 
 
 @pytest.mark.parametrize("s, r, n", [(12, 6, 20), (64, 64, 9)])
-def test_library_matrices_are_read_only_and_own_their_memory(s, r, n):
+def test_library_matrices_are_read_only_and_disjoint(s, r, n):
+    """Every array a library matrix reaches is frozen, and no two matrices
+    share memory."""
     library = build_library(ProblemInstance(K=1, N=n, s=s, r=r), seed=2)
     for i, w in enumerate(library):
         assert all(not array.flags.writeable for array in _bases(w.data))
@@ -200,13 +202,14 @@ def _count_eliminations(monkeypatch) -> list:
     return seen
 
 
-def test_compression_memo_lives_for_one_run(monkeypatch):
+@pytest.mark.parametrize("q", [2, (1 << 31) - 1, (1 << 61) - 1])
+def test_compression_memo_lives_for_one_run(q, monkeypatch):
     """row's decoders regenerate the packets the server compressed: inside
     run_scheme they reuse them from one memo, which is emptied on return,
     and the run's bytes equal those of a run without the memo."""
     from matcache.schemes.row import RowConfig
 
-    inst = ProblemInstance(K=4, N=20, s=12, r=6, M=Fraction(10))
+    inst = ProblemInstance(K=4, N=20, s=12, r=6, field=FieldSpec(q), M=Fraction(10))
     seen = _count_eliminations(monkeypatch)
     result = run_scheme("row", inst, RowConfig(ell=2), 3)
     memos = {id(memo): memo for memo in seen}
@@ -215,7 +218,8 @@ def test_compression_memo_lives_for_one_run(monkeypatch):
     with_memo = len(seen)
     monkeypatch.setattr(model, "compression_memo", contextlib.nullcontext)
     plain = run_scheme("row", inst, RowConfig(ell=2), 3)
-    assert 0 < with_memo < len(seen) - with_memo
+    without_memo = len(seen) - with_memo
+    assert 0 < with_memo < without_memo
     assert plain.transcript.digest() == result.transcript.digest()
     assert plain.decoded == result.decoded
 
@@ -285,6 +289,8 @@ def test_tampered_transcript_fails_verification_on_a_corner_cell(name):
         config = harness.build_scheme_config(spec, inst)
         if get_scheme(name).formula_load(inst, config) > 0:
             break
+    else:
+        pytest.fail(f"no {name} corner cell with a nonzero load")
     assert run_scheme(name, inst, config, 4).verified
     assert not run_scheme(harness.tampered(get_scheme(name)), inst, config, 4).verified
 
