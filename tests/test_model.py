@@ -132,11 +132,14 @@ LIBRARY_FIELDS = (2, 3, 65521, (1 << 31) - 1, (1 << 61) - 1)
 
 def _library_sizes():
     """(s, r, N): N = 2 for 1x1 and 12x6, then libraries whose N*s*r sits
-    just below, at and just above the batch cap, and past two batches."""
+    just below, at and just above the batch cap, past two batches, and
+    matrices larger than the cap."""
     sizes = [(1, 1, 2), (12, 6, 2)]
     per_batch = _DRAW_BATCH_SYMBOLS // 72
     sizes += [(12, 6, per_batch), (12, 6, per_batch + 1), (12, 6, 2 * per_batch + 1)]
-    sizes += [(64, 64, n) for n in (7, 8, 9)]  # 64*64*8 is the cap exactly
+    exact = _DRAW_BATCH_SYMBOLS // 256  # 16 x 16 matrices fill a batch exactly
+    sizes += [(16, 16, n) for n in (exact - 1, exact, exact + 1)]
+    sizes += [(64, 128, 3)]
     return sizes
 
 
@@ -160,7 +163,7 @@ def _library_digest(inst: ProblemInstance, seed: int) -> str:
 
 def test_library_stream_is_pinned():
     """Digests of two libraries as drawn before the library was batched;
-    the second spans two batches at q = 2^61 - 1."""
+    the second spans several batches at q = 2^61 - 1."""
     paper = ProblemInstance(K=4, N=20, s=12, r=6, M=Fraction(10))
     want = "d7801b9955555487dfedb8cc98d9c42251057ab32ce249862331d8df0cd94f81"
     assert _library_digest(paper, 7) == want
