@@ -80,9 +80,9 @@ _BLOCKED_MIN_ENTRIES = 1 << 13
 _PANEL = 32
 # Most symbols `random_matrices` draws in one vectorized pass; a larger
 # library is drawn in batches, so its temporaries do not grow peak memory.
-# At 2^15, a batch's 256 KB temporaries raised peak RSS on 60 x 120
-# libraries by 0.8 MB; every corner-cell library of the default verify
-# matrix (at most 1,440 symbols) still takes one pass.
+# At 2^15, a batch's 256 KB temporaries raised the peak RSS of perfbench's
+# col-many-blocks by 0.8 MB; every corner-cell library of the default
+# verify matrix (at most 1,440 symbols) still takes one pass.
 _DRAW_BATCH_SYMBOLS = 1 << 12
 
 # Miller-Rabin with this witness set is deterministic for n < 3.3 * 10^24.
