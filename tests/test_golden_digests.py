@@ -1,5 +1,5 @@
 """Golden transcript digests: SHA-256 of every broadcast transcript, plus the
-load and symbol counts, pinned for sixteen cells covering every scheme, both
+load and symbol counts, pinned for eighteen cells covering every scheme, both
 column-scheme paths, padded row groups, irregular demands and the field range.
 
 The values in golden/transcript_digests.json were produced by this module's
@@ -67,6 +67,16 @@ CELLS = {
     "col-many-blocks-random-q61": ExperimentSpec(
         scheme="col", K=6, N=12, s=120, r=60, M=F(3), q=Q61, demands="random", seed=12
     ),
+    # Wide col at K=6, N=12, M=6 (t = 3, 20 + 20 blocks of width 1) with
+    # random demands: every demanded matrix takes the column split, and
+    # every user's and peer's cross products share stacks.  Over GF(2) most
+    # leading blocks are singular, so most permutations are not the identity.
+    "col-wide-many-users": ExperimentSpec(
+        scheme="col", K=6, N=12, s=20, r=40, M=F(6), demands="random", seed=13
+    ),
+    "col-wide-many-users-q2": ExperimentSpec(
+        scheme="col", K=6, N=12, s=20, r=40, M=F(6), q=2, demands="random", seed=14
+    ),
 }
 
 FIELDS = (
@@ -95,7 +105,9 @@ def test_golden_file_covers_every_cell():
     assert set(json.loads(GOLDEN.read_text(encoding="utf-8"))) == set(CELLS)
 
 
-@pytest.mark.parametrize("name", ["col-wide-q2-permuted", "col-wide-two-tier-q2"])
+@pytest.mark.parametrize(
+    "name", ["col-wide-q2-permuted", "col-wide-two-tier-q2", "col-wide-many-users-q2"]
+)
 def test_wide_q2_cells_take_the_permutation_path(name):
     _, result = harness.run_cell(CELLS[name])
     perms = result.cache.for_user(1).metadata["column-permutations"]
