@@ -45,6 +45,7 @@ import ctypes
 import ctypes.util
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -400,7 +401,7 @@ def _eliminate_stack(work: np.ndarray, q: int, ncols: int) -> np.ndarray:
         top = work[items, row]
         work[items, row] = work[items, sel]
         work[items, sel] = top
-        inverse = [pow(int(x), -1, q) for x in work[items, row, col].tolist()]
+        inverse = _batch_inverse(work[items, row, col].tolist(), q)
         lead = work[items, row, col:] * np.array(inverse, dtype=work.dtype)[:, None] % q
         work[items, row, col:] = lead
         factors = work[items, :, col]
@@ -409,6 +410,20 @@ def _eliminate_stack(work: np.ndarray, q: int, ncols: int) -> np.ndarray:
         pivots[items, col] = True
         rank[items] += 1
     return pivots
+
+
+def _batch_inverse(values: list[int], q: int) -> list[int]:
+    """The inverses mod q of nonzero residues, with one `pow` for all of them
+    (Montgomery's trick): invert the product of all, then peel the values
+    off from the last one, with the products of the ones before it."""
+    prefix = list(accumulate(values, lambda acc, x: acc * x % q))
+    inverse = pow(prefix[-1], -1, q)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, 0, -1):
+        out[i] = inverse * prefix[i - 1] % q
+        inverse = inverse * values[i] % q
+    out[0] = inverse
+    return out
 
 
 def _eliminate_blocked(work: np.ndarray, q: int, ncols: int) -> list[int]:
@@ -476,28 +491,38 @@ def solve_columns(w1: FieldMatrix, y: FieldMatrix) -> FieldMatrix:
     return FieldMatrix._trusted(w1.spec, sol)
 
 
-def leading_block_column_permutation(w: FieldMatrix, block_cols: int) -> list[int]:
-    """Column permutation making the leading block carry the full rank.
+def spanning_column_split(
+    w: FieldMatrix, block_cols: int
+) -> tuple[tuple[int, ...], FieldMatrix, FieldMatrix]:
+    """Split W into a leading block W1 that spans it and coefficients Q.
 
-    Returns perm with (W after permutation)[:, j] = W[:, perm[j]] such that
-    the first block_cols columns have rank min(rank(W), block_cols).  The
-    identity permutation is returned whenever the natural leading block
-    already satisfies the condition; otherwise the lexicographically first
-    independent columns are pulled to the front (greedy, deterministic).
+    Returns (perm, W1, Q) with W1 = W[:, perm[:block_cols]] and
+    W1 @ Q = W[:, perm[block_cols:]].  perm is the identity whenever the
+    natural leading block already has rank rank(W); otherwise the
+    lexicographically first independent columns are pulled to the front
+    (greedy, deterministic).  Q is the solution with free variables pinned to
+    0 that `solve_columns(W1, W[:, perm[block_cols:]])` finds, read off one
+    elimination of W: W1 holds every pivot column of W, and the RREF rows
+    carrying those pivots are unique, so they are the permuted matrix's too.
+
+    Raises ValueError when rank(W) exceeds block_cols, so no W1 spans W.
     """
     if block_cols > w.cols:
         raise ValueError(f"block_cols {block_cols} exceeds matrix cols {w.cols}")
-    col_basis = _rref(w.data, w.spec.q)[1]
-    target = min(len(col_basis), block_cols)
-    if sum(c < block_cols for c in col_basis) == target:
-        return list(range(w.cols))
-    selected = col_basis[:target]
-    chosen = set(selected)
-    return selected + [c for c in range(w.cols) if c not in chosen]
-
-
-def apply_column_permutation(w: FieldMatrix, perm: Sequence[int]) -> FieldMatrix:
-    return FieldMatrix._trusted(w.spec, w.data[:, list(perm)])
+    reduced, pivots = _rref(w.data, w.spec.q)
+    rank = len(pivots)
+    if rank > block_cols:
+        raise ValueError(f"rank {rank} exceeds block_cols {block_cols}: column not in span")
+    if pivots and pivots[-1] >= block_cols:
+        chosen = set(pivots)
+        perm = pivots + [c for c in range(w.cols) if c not in chosen]
+        lead = list(range(rank))  # where the pivot columns sit in W1
+    else:
+        perm, lead = list(range(w.cols)), pivots
+    coeffs = np.zeros((block_cols, w.cols - block_cols), dtype=np.int64)
+    coeffs[lead] = reduced[:rank, perm[block_cols:]]
+    w1 = FieldMatrix._trusted(w.spec, w.data[:, perm[:block_cols]])
+    return tuple(perm), w1, FieldMatrix._trusted(w.spec, coeffs)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:

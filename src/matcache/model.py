@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, floor
 from typing import Any, Callable, Mapping, Sequence
 
@@ -194,7 +195,7 @@ class Message:
         arr.flags.writeable = False
         object.__setattr__(self, "payload", arr)
 
-    @property
+    @cached_property  # headers are immutable; reports and digests ask often
     def header_bytes(self) -> int:
         return sum(4 + 4 * rank for _, packets in self.headers for rank, _ in packets)
 

@@ -13,16 +13,19 @@ align; zero-length groups produce no message.
 The cross products run in stacks, one per block shape (w1, w2), not one
 block pair at a time.  The server cuts each user's cross products out of
 one product of the user's demanded columns and compresses each shape's
-stack with one `compress_stack`.  A decoder regenerates each peer's groups
-the same way from the product of its own cached columns, and rebuilds the
+cells, across all K users, with one `compress_stack`.  A decoder
+regenerates its K - 1 peers' groups the same way from the products of its
+own cached columns, one stack per shape across all peers, and rebuilds the
 groups it receives with one `decompress_stack` per shape.  Both are
-byte-equal to `compress_product` and `decompress_product` item by item.
+byte-equal to `compress_product` and `decompress_product` item by item, so
+stacking parties together changes no packet.
 
 For wide matrices (r > s) each matrix is first column-permuted so its
 leading s columns span it; those columns get the treatment above, while the
 remaining r - s columns are represented by cached coefficient blocks Q with
 W1 @ Q = W2, placed by their own MAN split, delivered by its plain coded
-multicasts and combined locally.  Matrices with r <= s have no coefficient
+multicasts and combined locally.  One elimination of the matrix gives both
+the permutation and Q.  Matrices with r <= s have no coefficient
 split.
 """
 
@@ -38,13 +41,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..compress import DimTriple, compress_stack, decompress_stack, f_len
-from ..field import (
-    FieldMatrix,
-    _matmul_mod,
-    apply_column_permutation,
-    leading_block_column_permutation,
-    solve_columns,
-)
+from ..field import FieldMatrix, _matmul_mod, spanning_column_split
 from ..model import (
     CacheContents,
     DeliveryTranscript,
@@ -128,6 +125,10 @@ class _Plan:
     count: int
 
 
+# A party's (plan, demanded product, where each block starts in the product).
+Job = tuple[_Plan, np.ndarray, Mapping[tuple[int, ...], int]]
+
+
 def _plan(groups: Groups, keys: Sequence[tuple[int, ...]], s: int) -> _Plan:
     """The plan of the groups in `keys`, in that order."""
     symbols, pairs, buckets, lengths = {}, {}, {}, {}
@@ -167,21 +168,33 @@ def _cells(
 
 
 def _group_packets(
-    instance: ProblemInstance, plan: _Plan, product: np.ndarray, at: Mapping[tuple[int, ...], int]
-) -> dict[tuple[int, ...], tuple[np.ndarray, tuple[PacketHeader, ...]]]:
-    """A user's packet and headers for each group of the plan: the
-    compressed cross products of its block pairs, in group order.  `product`
-    is the user's demanded product with block b from at[b.subset] on; each
-    cross-product shape takes one stacked compression."""
-    q = instance.field.q
-    flat = np.zeros(plan.size, dtype=np.int64)
-    headers: list[PacketHeader] = [()] * plan.count
-    for index, symbols, block_pairs in plan.buckets.values():
-        packets, heads = compress_stack(product[_cells(block_pairs, at)], instance.s, q)
-        flat[symbols] = packets
-        for i, head in zip(index, heads):
-            headers[i] = head
-    return {v: (flat[span], tuple(headers[plan.pairs[v]])) for v, span in plan.symbols.items()}
+    instance: ProblemInstance, jobs: Sequence[Job]
+) -> list[dict[tuple[int, ...], tuple[np.ndarray, tuple[PacketHeader, ...]]]]:
+    """Each job's packet and headers for each group of its plan: the
+    compressed cross products of its block pairs, in group order.  A job is
+    (plan, product, at), where `product` is a user's demanded product with
+    block b from at[b.subset] on.  Each cross-product shape takes one stacked
+    compression over the cells of every job."""
+    flats = [np.zeros(plan.size, dtype=np.int64) for plan, _, _ in jobs]
+    headers: list[list[PacketHeader]] = [[()] * plan.count for plan, _, _ in jobs]
+    stacks: dict[tuple[int, int], list[tuple[int, list[int], np.ndarray, np.ndarray]]] = {}
+    for j, (plan, product, at) in enumerate(jobs):
+        for shape, (index, symbols, block_pairs) in plan.buckets.items():
+            cells = product[_cells(block_pairs, at)]
+            stacks.setdefault(shape, []).append((j, index, symbols, cells))
+    for parts in stacks.values():
+        cells = parts[0][3] if len(parts) == 1 else np.concatenate([part[3] for part in parts])
+        packets, heads = compress_stack(cells, instance.s, instance.field.q)
+        start = 0
+        for j, index, symbols, _ in parts:
+            flats[j][symbols] = packets[start : start + len(index)]
+            for i, head in zip(index, heads[start : start + len(index)]):
+                headers[j][i] = head
+            start += len(index)
+    return [
+        {v: (flat[span], tuple(heads[plan.pairs[v]])) for v, span in plan.symbols.items()}
+        for (plan, _, _), flat, heads in zip(jobs, flats, headers)
+    ]
 
 
 def _round_messages(
@@ -198,10 +211,10 @@ def _round_messages(
     products = {}
     for d1, d2 in set(demands.normalized):
         products[d1, d2] = _matmul_mod(leads[d1].T, leads[d2], q)
-    own = {}
-    for k in range(1, K + 1):
-        plan = _plan(groups, [v_set for v_set in groups if k not in v_set], instance.s)
-        own[k] = _group_packets(instance, plan, products[demands.pair(k)], at)
+    users = range(1, K + 1)
+    plans = [_plan(groups, [v for v in groups if k not in v], instance.s) for k in users]
+    jobs = [(plan, products[demands.pair(k)], at) for k, plan in zip(users, plans)]
+    own = dict(zip(users, _group_packets(instance, jobs)))
     empty = (np.zeros(0, dtype=np.int64), ())
     messages = []
     for i in range(1 + max(len(v_set) for v_set in groups)):
@@ -249,11 +262,12 @@ def _decode_grid(
         }
         for d1, d2 in set(demands.normalized):
             products[d1, d2] = _matmul_mod(columns[d1].T, columns[d2], q)
-    peers = {}
-    for p in range(1, instance.K + 1):
-        if p != k and mine:
-            plan = _plan(groups, [v_set for v_set in cached if p not in v_set], s)
-            peers[p] = _group_packets(instance, plan, products[demands.pair(p)], local)
+    others = [p for p in range(1, instance.K + 1) if p != k] if mine else []
+    jobs = [
+        (_plan(groups, [v for v in cached if p not in v], s), products[demands.pair(p)], local)
+        for p in others
+    ]
+    peers = dict(zip(others, _group_packets(instance, jobs)))
 
     def message(s_set: tuple[int, ...]) -> Message:
         return transcript.find(("col", len(s_set) - 1, s_set))
@@ -291,17 +305,6 @@ def validate(instance: ProblemInstance, config: ColConfig) -> list[str]:
     return problems
 
 
-def _wide_split(w: FieldMatrix, s: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """Column permutation putting s spanning columns first, the permuted
-    matrix's leading s columns W1, and the coefficients Q with W1 @ Q equal
-    to its remaining columns."""
-    perm = leading_block_column_permutation(w, s)
-    shuffled = apply_column_permutation(w, perm)
-    w1 = shuffled.submatrix(slice(None), slice(0, s))
-    w2 = shuffled.submatrix(slice(None), slice(s, w.cols))
-    return tuple(perm), w1.data, solve_columns(w1, w2).data
-
-
 def place(
     instance: ProblemInstance, config: ColConfig, library: Sequence[FieldMatrix]
 ) -> CacheContents:
@@ -318,9 +321,9 @@ def place(
         if coeff is None:
             store("raw-cols", i, w.data, lead)
             continue
-        perms[i], lead_cols, coeffs = _wide_split(w, instance.s)
-        store("raw-cols", i, lead_cols, lead)
-        store("coded-Q", i, coeffs, coeff)
+        perms[i], lead_cols, coeffs = spanning_column_split(w, instance.s)
+        store("raw-cols", i, lead_cols.data, lead)
+        store("coded-Q", i, coeffs.data, coeff)
     if coeff is not None:
         for user in users:
             user.metadata["column-permutations"] = perms
@@ -340,7 +343,8 @@ def deliver(
     coeffs: dict[int, np.ndarray] = {}
     if coeff is not None:
         for i in demanded:
-            _, leads[i], coeffs[i] = _wide_split(library[i - 1], s)
+            _, lead_cols, coeff_cols = spanning_column_split(library[i - 1], s)
+            leads[i], coeffs[i] = lead_cols.data, coeff_cols.data
     messages = _round_messages(instance, lead, demands, leads)
     if coeff is None:
         return DeliveryTranscript(tuple(messages))

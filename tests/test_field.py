@@ -22,19 +22,20 @@ from matcache.field import (
     DEFAULT_FIELD,
     FieldMatrix,
     FieldSpec,
-    apply_column_permutation,
     derive_seed,
     is_prime,
-    leading_block_column_permutation,
     mat_mul,
     mat_rank,
     random_matrix,
     row_basis,
     solve_columns,
+    spanning_column_split,
     uniform_residues,
 )
 
 SMALL_PRIME = FieldSpec(101)
+Q31 = (1 << 31) - 1
+Q61 = (1 << 61) - 1
 
 # chi-squared critical value at p = 0.001 for 100 degrees of freedom
 CHI2_CRIT_DF100_P001 = 149.449
@@ -202,24 +203,77 @@ def test_full_rank_fraction_monte_carlo():
     assert full >= 88
 
 
-def test_leading_block_column_permutation_restores_invertibility():
+def test_spanning_column_split_restores_invertibility():
     rows = [[0, 0, 1, 0], [0, 0, 0, 1]]
     w = FieldMatrix.from_rows(DEFAULT_FIELD, rows)
-    perm = leading_block_column_permutation(w, 2)
-    assert sorted(perm) == [0, 1, 2, 3]
-    shuffled = apply_column_permutation(w, perm)
-    assert mat_rank(shuffled.submatrix(slice(None), slice(0, 2))) == 2
+    perm, w1, coeffs = spanning_column_split(w, 2)
+    assert perm == (2, 3, 0, 1)
+    assert mat_rank(w1) == 2 and w1.data.tolist() == [[1, 0], [0, 1]]
+    assert mat_mul(w1, coeffs) == w.submatrix(slice(None), list(perm[2:]))
+
+
+def test_spanning_column_split_rejects_a_block_too_narrow_to_span():
+    w = FieldMatrix.from_rows(SMALL_PRIME, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="column not in span"):
+        spanning_column_split(w, 2)
+    with pytest.raises(ValueError, match="exceeds matrix cols"):
+        spanning_column_split(w, 4)
 
 
 @settings(deadline=None, max_examples=40)
 @given(s=st.integers(1, 5), extra=st.integers(0, 4), seed=st.integers(0, 2**31))
-def test_leading_block_permutation_random_matrices(s, extra, seed):
+def test_spanning_column_split_random_matrices(s, extra, seed):
     w = random_matrix(DEFAULT_FIELD, s, s + extra, seed)
-    if mat_rank(w) < s:  # needs full row rank to find s independent columns
-        return
-    perm = leading_block_column_permutation(w, s)
-    shuffled = apply_column_permutation(w, perm)
-    assert mat_rank(shuffled.submatrix(slice(None), slice(0, s))) == s
+    perm, w1, coeffs = spanning_column_split(w, s)
+    assert sorted(perm) == list(range(s + extra))
+    assert w1 == w.submatrix(slice(None), list(perm[:s]))
+    assert mat_rank(w1) == mat_rank(w)
+    assert mat_mul(w1, coeffs) == w.submatrix(slice(None), list(perm[s:]))
+
+
+def _two_step_split(w: FieldMatrix, s: int) -> tuple[tuple[int, ...], FieldMatrix, FieldMatrix]:
+    """The split as two eliminations: the column permutation from the pivots
+    of W, then `solve_columns` on the permuted blocks."""
+    col_basis = field_mod._rref(w.data, w.spec.q)[1]
+    target = min(len(col_basis), s)
+    if sum(c < s for c in col_basis) == target:
+        perm = list(range(w.cols))
+    else:
+        perm = col_basis[:target] + [c for c in range(w.cols) if c not in col_basis[:target]]
+    w1 = w.submatrix(slice(None), perm[:s])
+    return tuple(perm), w1, solve_columns(w1, w.submatrix(slice(None), perm[s:]))
+
+
+def _split_cases(q: int):
+    """W = L @ R of each rank 0..s, with the leading z columns of R zeroed so
+    the natural leading block is singular for z > 0.  For q < 2^31 the
+    120 x 240 cases take the blocked elimination; above, where there is no
+    blocked path, smaller ones keep the object-dtype loop quick."""
+    rng = np.random.default_rng(q % 1009)
+    hi = min(q, 1 << 62)
+    small = [
+        (s, r, rank, z)
+        for s, r in ((1, 2), (3, 5), (4, 8), (5, 6))
+        for rank in range(s + 1)
+        for z in (0, 1, s)
+    ]
+    n = 120 if q < 1 << 31 else 24
+    large = [(n, 2 * n, n, 0), (n, 2 * n, n - 1, n // 4), (n, 2 * n, n // 2, n), (n, 2 * n, 0, 0)]
+    for s, r, rank, z in small + large:
+        left = rng.integers(0, hi, (s, rank), dtype=np.int64)
+        right = rng.integers(0, hi, (rank, r), dtype=np.int64)
+        right[:, :z] = 0
+        yield s, FieldMatrix(FieldSpec(q), field_mod._matmul_mod(left, right, q))
+
+
+@pytest.mark.parametrize("q", [2, 3, Q31, Q61])
+def test_spanning_column_split_equals_the_two_step_split(q):
+    permuted = 0
+    for s, w in _split_cases(q):
+        perm, w1, coeffs = spanning_column_split(w, s)
+        assert (perm, w1, coeffs) == _two_step_split(w, s)
+        permuted += perm != tuple(range(w.cols))
+    assert permuted > 0
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +382,6 @@ def test_elimination_kernel_matches_python_oracle(q):
 # ---------------------------------------------------------------------------
 # The BLAS kernels against the int64/object product and the rank-1 loop
 
-Q31 = (1 << 31) - 1
-Q61 = (1 << 61) - 1
 
 
 def _object_product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -571,6 +623,14 @@ def test_stacked_product_matches_items_on_every_path(q, monkeypatch):
     assert calls == ([3, 2, 2, 2] if q < 1 << 31 else [])
 
 
+@pytest.mark.parametrize("q", [2, 3, Q31, Q61])
+def test_batch_inverse_matches_pow_item_by_item(q):
+    rng = np.random.default_rng(q % 991)
+    for size in (1, 2, 7, 200):
+        values = rng.integers(1, min(q, 1 << 62), size, dtype=np.int64).tolist()
+        assert field_mod._batch_inverse(values, q) == [pow(x, -1, q) for x in values]
+
+
 def _mixed_rank_stack(rng: np.random.Generator, q: int, b: int, m: int, p: int) -> np.ndarray:
     """b products m x p, item i of inner dimension i mod (min(m, p) + 1): zero
     items, rank-deficient ones and full-rank ones side by side."""
@@ -586,7 +646,7 @@ def _mixed_rank_stack(rng: np.random.Generator, q: int, b: int, m: int, p: int) 
 @pytest.mark.parametrize("q", [2, 3, Q31, Q61])
 def test_stacked_elimination_matches_loop_item_by_item(q):
     rng = np.random.default_rng(q % 997)
-    for b, m, p in ((7, 1, 1), (9, 3, 5), (9, 5, 3), (11, 6, 6), (0, 3, 4)):
+    for b, m, p in ((7, 1, 1), (9, 3, 5), (9, 5, 3), (11, 6, 6), (0, 3, 4), (1, 4, 4)):
         stack = _mixed_rank_stack(rng, q, b, m, p)
         work = stack.astype(object) if q > 1 << 31 else stack.copy()
         pivots = field_mod._eliminate_stack(work, q, p)

@@ -5,13 +5,22 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matcache.bounds import load_Rcol
-from matcache.field import DEFAULT_FIELD, FieldMatrix, mat_mul
+from matcache.field import (
+    DEFAULT_FIELD,
+    FieldMatrix,
+    FieldSpec,
+    _matmul_mod,
+    mat_mul,
+    spanning_column_split,
+)
 from matcache.model import (
+    DemandVector,
     ProblemInstance,
     SchemeParameterError,
     get_scheme,
@@ -19,6 +28,7 @@ from matcache.model import (
     verify_retrieval,
     worst_case_demands,
 )
+from matcache.schemes import col
 from matcache.schemes.col import ColConfig, constraints
 from matcache.schemes.common import man_split, split_widths
 
@@ -94,8 +104,6 @@ def test_nonintegral_widths_rejected():
 
 
 def test_load_independent_of_demands():
-    from matcache.model import DemandVector
-
     inst = ProblemInstance(K=2, N=4, s=2, r=4, M=F(2))
     loads = set()
     for pairs in (((1, 2), (3, 4)), ((2, 2), (2, 2)), ((4, 1), (2, 3))):
@@ -149,3 +157,48 @@ def test_col_verifies_at_every_corner(seed, t, wide):
     result = run_scheme("col", inst, None, seed=seed)
     assert result.verified
     assert max(result.cache.totals()) <= inst.cache_budget
+
+
+@pytest.mark.parametrize(
+    "inst, pairs",
+    [
+        # Two tiers (t = 1) over GF(2): rank-deficient cross products.
+        (
+            ProblemInstance(K=6, N=12, s=120, r=60, field=FieldSpec(2), M=F(3)),
+            ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12)),
+        ),
+        # Wide, a = 2: the leading blocks of the column split.
+        (
+            ProblemInstance(K=6, N=12, s=20, r=40, M=F(6)),
+            ((3, 9), (12, 1), (5, 5), (2, 7), (8, 4), (10, 6)),
+        ),
+        # Duplicate and transposed demands: parties with equal products.
+        (ProblemInstance(K=4, N=20, s=12, r=6, M=F(10)), ((2, 1), (2, 1), (3, 3), (1, 2))),
+    ],
+)
+def test_group_packets_of_all_parties_equal_one_call_per_party(inst, pairs):
+    """The server's jobs for all K users, stacked per block shape, give each
+    user the packets and headers that compressing its jobs alone gives."""
+    demands = DemandVector(pairs, False)
+    result = run_scheme("col", inst, None, 5, demands)
+    assert result.verified
+    split, coeff = col._splits(inst)
+    leads = {
+        i: w.data if coeff is None else spanning_column_split(w, inst.s)[1].data
+        for i, w in enumerate(result.library, start=1)
+    }
+    groups = col.intersection_groups(split)
+    at = {block.subset: block.offset for block in split.blocks}
+    jobs = []
+    for k in range(1, inst.K + 1):
+        d1, d2 = demands.pair(k)
+        plan = col._plan(groups, [v for v in groups if k not in v], inst.s)
+        jobs.append((plan, _matmul_mod(leads[d1].T, leads[d2], inst.field.q), at))
+    together = col._group_packets(inst, jobs)
+    assert len(together) == inst.K
+    for job, stacked in zip(jobs, together):
+        (alone,) = col._group_packets(inst, [job])
+        assert stacked.keys() == alone.keys()
+        for v_set, (packet, headers) in alone.items():
+            assert np.array_equal(stacked[v_set][0], packet)
+            assert stacked[v_set][1] == headers
