@@ -177,20 +177,25 @@ def _group_packets(
     compression over the cells of every job."""
     flats = [np.zeros(plan.size, dtype=np.int64) for plan, _, _ in jobs]
     headers: list[list[PacketHeader]] = [[()] * plan.count for plan, _, _ in jobs]
-    stacks: dict[tuple[int, int], list[tuple[int, list[int], np.ndarray, np.ndarray]]] = {}
-    for j, (plan, product, at) in enumerate(jobs):
+    stacks: dict[tuple[int, int], list[tuple[int, list[int], np.ndarray, list]]] = {}
+    for j, (plan, _, _) in enumerate(jobs):
         for shape, (index, symbols, block_pairs) in plan.buckets.items():
-            cells = product[_cells(block_pairs, at)]
-            stacks.setdefault(shape, []).append((j, index, symbols, cells))
-    for parts in stacks.values():
-        cells = parts[0][3] if len(parts) == 1 else np.concatenate([part[3] for part in parts])
-        packets, heads = compress_stack(cells, instance.s, instance.field.q)
-        start = 0
-        for j, index, symbols, _ in parts:
-            flats[j][symbols] = packets[start : start + len(index)]
-            for i, head in zip(index, heads[start : start + len(index)]):
-                headers[j][i] = head
+            stacks.setdefault(shape, []).append((j, index, symbols, block_pairs))
+    for shape, parts in stacks.items():
+        # One shape's cells at a time are cut into one array and compressed.
+        spans, start = [], 0
+        for _, index, _, _ in parts:
+            spans.append(slice(start, start + len(index)))
             start += len(index)
+        cells = np.empty((start, *shape), dtype=np.int64)
+        for (j, _, _, block_pairs), span in zip(parts, spans):
+            _, product, at = jobs[j]
+            cells[span] = product[_cells(block_pairs, at)]
+        packets, heads = compress_stack(cells, instance.s, instance.field.q)
+        for (j, index, symbols, _), span in zip(parts, spans):
+            flats[j][symbols] = packets[span]
+            for i, head in zip(index, heads[span]):
+                headers[j][i] = head
     return [
         {v: (flat[span], tuple(heads[plan.pairs[v]])) for v, span in plan.symbols.items()}
         for (plan, _, _), flat, heads in zip(jobs, flats, headers)
