@@ -177,7 +177,7 @@ def _group_packets(
     compression over the cells of every job."""
     flats = [np.zeros(plan.size, dtype=np.int64) for plan, _, _ in jobs]
     headers: list[list[PacketHeader]] = [[()] * plan.count for plan, _, _ in jobs]
-    stacks: dict[tuple[int, int], list[tuple[int, list[int], np.ndarray, list]]] = {}
+    stacks: dict[tuple[int, int], list] = {}  # shape -> (job, index, symbols, pairs)
     for j, (plan, _, _) in enumerate(jobs):
         for shape, (index, symbols, block_pairs) in plan.buckets.items():
             stacks.setdefault(shape, []).append((j, index, symbols, block_pairs))
