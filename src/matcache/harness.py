@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import bounds
-from .compress import DimTriple, compress_product, decompress_product, f_len, g_ratio
+from .compress import DimTriple, compress_product, decompress_product, f_len
 from .field import (
     DEFAULT_FIELD,
     FieldSpec,
@@ -47,7 +47,7 @@ from .model import (
     worst_case_demands,
 )
 from .schemes import SCHEMES
-from .schemes.col import intersection_groups
+from .schemes.col import _layout
 from .schemes.common import man_split
 
 SCHEME_NAMES = tuple(SCHEMES)
@@ -622,16 +622,13 @@ def corner_cells(K: int, N: int, a: Fraction) -> list[CornerCell]:
     they fit in M <= N)."""
     a = Fraction(a)
     cells: list[CornerCell] = []
-    g = g_ratio(a, a)
-    pairs = N * (N + 1) // 2
-    for t in range(K + 1):
-        corner = Fraction(pairs) * (g / a) * Fraction(t, K)
-        if corner <= N:
-            cells.append(CornerCell("agnostic", K, N, a, corner, t=t))
+    for t, corner in enumerate(bounds.load_sa_corners(K, N, a)):
+        if corner.M <= N:
+            cells.append(CornerCell("agnostic", K, N, a, corner.M, t=t))
     for M in (Fraction(0), Fraction(N, 2), Fraction(N)):
         cells.append(CornerCell("uncoded", K, N, a, M))
-    for t in range(K + 1):
-        cells.append(CornerCell("multireq", K, N, a, Fraction(N * t, K), t=t))
+    for t, corner in enumerate(bounds.load_R2_corners(K, N, a)):
+        cells.append(CornerCell("multireq", K, N, a, corner.M, t=t))
     for ell in range(1, K + 1):
         for t in range(ell + 1):
             cells.append(CornerCell("row", K, N, a, Fraction(N * t, ell), ell=ell))
@@ -879,14 +876,12 @@ def check_group_length_oracle() -> CheckResult:
                         continue
                     total = 2 * comb(K, t) * max(comb(K, t + 1), 1)
                     s = int(total / a)
-                    groups = intersection_groups(man_split(K, t + 1 - alpha, total))
+                    symbols = _layout(man_split(K, t + 1 - alpha, total), s).symbols
                     for i in range(t + 2):
                         want = bounds.f_group_fraction(K, t, alpha, i) * total * total
                         for v_set in itertools.combinations(range(1, K + 1), i):
-                            got = sum(
-                                f_len(DimTriple(b1.width, s, b2.width))
-                                for b1, b2 in groups.get(v_set, ())
-                            )
+                            span = symbols.get(v_set, slice(0, 0))
+                            got = span.stop - span.start
                             checked += 1
                             if got != want:
                                 failures.append(

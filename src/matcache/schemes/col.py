@@ -10,15 +10,16 @@ user k's group of compressed cross products whose block subsets intersect
 exactly in S \\ {k}.  Group lengths depend only on i, so the summed packets
 align; zero-length groups produce no message.
 
-The cross products run in stacks, one per block shape (w1, w2), not one
-block pair at a time.  The server cuts each user's cross products out of
-one product of the user's demanded columns and compresses each shape's
-cells, across all K users, with one `compress_stack`.  A decoder
-regenerates its K - 1 peers' groups the same way from the products of its
-own cached columns, one stack per shape across all peers, and rebuilds the
-groups it receives with one `decompress_stack` per shape.  Both are
-byte-equal to `compress_product` and `decompress_product` item by item, so
-stacking parties together changes no packet.
+Every group's layout depends only on the split and s, so one read-only
+layout of the whole grid per split serves the server and every decoder.
+Compression runs once per distinct demanded product, one `compress_stack`
+per block shape (w1, w2) over the cells of every product.  The server
+compresses the products of the demanded columns; a decoder compresses the
+products of its own cached columns, its uncached columns zero, which hold
+every cell its peers' groups need, and rebuilds the groups it receives with
+one `decompress_stack` per shape.  Both are byte-equal to
+`compress_product` and `decompress_product` item by item, so stacking
+changes no packet.
 
 For wide matrices (r > s) each matrix is first column-permuted so its
 leading s columns span it; those columns get the treatment above, while the
@@ -34,9 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -63,10 +63,6 @@ from .common import (
     without,
 )
 
-BlockGetter = Callable[[int, tuple[int, ...]], np.ndarray]
-Groups = Mapping[tuple[int, ...], tuple[tuple[Block, Block], ...]]
-
-
 @dataclass(frozen=True)
 class ColConfig:
     """No free parameters: t = floor(K*M/N) and the tier split are derived."""
@@ -88,118 +84,115 @@ def _splits(instance: ProblemInstance) -> tuple[ManSplit, ManSplit | None]:
     return splits[0], (splits[1] if len(splits) > 1 else None)
 
 
-def intersection_groups(split: ManSplit) -> Groups:
-    """Intersection set V -> the ordered block pairs whose subsets intersect
-    exactly in V, row-major in split order (the canonical group ordering on
-    both ends of the link).  Read-only: callers share it."""
-    return _intersection_groups(split.blocks)
+@dataclass(frozen=True)
+class _Cells:
+    """The cells of one block shape (w1, w2), in layout order: each cell's
+    index in the flat header list, the first symbol of its packet in the flat
+    packet, its row and column offsets in the grid, and which users hold its
+    intersection set V (holders[cell, u] is True when u is in V)."""
+
+    w1: int
+    w2: int
+    length: int  # f(w1, s, w2), the symbols of each cell's packet
+    index: np.ndarray
+    offset: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    holders: np.ndarray
+
+    def select(self, keep: np.ndarray | slice) -> tuple[np.ndarray, tuple, np.ndarray]:
+        """For the cells in `keep`: their flat header indices, the index
+        arrays cutting them from a grid as a (cells, w1, w2) stack, and the
+        symbols of their packets in the flat packet, one row per cell."""
+        rows = self.row[keep][:, None, None] + np.arange(self.w1)[:, None]
+        cols = self.col[keep][:, None, None] + np.arange(self.w2)
+        symbols = self.offset[keep][:, None] + np.arange(self.length)
+        return self.index[keep], (rows, cols), symbols
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """The whole cross-product grid of a split, laid end to end: group V,
+    the block pairs whose subsets intersect exactly in V, is symbols[V] of
+    one flat packet and pairs[V] of one flat header list.  Groups come in
+    order of their first pair in row-major block order, and each group's
+    pairs in row-major order: the group ordering on both ends of the link.
+    Read-only: callers share it."""
+
+    symbols: Mapping[tuple[int, ...], slice]
+    pairs: Mapping[tuple[int, ...], slice]
+    shapes: Mapping[tuple[int, int], _Cells]
+    size: int
+    count: int
+
+
+def _layout(split: ManSplit, s: int) -> _Layout:
+    """The layout of the grid of `split` at inner dimension s."""
+    return _grid_layout(split.n, split.blocks, s)
 
 
 @lru_cache(maxsize=256)
-def _intersection_groups(blocks: tuple[Block, ...]) -> Groups:
+def _grid_layout(K: int, blocks: tuple[Block, ...], s: int) -> _Layout:
     groups: dict[tuple[int, ...], list[tuple[Block, Block]]] = {}
     for b1 in blocks:
         for b2 in blocks:
             v_set = tuple(u for u in b1.subset if u in b2.subset)
             groups.setdefault(v_set, []).append((b1, b2))
-    return MappingProxyType({v_set: tuple(pairs) for v_set, pairs in groups.items()})
-
-
-def _block_getter(split: ManSplit, matrices: Mapping[int, np.ndarray]) -> BlockGetter:
-    """Block (matrix index, user subset) -> columns of that matrix."""
-    return lambda i, subset: matrices[i][:, split.by_subset[subset].span]
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """The block pairs of some groups, laid end to end in group order: group
-    V's packet is symbols[V] of one flat packet and its headers are pairs[V]
-    of one flat header list.  Each cross-product shape (w1, w2) has one
-    bucket: the flat index of each of its pairs, the symbols of each pair's
-    packet in the flat packet (one row per pair), and the pairs themselves."""
-
-    symbols: dict[tuple[int, ...], slice]
-    pairs: dict[tuple[int, ...], slice]
-    buckets: dict[tuple[int, int], tuple[list[int], np.ndarray, list[tuple[Block, Block]]]]
-    size: int
-    count: int
-
-
-# A party's (plan, demanded product, where each block starts in the product).
-Job = tuple[_Plan, np.ndarray, Mapping[tuple[int, ...], int]]
-
-
-def _plan(groups: Groups, keys: Sequence[tuple[int, ...]], s: int) -> _Plan:
-    """The plan of the groups in `keys`, in that order."""
-    symbols, pairs, buckets, lengths = {}, {}, {}, {}
+    symbols, pairs, cells = {}, {}, {}
     size = count = 0
-    for v_set in keys:
+    for v_set, group in groups.items():
         start, first = size, count
-        for b1, b2 in groups[v_set]:
-            shape = (b1.width, b2.width)
-            if shape not in buckets:
-                buckets[shape] = ([], [], [])
-                lengths[shape] = f_len(DimTriple(b1.width, s, b2.width))
-            index, offsets, block_pairs = buckets[shape]
-            index.append(count)
-            offsets.append(size)
-            block_pairs.append((b1, b2))
-            size += lengths[shape]
+        for b1, b2 in group:
+            cell = (count, size, b1.offset, b2.offset, v_set)
+            cells.setdefault((b1.width, b2.width), []).append(cell)
+            size += f_len(DimTriple(b1.width, s, b2.width))
             count += 1
-        symbols[v_set] = slice(start, size)
-        pairs[v_set] = slice(first, count)
-    buckets = {
-        shape: (index, np.array(offsets)[:, None] + np.arange(lengths[shape]), block_pairs)
-        for shape, (index, offsets, block_pairs) in buckets.items()
+        symbols[v_set], pairs[v_set] = slice(start, size), slice(first, count)
+    shapes = {}
+    for (w1, w2), rows in cells.items():
+        *offsets, v_sets = zip(*rows)
+        holders = np.zeros((len(rows), K + 1), dtype=bool)
+        for cell, v_set in enumerate(v_sets):
+            holders[cell, list(v_set)] = True
+        arrays = [np.array(column, dtype=np.int64) for column in offsets] + [holders]
+        for array in arrays:
+            array.flags.writeable = False
+        shapes[w1, w2] = _Cells(w1, w2, f_len(DimTriple(w1, s, w2)), *arrays)
+    return _Layout(
+        MappingProxyType(symbols), MappingProxyType(pairs), MappingProxyType(shapes), size, count
+    )
+
+
+def _compress_cells(
+    instance: ProblemInstance,
+    layout: _Layout,
+    products: Mapping[tuple[int, int], np.ndarray],
+    user: int | None = None,
+) -> dict[tuple[int, int], tuple[np.ndarray, list[PacketHeader]]]:
+    """Each product's flat packet and flat header list: the compressed cells
+    of its grid in layout order.  Each block shape takes one stacked
+    compression over the cells of every product.  With `user`, only the cells
+    whose V holds that user are compressed; the other cells stay zero."""
+    q, n = instance.field.q, len(products)
+    flats = {pair: np.zeros(layout.size, dtype=np.int64) for pair in products}
+    headers: dict[tuple[int, int], list[PacketHeader]] = {
+        pair: [()] * layout.count for pair in products
     }
-    return _Plan(symbols, pairs, buckets, size, count)
-
-
-def _cells(
-    block_pairs: Sequence[tuple[Block, Block]], at: Mapping[tuple[int, ...], int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays selecting the (w1, w2) cross product of each pair, all of
-    one shape, from a product whose rows and columns hold block b from
-    at[b.subset] on."""
-    w1, w2 = block_pairs[0][0].width, block_pairs[0][1].width
-    rows = np.array([at[b1.subset] for b1, _ in block_pairs])[:, None, None]
-    cols = np.array([at[b2.subset] for _, b2 in block_pairs])[:, None, None]
-    return rows + np.arange(w1)[:, None], cols + np.arange(w2)
-
-
-def _group_packets(
-    instance: ProblemInstance, jobs: Sequence[Job]
-) -> list[dict[tuple[int, ...], tuple[np.ndarray, tuple[PacketHeader, ...]]]]:
-    """Each job's packet and headers for each group of its plan: the
-    compressed cross products of its block pairs, in group order.  A job is
-    (plan, product, at), where `product` is a user's demanded product with
-    block b from at[b.subset] on.  Each cross-product shape takes one stacked
-    compression over the cells of every job."""
-    flats = [np.zeros(plan.size, dtype=np.int64) for plan, _, _ in jobs]
-    headers: list[list[PacketHeader]] = [[()] * plan.count for plan, _, _ in jobs]
-    stacks: dict[tuple[int, int], list] = {}  # shape -> (job, index, symbols, pairs)
-    for j, (plan, _, _) in enumerate(jobs):
-        for shape, (index, symbols, block_pairs) in plan.buckets.items():
-            stacks.setdefault(shape, []).append((j, index, symbols, block_pairs))
-    for shape, parts in stacks.items():
-        # One shape's cells at a time are cut into one array and compressed.
-        spans, start = [], 0
-        for _, index, _, _ in parts:
-            spans.append(slice(start, start + len(index)))
-            start += len(index)
-        cells = np.empty((start, *shape), dtype=np.int64)
-        for (j, _, _, block_pairs), span in zip(parts, spans):
-            _, product, at = jobs[j]
-            cells[span] = product[_cells(block_pairs, at)]
-        packets, heads = compress_stack(cells, instance.s, instance.field.q)
-        for (j, index, symbols, _), span in zip(parts, spans):
-            flats[j][symbols] = packets[span]
-            for i, head in zip(index, heads[span]):
-                headers[j][i] = head
-    return [
-        {v: (flat[span], tuple(heads[plan.pairs[v]])) for v, span in plan.symbols.items()}
-        for (plan, _, _), flat, heads in zip(jobs, flats, headers)
-    ]
+    for shape, cells in layout.shapes.items():
+        index, grid, symbols = cells.select(slice(None) if user is None else cells.holders[:, user])
+        b = index.size
+        if not b or not n:
+            continue
+        # One shape's cells of every product are cut into one array and compressed.
+        stack = np.empty((n * b, *shape), dtype=np.int64)
+        for j, product in enumerate(products.values()):
+            stack[j * b : (j + 1) * b] = product[grid]
+        packets, heads = compress_stack(stack, instance.s, q)
+        for j, pair in enumerate(products):
+            flats[pair][symbols] = packets[j * b : (j + 1) * b]
+            for i, head in zip(index.tolist(), heads[j * b : (j + 1) * b]):
+                headers[pair][i] = head
+    return {pair: (flats[pair], headers[pair]) for pair in products}
 
 
 def _round_messages(
@@ -209,22 +202,26 @@ def _round_messages(
     leads: Mapping[int, np.ndarray],
 ) -> list[Message]:
     """Round i sends, to every (i+1)-subset S, the subset sum of each member's
-    group for the intersection set S minus that member."""
+    group for the intersection set S minus that member.  Only the rounds of
+    group sizes that exist are walked: no other round sends anything."""
     q, K = instance.field.q, instance.K
-    groups = intersection_groups(split)
-    at = {block.subset: block.offset for block in split.blocks}
+    layout = _layout(split, instance.s)
     products = {}
     for d1, d2 in set(demands.normalized):
         products[d1, d2] = _matmul_mod(leads[d1].T, leads[d2], q)
-    users = range(1, K + 1)
-    plans = [_plan(groups, [v for v in groups if k not in v], instance.s) for k in users]
-    jobs = [(plan, products[demands.pair(k)], at) for k, plan in zip(users, plans)]
-    own = dict(zip(users, _group_packets(instance, jobs)))
+    own = _compress_cells(instance, layout, products)
     empty = (np.zeros(0, dtype=np.int64), ())
+
+    def group(k: int, v_set: tuple[int, ...]) -> tuple[np.ndarray, tuple[PacketHeader, ...]]:
+        if v_set not in layout.symbols:
+            return empty
+        flat, headers = own[demands.pair(k)]
+        return flat[layout.symbols[v_set]], tuple(headers[layout.pairs[v_set]])
+
     messages = []
-    for i in range(1 + max(len(v_set) for v_set in groups)):
-        for s_set in subsets_of(K, i + 1):
-            packets = {k: own[k].get(without(s_set, k), empty) for k in s_set}
+    for size in sorted({len(v_set) + 1 for v_set in layout.symbols}):
+        for s_set in subsets_of(K, size):
+            packets = {k: group(k, without(s_set, k)) for k in s_set}
             lengths = {packet.size for packet, _ in packets.values()}
             if len(lengths) != 1:
                 raise AssertionError(f"group lengths differ across users: {lengths}")
@@ -233,7 +230,7 @@ def _round_messages(
                 continue
             payload = subset_sum(q, length, s_set, lambda k, _: packets[k][0])
             headers = tuple((k, packets[k][1]) for k in s_set)
-            messages.append(Message(("col", i, s_set), payload, headers))
+            messages.append(Message(("col", size - 1, s_set), payload, headers))
     return messages
 
 
@@ -241,63 +238,57 @@ def _decode_grid(
     instance: ProblemInstance,
     split: ManSplit,
     k: int,
-    cache_block: BlockGetter,
+    cache: UserCache,
     transcript: DeliveryTranscript,
     demands: DemandVector,
 ) -> np.ndarray:
-    """Reassemble user k's full cross-product grid.  User k caches both
-    blocks of a pair exactly when k is in their intersection V, so those
-    groups are cut from the product of its cached columns; every other group
-    is cancelled out of the round message for V + {k}, from the groups of
-    each peer p for the sets holding k but not p, which user k regenerates
-    from its cache, and decompressed one stack per block shape."""
+    """Reassemble user k's full cross-product grid.  Cell (b1, b2) depends
+    only on the columns of blocks b1 and b2, so the demanded products of k's
+    cached columns, with the uncached columns zero, hold every cell whose V
+    holds k: k's own such cells, and its peers' groups, which it regenerates
+    from them.  Every other group is cancelled out of the round message for
+    V + {k} and decompressed one stack per block shape."""
     q, s = instance.field.q, instance.s
-    groups = intersection_groups(split)
-    cached = [v_set for v_set in groups if k in v_set]
-    missing = [v_set for v_set in groups if k not in v_set]
-    mine = [block for block in split.blocks if k in block.subset]
-    # Where each cached block starts among user k's cached columns.
-    local = dict(zip((b.subset for b in mine), accumulate((b.width for b in mine), initial=0)))
-    # The demanded products over user k's cached columns only.
+    layout = _layout(split, s)
+    columns = {
+        i: np.zeros((s, split.total), dtype=np.int64)
+        for i in {d for pair in demands.normalized for d in pair}
+    }
+    for block in split.blocks:
+        if k in block.subset:
+            for i, matrix in columns.items():
+                matrix[:, block.span] = cache.get(("raw-cols", i, block.subset))
     products = {}
-    if mine:
-        columns = {
-            i: np.concatenate([cache_block(i, b.subset) for b in mine], axis=1)
-            for i in {d for pair in demands.normalized for d in pair}
-        }
-        for d1, d2 in set(demands.normalized):
-            products[d1, d2] = _matmul_mod(columns[d1].T, columns[d2], q)
-    others = [p for p in range(1, instance.K + 1) if p != k] if mine else []
-    jobs = [
-        (_plan(groups, [v for v in cached if p not in v], s), products[demands.pair(p)], local)
-        for p in others
-    ]
-    peers = dict(zip(others, _group_packets(instance, jobs)))
+    for d1, d2 in set(demands.normalized):
+        products[d1, d2] = _matmul_mod(columns[d1].T, columns[d2], q)
+    peer_pairs = {demands.pair(p) for p in range(1, instance.K + 1) if p != k}
+    peers = _compress_cells(instance, layout, {pair: products[pair] for pair in peer_pairs}, k)
 
     def message(s_set: tuple[int, ...]) -> Message:
         return transcript.find(("col", len(s_set) - 1, s_set))
 
-    plan = _plan(groups, missing, s)
-    received = recover(
-        q, k, missing, lambda s_set: message(s_set).payload, lambda p, rest: peers[p][rest][0]
-    )
-    flat = np.zeros(plan.size, dtype=np.int64)
-    headers: list[PacketHeader] = []
+    def peer_group(p: int, rest: tuple[int, ...]) -> np.ndarray:
+        return peers[demands.pair(p)][0][layout.symbols[rest]]
+
+    missing = [v_set for v_set in layout.symbols if k not in v_set]
+    received = recover(q, k, missing, lambda s_set: message(s_set).payload, peer_group)
+    flat = np.zeros(layout.size, dtype=np.int64)
+    headers: list[PacketHeader] = [()] * layout.count
     for v_set, packet in zip(missing, received):
-        span, group = plan.symbols[v_set], plan.pairs[v_set]
+        span, group = layout.symbols[v_set], layout.pairs[v_set]
         heads = message(tuple(sorted(v_set + (k,)))).headers_for(k)
         if packet.size != span.stop - span.start or len(heads) != group.stop - group.start:
             raise AssertionError("group payload or header count mismatch")
         flat[span] = packet
-        headers.extend(heads)
-    at = {block.subset: block.offset for block in split.blocks}
-    grid = np.zeros((split.total, split.total), dtype=np.int64)
-    for (w1, w2), (index, symbols, block_pairs) in plan.buckets.items():
-        heads = [headers[i] for i in index]
-        blocks = decompress_stack(flat[symbols], heads, DimTriple(w1, s, w2), q)
-        grid[_cells(block_pairs, at)] = blocks
-    for _, _, block_pairs in _plan(groups, cached, s).buckets.values():
-        grid[_cells(block_pairs, at)] = products[demands.pair(k)][_cells(block_pairs, local)]
+        headers[group] = heads
+    grid = products[demands.pair(k)]
+    for cells in layout.shapes.values():
+        lacked = ~cells.holders[:, k]
+        if lacked.any():
+            index, cut, symbols = cells.select(lacked)
+            heads = [headers[i] for i in index.tolist()]
+            dims = DimTriple(cells.w1, s, cells.w2)
+            grid[cut] = decompress_stack(flat[symbols], heads, dims, q)
     return grid
 
 
@@ -353,10 +344,9 @@ def deliver(
     messages = _round_messages(instance, lead, demands, leads)
     if coeff is None:
         return DeliveryTranscript(tuple(messages))
-    get_coeff = _block_getter(coeff, coeffs)
 
     def coeff_segment(slot: int, k: int, rest: tuple[int, ...]) -> np.ndarray:
-        return get_coeff(demands.pair(k)[slot - 1], rest).ravel()
+        return coeffs[demands.pair(k)[slot - 1]][:, coeff.by_subset[rest].span].ravel()
 
     # Steps 2 and 3 send the coefficient blocks of each user's second, then
     # first, demanded matrix by plain coded multicasts.
@@ -406,10 +396,7 @@ def decode(
     d1, d2 = demands.pair(k)
     lead, coeff = _splits(instance)
 
-    def cache_block(i: int, subset: tuple[int, ...]) -> np.ndarray:
-        return cache.get(("raw-cols", i, subset))
-
-    t11 = _decode_grid(instance, lead, k, cache_block, transcript, demands)
+    t11 = _decode_grid(instance, lead, k, cache, transcript, demands)
     if coeff is None:
         return FieldMatrix(instance.field, t11)
     q2 = _assemble_coeff(instance, coeff, k, cache, transcript, demands, "step2", 2)

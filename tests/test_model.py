@@ -30,7 +30,6 @@ from matcache.model import (
     SchemeParameterError,
     build_library,
     get_scheme,
-    instance_g,
     measure_load,
     normalize_demand,
     random_demands,
@@ -51,7 +50,6 @@ def test_instance_derived_quantities():
     assert inst.a == 1
     assert inst.B == f_len(DimTriple(2, 2, 2)) == 4
     assert inst.cache_budget == 8
-    assert instance_g(inst) == 1
     wide = make_instance(s=2, r=4)
     assert wide.a == 2 and wide.B == 12
     tall = ProblemInstance(K=4, N=20, s=12, r=6, M=Fraction(10))
@@ -271,7 +269,7 @@ def test_memoized_structure_is_bounded():
     memoized = (
         field.is_prime,
         common.man_split,
-        col._intersection_groups,
+        col._grid_layout,
         bounds.row_partition_load,
         bounds.load_Rcol,
         harness.fraction_str,

@@ -176,9 +176,11 @@ def test_col_verifies_at_every_corner(seed, t, wide):
         (ProblemInstance(K=4, N=20, s=12, r=6, M=F(10)), ((2, 1), (2, 1), (3, 3), (1, 2))),
     ],
 )
-def test_group_packets_of_all_parties_equal_one_call_per_party(inst, pairs):
-    """The server's jobs for all K users, stacked per block shape, give each
-    user the packets and headers that compressing its jobs alone gives."""
+def test_compress_cells_of_all_products_equal_one_call_per_product(inst, pairs):
+    """The distinct demanded products, compressed in one call stacked per
+    block shape, get the packets and headers that compressing each product
+    alone gives; with a user, the call keeps exactly the cells whose V holds
+    that user and leaves the other cells zero."""
     demands = DemandVector(pairs, False)
     result = run_scheme("col", inst, None, 5, demands)
     assert result.verified
@@ -187,18 +189,48 @@ def test_group_packets_of_all_parties_equal_one_call_per_party(inst, pairs):
         i: w.data if coeff is None else spanning_column_split(w, inst.s)[1].data
         for i, w in enumerate(result.library, start=1)
     }
-    groups = col.intersection_groups(split)
-    at = {block.subset: block.offset for block in split.blocks}
-    jobs = []
+    layout = col._layout(split, inst.s)
+    products = {
+        (d1, d2): _matmul_mod(leads[d1].T, leads[d2], inst.field.q)
+        for d1, d2 in set(demands.normalized)
+    }
+    together = col._compress_cells(inst, layout, products)
+    assert together.keys() == products.keys()
+    for pair, product in products.items():
+        ((packet, headers),) = col._compress_cells(inst, layout, {pair: product}).values()
+        assert np.array_equal(together[pair][0], packet)
+        assert together[pair][1] == headers
+    split_users = 0
     for k in range(1, inst.K + 1):
-        d1, d2 = demands.pair(k)
-        plan = col._plan(groups, [v for v in groups if k not in v], inst.s)
-        jobs.append((plan, _matmul_mod(leads[d1].T, leads[d2], inst.field.q), at))
-    together = col._group_packets(inst, jobs)
-    assert len(together) == inst.K
-    for job, stacked in zip(jobs, together):
-        (alone,) = col._group_packets(inst, [job])
-        assert stacked.keys() == alone.keys()
-        for v_set, (packet, headers) in alone.items():
-            assert np.array_equal(stacked[v_set][0], packet)
-            assert stacked[v_set][1] == headers
+        kept = col._compress_cells(inst, layout, products, user=k)
+        assert kept.keys() == products.keys()
+        for cells in layout.shapes.values():
+            holds = cells.holders[:, k]
+            index, _, symbols = cells.select(holds)
+            _, _, others = cells.select(~holds)
+            split_users += bool(index.size and others.size)
+            for pair, (packet, headers) in kept.items():
+                assert np.array_equal(packet[symbols], together[pair][0][symbols])
+                assert [headers[i] for i in index] == [together[pair][1][i] for i in index]
+                assert not packet[others].any()
+    assert split_users
+
+
+@pytest.mark.parametrize("M", [F(0), F(128)])
+def test_rounds_walk_only_the_group_sizes_that_exist(M, monkeypatch):
+    """At M = N the only intersection set is [K]: the rounds ask for the
+    (K+1)-subsets alone, not for the 2^K - 1 smaller sets that send nothing.
+    K = 64 also puts users past a 62-bit mask."""
+    inst = ProblemInstance(K=64, N=128, s=2, r=2, M=M)
+    asked = []
+
+    def subsets_of(n, size):
+        asked.append(size)
+        return real(n, size)
+
+    real = col.subsets_of
+    monkeypatch.setattr(col, "subsets_of", subsets_of)
+    result = run_scheme("col", inst, None, 3)
+    assert result.verified
+    assert result.report.load == load_Rcol(64, 128, 1, M)
+    assert asked == ([65] if M else [1])

@@ -10,7 +10,7 @@ from math import comb, lcm
 import pytest
 
 from matcache.bounds import _split_params
-from matcache.schemes.col import intersection_groups
+from matcache.schemes.col import _layout
 from matcache.schemes.common import man_split, split_widths
 
 
@@ -57,8 +57,8 @@ def test_man_split_rejects_fractional_widths():
 
 
 def test_a_shared_split_and_its_groups_are_read_only():
-    """man_split and col's group map are memoized, so every caller holds the
-    same objects: none of them may change."""
+    """man_split and col's grid layout, which holds the groups, are memoized,
+    so every caller holds the same objects: none of them may change."""
     split = man_split(3, F(3, 2), 12)
     assert man_split(3, F(3, 2), 12) is split
     with pytest.raises(TypeError):
@@ -67,8 +67,15 @@ def test_a_shared_split_and_its_groups_are_read_only():
         del split.by_subset[split.blocks[0].subset]
     with pytest.raises(dataclasses.FrozenInstanceError):
         split.blocks = ()
-    groups = intersection_groups(split)
-    assert intersection_groups(man_split(3, F(3, 2), 12)) is groups
-    with pytest.raises(TypeError):
-        groups[(9,)] = ()
-    assert all(isinstance(pairs, tuple) for pairs in groups.values())
+    layout = _layout(split, 4)
+    assert _layout(man_split(3, F(3, 2), 12), 4) is layout
+    for mapping in (layout.symbols, layout.pairs, layout.shapes):
+        with pytest.raises(TypeError):
+            mapping[(9,)] = slice(0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layout.size = 0
+    for cells in layout.shapes.values():
+        for array in (cells.index, cells.offset, cells.row, cells.col, cells.holders):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
