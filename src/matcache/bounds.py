@@ -274,16 +274,3 @@ def genie_converse_corners(K: int, N: int, a: Rational) -> list[LoadPoint]:
 def genie_converse(K: int, N: int, a: Rational, M: Rational) -> Fraction:
     """Genie-aided envelope lower bound at memory M (a >= 1, N >= 2K only)."""
     return Envelope(genie_converse_corners(K, N, a)).evaluate(M)
-
-
-def trivial_bounds(K: int, N: int, a: Rational) -> tuple[Fraction, Fraction]:
-    """(M_zero, R_cap): memory beyond which zero load is trivially achievable
-    (cache the whole library or every distinct product), and the load ceiling
-    at any memory (unicast every distinct demanded product, or broadcast the
-    raw library)."""
-    af = _check_kna(K, N, a)
-    g = g_ratio(af, af)
-    products = Fraction(N * (N + 1), 2)
-    m_zero = min(Fraction(N), products * g / af)
-    r_cap = min(Fraction(K), products, N * af / g)
-    return m_zero, r_cap

@@ -21,7 +21,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .compress import DimTriple, compression_memo, f_len, g_ratio
+from .compress import DimTriple, compression_memo, f_len
 from .field import (
     DEFAULT_FIELD,
     FieldMatrix,
@@ -112,10 +112,9 @@ class DemandVector:
         return self.flags[k - 1]
 
 
-def _non_isomorphic_pairs(n: int):
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            yield (i, j)
+def product_pairs(N: int) -> list[tuple[int, int]]:
+    """All non-isomorphic product index pairs (i, j), i <= j, in lex order."""
+    return [(i, j) for i in range(1, N + 1) for j in range(i, N + 1)]
 
 
 def worst_case_demands(instance: ProblemInstance) -> DemandVector:
@@ -131,7 +130,7 @@ def worst_case_demands(instance: ProblemInstance) -> DemandVector:
         return DemandVector(tuple((2 * k - 1, 2 * k) for k in range(1, k_users + 1)))
     base = [(2 * k - 1, 2 * k) for k in range(1, n // 2 + 1)]
     used = set(base)
-    base.extend(p for p in _non_isomorphic_pairs(n) if p not in used)
+    base.extend(p for p in product_pairs(n) if p not in used)
     pairs = tuple(base[k % len(base)] for k in range(k_users))
     return DemandVector(pairs, worst_case_certified=False)
 
@@ -404,7 +403,3 @@ def run_scheme(
     verified = verify_retrieval(instance, library, demands, decoded)
     return RunResult(instance, config, seed, demands, library, cache, transcript, report, decoded, verified)
 
-
-def instance_g(instance: ProblemInstance) -> Fraction:
-    """g(a, a) for the instance aspect ratio (B = s^2 g(a,a))."""
-    return g_ratio(instance.a, instance.a)

@@ -34,6 +34,7 @@ from ..model import (
     ProblemInstance,
     Scheme,
     UserCache,
+    product_pairs,
 )
 from .common import man_split, recover, subset_sum
 
@@ -43,11 +44,6 @@ class AgnosticConfig:
     """Cache parameter t: each product subfile is replicated at t users."""
 
     t: int
-
-
-def product_pairs(N: int) -> list[tuple[int, int]]:
-    """All non-isomorphic product index pairs (i, j), i <= j, in lex order."""
-    return [(i, j) for i in range(1, N + 1) for j in range(i, N + 1)]
 
 
 def _product_packet(

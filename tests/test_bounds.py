@@ -26,7 +26,6 @@ from matcache.bounds import (
     load_sa_corners,
     lower_convex_envelope,
     row_partition_load,
-    trivial_bounds,
 )
 
 MATRIX = [
@@ -206,16 +205,6 @@ def test_genie_factor_two_against_replication_corners():
         assert set(genie) == set(rep)
         for M, value in genie.items():
             assert rep[M] == 2 * value
-
-
-def test_trivial_bounds_fixtures():
-    assert trivial_bounds(2, 4, 1) == (F(4), F(2))
-    # product-cache branch: a < 2/(N+1) makes all-products memory fit below N
-    m_zero, r_cap = trivial_bounds(20, 4, F(1, 5))
-    assert m_zero == F(2)  # 10 pairs * g/a = 10 * (1/5)
-    assert r_cap == F(10)  # pairs branch dominates for large K
-    # wide ratio with huge K: per-demand cap N a / g
-    assert trivial_bounds(100, 4, F(10))[1] == F(40, 19)
 
 
 # ---------------------------------------------------------------------------
