@@ -63,6 +63,7 @@ from .common import (
     without,
 )
 
+
 @dataclass(frozen=True)
 class ColConfig:
     """No free parameters: t = floor(K*M/N) and the tier split are derived."""
