@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import xml.dom.minidom
+from fractions import Fraction
 
+import pytest
+
+from matcache import harness
 from matcache.svg import line_chart
 
 
@@ -34,3 +39,15 @@ def test_legend_and_markers_present():
     text = line_chart([("only", [(0.0, 1.0), (1.0, 2.0)])], "t", "x", "y")
     assert "only" in text
     assert "<circle" in text  # few points: markers drawn
+
+
+@pytest.mark.parametrize(
+    "a, digest",
+    [
+        (Fraction(1, 2), "92aadf9291bc6c9ec78226c361c9e817c340977855dfc341efd5e422e826cb29"),
+        (Fraction(10), "89e8dec051aab138443ae9061de81f68dbd8264b5d71983a0b225a8e4f69bdef"),
+    ],
+)
+def test_curve_svg_bytes_are_pinned(a, digest):
+    text = harness.curve_svg(harness.curve_rows(4, 20, a, grid=40), f"K=4, N=20, a={a}")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
