@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, floor
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .compress import g_ratio
 
@@ -80,11 +80,6 @@ class Envelope:
         if m == lo.M:
             return lo.R
         return lo.R + (hi.R - lo.R) * (m - lo.M) / (hi.M - lo.M)
-
-
-def lower_convex_envelope(points: Iterable[LoadPoint]) -> Envelope:
-    """Exact lower convex envelope of the given memory-load corners."""
-    return Envelope(points)
 
 
 def _check_kna(K: int, N: int, a: Rational) -> Fraction:

@@ -116,11 +116,6 @@ class CompressedProduct:
         arr.flags.writeable = False
         object.__setattr__(self, "payload", arr)
 
-    @property
-    def header_bytes(self) -> int:
-        """Uncounted header size: u32 rank + u32 per basis index."""
-        return 4 + 4 * self.rank
-
     @classmethod
     def from_packet(
         cls,

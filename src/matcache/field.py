@@ -129,13 +129,6 @@ class FieldSpec:
         if not is_prime(self.q):
             raise ValueError(f"field modulus must be prime, got {self.q}")
 
-    def inv(self, x: int) -> int:
-        """Multiplicative inverse of a nonzero residue."""
-        x %= self.q
-        if x == 0:
-            raise ZeroDivisionError("zero has no inverse in GF(q)")
-        return pow(x, -1, self.q)
-
     @property
     def symbol_bytes(self) -> int:
         """Bytes needed to store one field symbol (for header accounting)."""
@@ -202,10 +195,6 @@ class FieldMatrix:
 
     def submatrix(self, rows: slice | Sequence[int], cols: slice | Sequence[int]) -> "FieldMatrix":
         return FieldMatrix._trusted(self.spec, np.ascontiguousarray(self.data[rows][:, cols]))
-
-    def entries(self) -> list[int]:
-        """Row-major entry list (spec-level accessor)."""
-        return [int(x) for x in self.data.ravel()]
 
     @classmethod
     def from_rows(cls, spec: FieldSpec, rows: Iterable[Iterable[int]]) -> "FieldMatrix":
@@ -463,11 +452,6 @@ def _eliminate_blocked(work: np.ndarray, q: int, ncols: int) -> list[int]:
 def mat_rank(a: FieldMatrix) -> int:
     """Rank over GF(q) via Gaussian elimination (0 for empty/zero)."""
     return len(_rref(a.data, a.spec.q)[1])
-
-
-def row_basis(a: FieldMatrix) -> list[int]:
-    """Lexicographically smallest maximal independent row-index set, ascending."""
-    return _rref(a.data.T, a.spec.q)[1]
 
 
 def solve_columns(w1: FieldMatrix, y: FieldMatrix) -> FieldMatrix:

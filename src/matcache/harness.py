@@ -336,26 +336,21 @@ def simulate_cell(spec: ExperimentSpec) -> dict:
 # Analysis curves
 
 
+# The achievable loads `analyze` plots: each curve column and its closed form
+# at (K, N, a, M).  `row_ell`, the class count of the best row load, follows
+# the R_row columns.
+ACHIEVABLE_LOADS: dict[str, Callable[[int, int, Fraction, Fraction], Fraction]] = {
+    "R_sa": bounds.load_sa,
+    "R1": bounds.load_R1,
+    "R2": bounds.load_R2,
+    "R_row": lambda K, N, a, M: bounds.load_Rrow(K, N, a, M)[0],
+    "R_col": bounds.load_Rcol,
+}
+CURVE_SERIES = (*ACHIEVABLE_LOADS, "cutset", "genie", "simulated")
 CURVE_COLUMNS = [
-    "M",
-    "M_float",
-    "R_sa",
-    "R_sa_float",
-    "R1",
-    "R1_float",
-    "R2",
-    "R2_float",
-    "R_row",
-    "R_row_float",
-    "row_ell",
-    "R_col",
-    "R_col_float",
-    "cutset",
-    "cutset_float",
-    "genie",
-    "genie_float",
-    "simulated",
-    "simulated_float",
+    column
+    for name in ("M", *CURVE_SERIES)
+    for column in (name, name + "_float", *(("row_ell",) if name == "R_row" else ()))
 ]
 
 
@@ -388,13 +383,9 @@ def curve_rows(
         M = Fraction(j * N, grid)
         row: dict[str, str] = {}
         _put(row, "M", M)
-        _put(row, "R_sa", bounds.load_sa(K, N, a, M))
-        _put(row, "R1", bounds.load_R1(K, N, a, M))
-        _put(row, "R2", bounds.load_R2(K, N, a, M))
-        best_row, best_ell = bounds.load_Rrow(K, N, a, M)
-        _put(row, "R_row", best_row)
-        row["row_ell"] = str(best_ell)
-        _put(row, "R_col", bounds.load_Rcol(K, N, a, M))
+        for name, load in ACHIEVABLE_LOADS.items():
+            _put(row, name, load(K, N, a, M))
+        row["row_ell"] = str(bounds.load_Rrow(K, N, a, M)[1])
         _put(row, "cutset", bounds.cutset_bound(K, N, a, M))
         _put(row, "genie", bounds.genie_converse(K, N, a, M) if genie_ok else None)
         simulated = None
@@ -448,16 +439,11 @@ def write_curve_csv(path: str | Path, rows: list[dict[str, str]]) -> None:
     atomic_write_text(path, csv_text(CURVE_COLUMNS, rows))
 
 
-def read_curve_csv(path: str | Path) -> list[dict[str, str]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def curve_svg(rows: list[dict[str, str]], title: str) -> str:
     from .svg import line_chart
 
     series = []
-    for name in ("R_sa", "R1", "R2", "R_row", "R_col", "cutset", "genie", "simulated"):
+    for name in CURVE_SERIES:
         pts = []
         for row in rows:
             x = float(row["M_float"])
@@ -471,18 +457,10 @@ def curve_svg(rows: list[dict[str, str]], title: str) -> str:
 # ---------------------------------------------------------------------------
 # Sweeps
 
-SWEEP_COLUMNS = [
-    "scheme",
-    "K",
-    "N",
-    "s",
-    "r",
-    "q",
-    "M",
-    "t",
-    "ell",
-    "seed",
-    "demands",
+# A sweep row: the cell's settings ("" for one left unset), then the keys
+# `sweep_row` copies from the cell's report, then the error of a failed cell.
+SWEEP_SETTINGS = ("scheme", "K", "N", "s", "r", "q", "M", "t", "ell", "seed", "demands")
+SWEEP_REPORT_KEYS = (
     "B",
     "messages",
     "payload_symbols",
@@ -493,8 +471,8 @@ SWEEP_COLUMNS = [
     "formula_matches",
     "verified",
     "transcript_digest",
-    "error",
-]
+)
+SWEEP_COLUMNS = [*SWEEP_SETTINGS, *SWEEP_REPORT_KEYS, "error"]
 
 
 def _expand_value(key: str, text: str) -> list[str]:
@@ -532,41 +510,17 @@ def expand_sweep_cells(mappings: Sequence[Mapping[str, str]]) -> list[Experiment
 
 def sweep_row(spec: ExperimentSpec) -> dict[str, object]:
     row: dict[str, object] = {
-        "scheme": spec.scheme,
-        "K": spec.K,
-        "N": spec.N,
-        "s": "" if spec.s is None else spec.s,
-        "r": "" if spec.r is None else spec.r,
-        "q": spec.q,
-        "M": fraction_str(spec.M),
-        "t": "" if spec.t is None else spec.t,
-        "ell": "" if spec.ell is None else spec.ell,
-        "seed": spec.seed,
-        "demands": spec.demands,
-        "error": "",
+        key: "" if (value := getattr(spec, key)) is None else value for key in SWEEP_SETTINGS
     }
+    row.update(M=fraction_str(spec.M), error="")
     try:
         report = simulate_cell(spec)
     except Exception as exc:  # one failing cell must not lose the other rows
         row["verified"] = False
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
-    row.update(
-        {
-            "s": report["s"],
-            "r": report["r"],
-            "B": report["B"],
-            "messages": report["messages"],
-            "payload_symbols": report["payload_symbols"],
-            "header_bytes": report["header_bytes"],
-            "load": report["load"],
-            "load_float": repr(report["load_float"]),
-            "formula_load": report["formula_load"],
-            "formula_matches": report["formula_matches"],
-            "verified": report["verified"],
-            "transcript_digest": report["transcript_digest"],
-        }
-    )
+    row.update((key, report[key]) for key in ("s", "r", *SWEEP_REPORT_KEYS))
+    row["load_float"] = repr(report["load_float"])
     return row
 
 
@@ -685,9 +639,12 @@ def parse_instances(text: str) -> list[tuple[int, int, Fraction]]:
         if len(fields) != 3:
             raise ConfigurationError(f"instance {part!r} must be K,N,a")
         try:
-            combos.append((int(fields[0]), int(fields[1]), Fraction(fields[2])))
+            K, N, a = int(fields[0]), int(fields[1]), Fraction(fields[2])
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigurationError(f"cannot parse instance {part!r}") from exc
+        if K < 1 or N < 2 or a <= 0:
+            raise ConfigurationError(f"instance {part!r} needs K >= 1, N >= 2 and a > 0")
+        combos.append((K, N, a))
     return combos
 
 
@@ -741,19 +698,17 @@ def check_col_comparison_point() -> CheckResult:
     """Column-partition load 16/9 and per-round payload totals s^2/6 + s^2/4 +
     s^2/36 at the same reference point."""
     failures: list[str] = []
-    spec = ExperimentSpec(scheme="col", K=4, N=20, M=Fraction(10), s=12, r=6, seed=3)
-    report = simulate_cell(spec)
+    report, result = run_cell(
+        ExperimentSpec(scheme="col", K=4, N=20, M=Fraction(10), s=12, r=6, seed=3)
+    )
     if not report["verified"]:
         failures.append("verification failed")
     if parse_fraction(report["load"]) != Fraction(16, 9):
         failures.append(f"load {report['load']} != 16/9")
-    instance = resolve_instance(spec)
-    config = build_scheme_config(spec, instance)
-    result = run_scheme("col", instance, config, spec.seed)
     round_totals: dict[int, int] = {}
     for message in result.transcript.messages:
         round_totals[message.tag[1]] = round_totals.get(message.tag[1], 0) + message.payload.size
-    s2 = instance.s**2
+    s2 = result.instance.s**2
     want_rounds = {0: s2 // 6, 1: s2 // 4, 2: s2 // 36}
     if round_totals != want_rounds:
         failures.append(f"round totals {round_totals} != {want_rounds}")
@@ -901,13 +856,7 @@ def check_bound_ordering(combos: Sequence[tuple[int, int, Fraction]]) -> CheckRe
         genie_ok = a >= 1 and N >= 2 * K
         for j in range(41):
             M = Fraction(j * N, 40)
-            achievable = {
-                "R_sa": bounds.load_sa(K, N, a, M),
-                "R1": bounds.load_R1(K, N, a, M),
-                "R2": bounds.load_R2(K, N, a, M),
-                "R_row": bounds.load_Rrow(K, N, a, M)[0],
-                "R_col": bounds.load_Rcol(K, N, a, M),
-            }
+            achievable = {name: load(K, N, a, M) for name, load in ACHIEVABLE_LOADS.items()}
             cut = bounds.cutset_bound(K, N, a, M)
             for name, value in achievable.items():
                 if cut > value:

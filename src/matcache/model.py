@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -238,9 +238,6 @@ class DeliveryTranscript:
             raise KeyError(f"missing message for tag {format_tag(tag)}")
         return self._index[tag]
 
-    def has(self, tag: tuple) -> bool:
-        return tag in self._index
-
     @property
     def total_payload_symbols(self) -> int:
         return sum(m.payload.size for m in self.messages)
@@ -320,9 +317,9 @@ class Scheme:
 
     decode receives only (instance, config, user index, that user's cache,
     transcript, demands) — never the library — so end-to-end verification is
-    meaningful.  constraints reports the quantities that must be integers for
-    the configuration to be realizable (consumed by the parameter suggester).
-    config_type is the dataclass holding the scheme's free parameters.
+    meaningful.  validate lists the reasons a configuration is not realizable
+    (the shape suggester scans for a shape it accepts).  config_type is the
+    dataclass holding the scheme's free parameters.
     """
 
     name: str
@@ -332,7 +329,6 @@ class Scheme:
     deliver: Callable[[ProblemInstance, Any, Sequence[FieldMatrix], DemandVector], DeliveryTranscript]
     decode: Callable[[ProblemInstance, Any, int, UserCache, DeliveryTranscript, DemandVector], FieldMatrix]
     formula_load: Callable[[ProblemInstance, Any], Fraction]
-    constraints: Callable[[ProblemInstance, Any], Mapping[str, Fraction]]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -161,8 +161,4 @@ def formula_load(instance: ProblemInstance, config: AgnosticConfig) -> Fraction:
     return Fraction(instance.K - config.t, config.t + 1)
 
 
-def constraints(instance: ProblemInstance, config: AgnosticConfig) -> Mapping[str, Fraction]:
-    return {"B/C(K,t)": Fraction(instance.B, comb(instance.K, config.t))}
-
-
-SCHEME = Scheme("agnostic", AgnosticConfig, validate, place, deliver, decode, formula_load, constraints)
+SCHEME = Scheme("agnostic", AgnosticConfig, validate, place, deliver, decode, formula_load)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -124,12 +124,6 @@ def uncoded_formula_load(instance: ProblemInstance, config: UncodedConfig) -> Fr
     return load_R1(instance.K, instance.N, instance.a, instance.M)
 
 
-def uncoded_constraints(
-    instance: ProblemInstance, config: UncodedConfig
-) -> Mapping[str, Fraction]:
-    return {"M*r/N": _cached_columns(instance)}
-
-
 @dataclass(frozen=True)
 class MultiRequestConfig:
     """Replication parameter t; requires M = N*t/K exactly."""
@@ -218,15 +212,6 @@ def multireq_formula_load(instance: ProblemInstance, config: MultiRequestConfig)
     return 2 * Fraction(instance.K - config.t, config.t + 1) * a / g_ratio(a, a)
 
 
-def multireq_constraints(
-    instance: ProblemInstance, config: MultiRequestConfig
-) -> Mapping[str, Fraction]:
-    return {
-        "K*M/N": Fraction(instance.K * instance.M, instance.N),
-        "s*r/C(K,t)": split_widths(instance.K, config.t, instance.s * instance.r)[2],
-    }
-
-
 UNCODED = Scheme(
     "uncoded",
     UncodedConfig,
@@ -235,7 +220,6 @@ UNCODED = Scheme(
     uncoded_deliver,
     uncoded_decode,
     uncoded_formula_load,
-    uncoded_constraints,
 )
 
 MULTIREQ = Scheme(
@@ -246,5 +230,4 @@ MULTIREQ = Scheme(
     multireq_deliver,
     multireq_decode,
     multireq_formula_load,
-    multireq_constraints,
 )

@@ -430,4 +430,4 @@ def constraints(instance: ProblemInstance, config: ColConfig) -> Mapping[str, Fr
     return out
 
 
-SCHEME = Scheme("col", ColConfig, validate, place, deliver, decode, formula_load, constraints)
+SCHEME = Scheme("col", ColConfig, validate, place, deliver, decode, formula_load)

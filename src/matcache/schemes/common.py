@@ -125,20 +125,6 @@ def subset_sum(q: int, length: int, s_set: tuple[int, ...], segment: Segment) ->
     return payload
 
 
-def cancel(
-    q: int, payload: np.ndarray, k: int, s_set: tuple[int, ...], segment: Segment
-) -> np.ndarray:
-    """User k's own segment out of the multicast for s_set: the payload minus
-    segment(p, s_set \\ {p}) for every peer p, mod q.  Here `segment` reads
-    user k's cache."""
-    for p in s_set:
-        if p != k:
-            part = segment(p, without(s_set, p))
-            if part is not None:
-                payload = (payload - part) % q
-    return payload
-
-
 def recover(
     q: int,
     k: int,
@@ -147,11 +133,18 @@ def recover(
     segment: Segment,
 ) -> Iterator[np.ndarray | None]:
     """User k's segment for each key V, in order: None when k is in V (user k
-    caches it and reads it locally), else the segment cancelled out of the
-    multicast for V + {k}, whose payload `payload_for` returns."""
+    caches it and reads it locally), else the multicast for V + {k}, whose
+    payload `payload_for` returns, minus segment(p, S \\ {p}) for every peer
+    p in S = V + {k}, mod q.  Here `segment` reads user k's cache."""
     for v_set in keys:
         if k in v_set:
             yield None
-        else:
-            s_set = tuple(sorted(v_set + (k,)))
-            yield cancel(q, payload_for(s_set), k, s_set, segment)
+            continue
+        s_set = tuple(sorted(v_set + (k,)))
+        payload = payload_for(s_set)
+        for p in s_set:
+            if p != k:
+                part = segment(p, without(s_set, p))
+                if part is not None:
+                    payload = (payload - part) % q
+        yield payload

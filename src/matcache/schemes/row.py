@@ -172,4 +172,4 @@ def constraints(instance: ProblemInstance, config: RowConfig) -> Mapping[str, Fr
     return out
 
 
-SCHEME = Scheme("row", RowConfig, validate, place, deliver, decode, formula_load, constraints)
+SCHEME = Scheme("row", RowConfig, validate, place, deliver, decode, formula_load)

@@ -24,7 +24,6 @@ from matcache.bounds import (
     load_Rrow,
     load_sa,
     load_sa_corners,
-    lower_convex_envelope,
     row_partition_load,
 )
 
@@ -38,14 +37,14 @@ MATRIX = [
 
 
 def test_envelope_two_points_is_segment():
-    env = lower_convex_envelope([LoadPoint(F(0), F(4)), LoadPoint(F(2), F(0))])
+    env = Envelope([LoadPoint(F(0), F(4)), LoadPoint(F(2), F(0))])
     assert env.evaluate(F(1)) == F(2)
     assert env.evaluate(F(0)) == F(4)
     assert env.evaluate(F(2)) == F(0)
 
 
 def test_envelope_removes_collinear_middle():
-    env = lower_convex_envelope(
+    env = Envelope(
         [LoadPoint(F(0), F(4)), LoadPoint(F(1), F(2)), LoadPoint(F(2), F(0))]
     )
     assert len(env.vertices) == 2
@@ -53,7 +52,7 @@ def test_envelope_removes_collinear_middle():
 
 
 def test_envelope_keeps_lower_hull_only():
-    env = lower_convex_envelope(
+    env = Envelope(
         [LoadPoint(F(0), F(4)), LoadPoint(F(1), F(5)), LoadPoint(F(2), F(0))]
     )
     assert len(env.vertices) == 2
@@ -61,7 +60,7 @@ def test_envelope_keeps_lower_hull_only():
 
 
 def test_envelope_rejects_out_of_range():
-    env = lower_convex_envelope([LoadPoint(F(0), F(1)), LoadPoint(F(1), F(0))])
+    env = Envelope([LoadPoint(F(0), F(1)), LoadPoint(F(1), F(0))])
     with pytest.raises(ValueError):
         env.evaluate(F(2))
     assert env.evaluate(F(2), clamp_right=True) == F(0)
@@ -74,7 +73,7 @@ def test_envelope_rejects_out_of_range():
 )
 def test_envelope_is_convex_and_below_points(ys, num):
     points = [LoadPoint(F(x), y) for x, y in enumerate(ys)]
-    env = lower_convex_envelope(points)
+    env = Envelope(points)
     for pt in points:
         assert env.evaluate(pt.M) <= pt.R
     lo, hi = F(0), F(len(ys) - 1)
@@ -246,5 +245,5 @@ def test_converses_below_achievables_on_grid(K, N, a):
 def test_sa_corners_monotone():
     pts = load_sa_corners(2, 4, 1)
     assert all(p.M <= q.M for p, q in zip(pts, pts[1:]))
-    env = lower_convex_envelope(pts)
+    env = Envelope(pts)
     assert env.evaluate(F(2)) == F(7, 5)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import xml.dom.minidom
 from fractions import Fraction as F
@@ -110,7 +111,8 @@ def test_analyze_stdout_and_round_trip(tmp_path, capsys):
     assert code == 0
     from matcache import harness
 
-    rows = harness.read_curve_csv(out)
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 9
     at_10 = [row for row in rows if F(row["M"]) == 10]
     assert at_10 and F(at_10[0]["R_col"]) == F(16, 9)
@@ -154,6 +156,15 @@ def test_verify_empty_matrix_warns_and_passes(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "warning" in out
+
+
+@pytest.mark.parametrize("instances", ["2,4,0", "0,4,1", "2,4,-1/2", "2,1,1"])
+def test_verify_rejects_out_of_range_instances_before_any_check(capsys, instances):
+    code = main(["verify", "--instances", instances, "--seeds", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"configuration error: instance {instances!r} needs K >= 1, N >= 2 and a > 0" in captured.err
+    assert "[PASS]" not in captured.out
 
 
 def test_verify_tiny_matrix_passes(capsys):

@@ -27,7 +27,6 @@ from matcache.field import (
     mat_mul,
     mat_rank,
     random_matrix,
-    row_basis,
     solve_columns,
     spanning_column_split,
     uniform_residues,
@@ -49,13 +48,6 @@ def test_is_prime_basics():
 def test_field_spec_rejects_composite_modulus():
     with pytest.raises(ValueError):
         FieldSpec(100)
-
-
-def test_inverse_multiplies_to_one():
-    for x in (1, 2, 57, 100):
-        assert SMALL_PRIME.inv(x) * x % SMALL_PRIME.q == 1
-    with pytest.raises(ZeroDivisionError):
-        SMALL_PRIME.inv(0)
 
 
 def test_uniform_residues_deterministic_and_seed_sensitive():
@@ -154,21 +146,12 @@ def test_rank_bounds_and_transpose_invariance(m, n, seed):
     rank = mat_rank(a)
     assert 0 <= rank <= min(m, n)
     assert rank == mat_rank(a.transpose())
-    assert len(row_basis(a)) == rank
+    assert compress_product(a, min(m, n)).rank == rank
 
 
 def test_rank_of_identity_and_zeros():
     assert mat_rank(FieldMatrix.identity(DEFAULT_FIELD, 4)) == 4
     assert mat_rank(FieldMatrix.zeros(DEFAULT_FIELD, 3, 5)) == 0
-
-
-def test_row_basis_rows_span_matrix():
-    a = FieldMatrix.from_rows(SMALL_PRIME, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    basis = row_basis(a)
-    assert basis == [0, 2]
-    sub = a.submatrix(basis, slice(None))
-    coeffs = solve_columns(sub.transpose(), a.transpose()).transpose()
-    assert mat_mul(coeffs, sub) == a
 
 
 @settings(deadline=None, max_examples=40)
@@ -354,7 +337,6 @@ def test_elimination_kernel_matches_python_oracle(q):
         a = FieldMatrix.from_rows(spec, rows)
         basis = _oracle_basis(rows, q)
         assert mat_rank(a) == _oracle_rank(rows, q) == len(basis)
-        assert row_basis(a) == basis
 
         consistent = _python_product(rows, _random_rows(rng, q, p, 2), q, 2)
         for y_rows in (consistent, _random_rows(rng, q, m, 2)):
@@ -376,7 +358,6 @@ def test_elimination_kernel_matches_python_oracle(q):
     for m, p in ((0, 3), (3, 0), (0, 0)):
         empty = FieldMatrix.zeros(spec, m, p)
         assert mat_rank(empty) == 0
-        assert row_basis(empty) == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from matcache import harness
+from matcache import bounds, harness
 from matcache.field import _openblas_paths, single_blas_thread
 from matcache.harness import ConfigurationError, ExperimentSpec
 from matcache.model import get_scheme, run_scheme
@@ -149,7 +150,8 @@ def test_curve_csv_round_trip(tmp_path):
     rows = harness.curve_rows(2, 4, F(1), grid=8)
     path = tmp_path / "curves.csv"
     harness.write_curve_csv(path, rows)
-    back = harness.read_curve_csv(path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        back = list(csv.DictReader(fh))
     assert back == rows
     for row in back:
         assert F(row["R_col"]) >= 0  # rationals survive the round trip exactly
@@ -163,7 +165,8 @@ def test_simulated_column_matches_formula():
 
 
 def test_wide_ratio_replication_beats_uncoded_at_small_memory():
-    rows = harness.read_curve_csv(GOLDEN_DIR / GOLDEN_RATIOS["10"])
+    with open(GOLDEN_DIR / GOLDEN_RATIOS["10"], encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     small = [row for row in rows if 0 < F(row["M"]) <= 10]
     assert small
     for row in small:
@@ -313,6 +316,24 @@ def test_corner_cells_structure():
 def test_every_corner_has_a_realizable_shape():
     for cell in harness.corner_cells(3, 8, F(2)):
         assert harness.corner_shape(cell) is not None, cell
+
+
+def test_each_scheme_closed_form_is_the_plotted_curve_at_its_corners():
+    # agnostic and multireq restate their closed forms instead of reading
+    # bounds, so formula-parity alone does not tie them to the plotted curves.
+    curve_of = {"agnostic": "R_sa", "uncoded": "R1", "multireq": "R2", "col": "R_col"}
+    cells = [cell for combo in harness.default_matrix() for cell in harness.corner_cells(*combo)]
+    assert len(cells) == 587
+    for cell in cells:
+        spec = cell.spec(*harness.corner_shape(cell), seed=0)
+        instance = harness.resolve_instance(spec)
+        config = harness.build_scheme_config(spec, instance)
+        got = get_scheme(cell.scheme).formula_load(instance, config)
+        if cell.scheme == "row":
+            want = bounds.row_partition_load(cell.K, cell.N, cell.a, cell.M, cell.ell)
+        else:
+            want = harness.ACHIEVABLE_LOADS[curve_of[cell.scheme]](cell.K, cell.N, cell.a, cell.M)
+        assert got == want, cell
 
 
 def test_tampered_scheme_fails_verification():

@@ -319,7 +319,9 @@ def test_transcript_digest_order_sensitive():
     assert t12.digest() != t21.digest()
     assert t12.total_payload_symbols == 3
     assert t12.find(("a", 1)) is m1
-    assert t12.has(("b", 2)) and not t12.has(("c",))
+    assert t12.find(("b", 2)) is m2
+    with pytest.raises(KeyError):
+        t12.find(("c",))
 
 
 def test_transcript_rejects_duplicate_tags():
