@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
 from pathlib import Path
@@ -276,6 +277,49 @@ def test_sweep_parallel_matches_serial():
     }
     cells = harness.expand_sweep_cells([mapping])
     assert harness.sweep_csv(cells, parallel=1) == harness.sweep_csv(cells, parallel=3)
+
+
+# SHA-256 of the serial sweep CSV, pinned so that a refactor of the schemes or
+# of the sweep keeps every row, value and byte: the row-partition example, and
+# every scheme at K=2, N=4 by ratio and by shape, error rows included.
+SWEEP_PINS = [
+    (
+        "example",
+        20,
+        "fe0b646e41dc0ad72f139b7abd8a501d86582e7e91eb4974ee17b95d1336ae4c",
+    ),
+    (
+        "every-scheme",
+        27,
+        "3381dcc54c3808410a8e7adab6b3d3d5a0333d858fb5be42349839ac13540bbb",
+    ),
+]
+
+
+def _pinned_sweep(name: str) -> list[dict[str, str]]:
+    if name == "example":
+        return [harness.parse_config_file(Path(__file__).parent.parent / "scripts/sweep_example.cfg")]
+    return [
+        {"scheme": "agnostic,uncoded,multireq,row,col", "K": "2", "N": "4", "a": "1", "M": "0,2,4"},
+        {
+            "scheme": "row,multireq",
+            "K": "2",
+            "N": "4",
+            "s": "2",
+            "r": "2",
+            "M": "2",
+            "t": "0..2",
+            "ell": "1,2",
+        },
+    ]
+
+
+@pytest.mark.parametrize("name,count,digest", SWEEP_PINS, ids=[pin[0] for pin in SWEEP_PINS])
+def test_sweep_csv_bytes_are_pinned(name, count, digest):
+    cells = harness.expand_sweep_cells(_pinned_sweep(name))
+    assert len(cells) == count
+    text = harness.sweep_csv(cells, parallel=1)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _blas_threads() -> int | None:
