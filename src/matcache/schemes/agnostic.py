@@ -10,7 +10,7 @@ compression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -30,13 +30,13 @@ from ..model import (
     CacheContents,
     DeliveryTranscript,
     DemandVector,
-    Message,
+    PacketHeader,
     ProblemInstance,
     Scheme,
     UserCache,
     product_pairs,
 )
-from .common import man_split, recover, subset_sum
+from .common import cache_file, decode_file, man_split, multicast_file
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,11 @@ class AgnosticConfig:
 
 def _product_packet(
     instance: ProblemInstance, library: Sequence[FieldMatrix], pair: tuple[int, int]
-) -> tuple[CompressedProduct, np.ndarray]:
+) -> tuple[PacketHeader, np.ndarray]:
+    """The header (rank, basis rows) and the B-symbol packet of product `pair`."""
     i, j = pair
-    product = mat_mul(library[i - 1].transpose(), library[j - 1])
-    cp = compress_product(product, instance.s)
-    return cp, packet_symbols(cp)
+    cp = compress_product(mat_mul(library[i - 1].transpose(), library[j - 1]), instance.s)
+    return (cp.rank, cp.basis_row_indices), packet_symbols(cp)
 
 
 def corner_memory(instance: ProblemInstance, t: int) -> Fraction:
@@ -83,19 +83,14 @@ def place(
     instance: ProblemInstance, config: AgnosticConfig, library: Sequence[FieldMatrix]
 ) -> CacheContents:
     t, K = config.t, instance.K
-    users = [UserCache({}, {}) for _ in range(K)]
-    if t == 0:
-        return CacheContents(tuple(users))
+    if t == 0:  # nothing to cache
+        return CacheContents(tuple(UserCache({}, {}) for _ in range(K)))
+    headers: dict[tuple[int, int], PacketHeader] = {}
+    users = [UserCache({}, {"product-headers": headers}) for _ in range(K)]
     split = man_split(K, t, instance.B)
-    headers: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for pair in product_pairs(instance.N):
-        cp, packet = _product_packet(instance, library, pair)
-        headers[pair] = (cp.rank, cp.basis_row_indices)
-        for block in split.blocks:
-            for k in block.subset:
-                users[k - 1].segments[("product-subfile", pair, block.subset)] = packet[block.span]
-    for cache in users:
-        cache.metadata["product-headers"] = headers
+        headers[pair], packet = _product_packet(instance, library, pair)
+        cache_file(users, split, ("product-subfile", pair), packet)
     return CacheContents(tuple(users))
 
 
@@ -108,22 +103,15 @@ def deliver(
     t, q = config.t, instance.field.q
 
     @cache  # users demanding the same product share one compression
-    def packet_for(pair: tuple[int, int]) -> tuple[CompressedProduct, np.ndarray]:
+    def packet_for(pair: tuple[int, int]) -> tuple[PacketHeader, np.ndarray]:
         return _product_packet(instance, library, pair)
 
     split = man_split(instance.K, t, instance.B)
-
-    def segment(k: int, rest: tuple[int, ...]) -> np.ndarray:
-        return packet_for(demands.pair(k))[1][split.by_subset[rest].span]
-
-    messages = []
-    for s_set, width in split.multicasts():
-        headers = ()
-        if t == 0:  # no cache holds the product headers, so they travel with the packet
-            cp, _ = packet_for(demands.pair(s_set[0]))
-            headers = ((s_set[0], ((cp.rank, cp.basis_row_indices),)),)
-        payload = subset_sum(q, width, s_set, segment)
-        messages.append(Message(("agnostic", s_set), payload, headers))
+    messages = multicast_file(q, split, ("agnostic",), lambda k: packet_for(demands.pair(k))[1])
+    if t == 0:  # no cache holds the product headers, so they travel with the packet
+        for i, (k,) in enumerate(message.tag[1] for message in messages):
+            header = packet_for(demands.pair(k))[0]
+            messages[i] = replace(messages[i], headers=((k, (header,)),))
     return DeliveryTranscript(tuple(messages))
 
 
@@ -136,25 +124,18 @@ def decode(
     demands: DemandVector,
 ) -> FieldMatrix:
     t, q = config.t, instance.field.q
-    pair = demands.pair(k)
     dims = DimTriple(instance.r, instance.s, instance.r)
     if t == 0:
         rank, basis = transcript.find(("agnostic", (k,))).headers_for(k)[0]
     else:
-        rank, basis = cache.metadata["product-headers"][pair]
+        rank, basis = cache.metadata["product-headers"][demands.pair(k)]
     split = man_split(instance.K, t, instance.B)
 
     def cached(user: int, subset: tuple[int, ...]) -> np.ndarray:
         return cache.get(("product-subfile", demands.pair(user), subset))
 
-    def payload_for(s_set: tuple[int, ...]) -> np.ndarray:
-        return transcript.find(("agnostic", s_set)).payload
-
-    packet = np.zeros(instance.B, dtype=np.int64)
-    for block, part in zip(split.blocks, recover(q, k, split.by_subset, payload_for, cached)):
-        packet[block.span] = cached(k, block.subset) if part is None else part
-    cp = CompressedProduct.from_packet(instance.field, dims, rank, basis, packet)
-    return decompress_product(cp)
+    packet = decode_file(q, k, split, ("agnostic",), transcript, cached, (instance.B,))
+    return decompress_product(CompressedProduct.from_packet(instance.field, dims, rank, basis, packet))
 
 
 def formula_load(instance: ProblemInstance, config: AgnosticConfig) -> Fraction:

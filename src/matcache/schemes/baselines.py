@@ -31,7 +31,7 @@ from ..model import (
     Scheme,
     UserCache,
 )
-from .common import man_split, recover, split_widths, subset_sum
+from .common import cache_file, decode_file, man_split, multicast_file, split_widths
 
 
 @dataclass(frozen=True)
@@ -54,23 +54,8 @@ def uncoded_place(
     instance: ProblemInstance, config: UncodedConfig, library: Sequence[FieldMatrix]
 ) -> CacheContents:
     c = int(_cached_columns(instance))
-    users = []
-    for _ in range(instance.K):
-        segments = {}
-        if c > 0:
-            for i, w in enumerate(library, start=1):
-                segments[("raw-cols", i, ())] = w.data[:, :c]
-        users.append(UserCache(segments, {}))
-    return CacheContents(tuple(users))
-
-
-def _uncoded_entries(product: np.ndarray, c: int) -> np.ndarray:
-    """Product entries outside the locally-computable c x c corner, in row
-    order: the tail of each of the first c rows, then the full later rows."""
-    parts = [product[i, c:] for i in range(c)] + [product[i, :] for i in range(c, product.shape[0])]
-    if not parts:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(parts)
+    segments = {("raw-cols", i, ()): w.data[:, :c] for i, w in enumerate(library, start=1) if c}
+    return CacheContents(tuple(UserCache(dict(segments), {}) for _ in range(instance.K)))
 
 
 def uncoded_deliver(
@@ -80,11 +65,13 @@ def uncoded_deliver(
     demands: DemandVector,
 ) -> DeliveryTranscript:
     c = int(_cached_columns(instance))
+    sent = np.ones((instance.r, instance.r), dtype=bool)
+    sent[:c, :c] = False  # row by row: the tail of each of the first c rows, then the later rows
     messages = []
     for k in range(1, instance.K + 1):
         d1, d2 = demands.pair(k)
         product = _matmul_mod(library[d1 - 1].data.T, library[d2 - 1].data, instance.field.q)
-        payload = _uncoded_entries(product, c)
+        payload = product[sent]
         if payload.size:
             messages.append(Message(("uncoded", k), payload))
     return DeliveryTranscript(tuple(messages))
@@ -107,14 +94,9 @@ def uncoded_decode(
         right = cache.get(("raw-cols", d2, ()))
         out[:c, :c] = _matmul_mod(left.T, right, q)
     if c < r:
-        payload = transcript.find(("uncoded", k)).payload
-        pos = 0
-        for i in range(c):
-            out[i, c:] = payload[pos : pos + r - c]
-            pos += r - c
-        for i in range(c, r):
-            out[i, :] = payload[pos : pos + r]
-            pos += r
+        sent = np.ones((r, r), dtype=bool)
+        sent[:c, :c] = False
+        out[sent] = transcript.find(("uncoded", k)).payload
     return FieldMatrix(instance.field, out)
 
 
@@ -151,10 +133,7 @@ def multireq_place(
     users = [UserCache({}, {}) for _ in range(instance.K)]
     split = man_split(instance.K, config.t, instance.s * instance.r)
     for i, w in enumerate(library, start=1):
-        flat = w.data.reshape(-1)
-        for block in split.blocks:
-            for k in block.subset:
-                users[k - 1].segments[("raw-rows", i, block.subset)] = flat[block.span]
+        cache_file(users, split, ("raw-rows", i), w.data.reshape(-1))
     return CacheContents(tuple(users))
 
 
@@ -167,16 +146,12 @@ def multireq_deliver(
     q = instance.field.q
     split = man_split(instance.K, config.t, instance.s * instance.r)
 
-    def segment(slot: int, k: int, rest: tuple[int, ...]) -> np.ndarray:
-        flat = library[demands.pair(k)[slot - 1] - 1].data.reshape(-1)
-        return flat[split.by_subset[rest].span]
+    def flat(slot: int, k: int) -> np.ndarray:
+        return library[demands.pair(k)[slot - 1] - 1].data.reshape(-1)
 
-    messages = []
-    for s_set, width in split.multicasts():
-        for slot in (1, 2):
-            payload = subset_sum(q, width, s_set, partial(segment, slot))
-            messages.append(Message(("multireq", slot, s_set), payload))
-    return DeliveryTranscript(tuple(messages))
+    slots = [multicast_file(q, split, ("multireq", slot), partial(flat, slot)) for slot in (1, 2)]
+    # Each multicast set gets slot 1's message, then slot 2's.
+    return DeliveryTranscript(tuple(m for pair in zip(*slots) for m in pair))
 
 
 def multireq_decode(
@@ -187,22 +162,18 @@ def multireq_decode(
     transcript: DeliveryTranscript,
     demands: DemandVector,
 ) -> FieldMatrix:
-    q = instance.field.q
-    split = man_split(instance.K, config.t, instance.s * instance.r)
+    q, s, r = instance.field.q, instance.s, instance.r
+    split = man_split(instance.K, config.t, s * r)
 
     def cached(slot: int, user: int, subset: tuple[int, ...]) -> np.ndarray:
         return cache.get(("raw-rows", demands.pair(user)[slot - 1], subset))
 
-    def payload_for(slot: int, s_set: tuple[int, ...]) -> np.ndarray:
-        return transcript.find(("multireq", slot, s_set)).payload
-
-    flats = np.zeros((2, instance.s * instance.r), dtype=np.int64)
-    for slot, flat in zip((1, 2), flats):
-        parts = recover(q, k, split.by_subset, partial(payload_for, slot), partial(cached, slot))
-        for block, part in zip(split.blocks, parts):
-            flat[block.span] = cached(slot, k, block.subset) if part is None else part
-    w1, w2 = flats.reshape(2, instance.s, instance.r)
-    return FieldMatrix._trusted(instance.field, _matmul_mod(w1.T, w2, q))
+    w1, w2 = (
+        decode_file(q, k, split, ("multireq", slot), transcript, partial(cached, slot), (s * r,))
+        for slot in (1, 2)
+    )
+    product = _matmul_mod(w1.reshape(s, r).T, w2.reshape(s, r), q)
+    return FieldMatrix._trusted(instance.field, product)
 
 
 def multireq_formula_load(instance: ProblemInstance, config: MultiRequestConfig) -> Fraction:

@@ -55,7 +55,10 @@ from ..model import (
 from .common import (
     Block,
     ManSplit,
+    cache_file,
+    decode_file,
     man_split,
+    multicast_file,
     recover,
     split_widths,
     subset_sum,
@@ -306,24 +309,16 @@ def place(
     instance: ProblemInstance, config: ColConfig, library: Sequence[FieldMatrix]
 ) -> CacheContents:
     lead, coeff = _splits(instance)
-    users = [UserCache({}, {}) for _ in range(instance.K)]
-
-    def store(kind: str, i: int, matrix: np.ndarray, split: ManSplit) -> None:
-        for block in split.blocks:
-            for k in block.subset:
-                users[k - 1].segments[(kind, i, block.subset)] = matrix[:, block.span]
-
-    perms = {}
+    perms: dict[int, tuple[int, ...]] = {}
+    metadata = {} if coeff is None else {"column-permutations": perms}
+    users = [UserCache({}, dict(metadata)) for _ in range(instance.K)]
     for i, w in enumerate(library, start=1):
         if coeff is None:
-            store("raw-cols", i, w.data, lead)
+            cache_file(users, lead, ("raw-cols", i), w.data)
             continue
         perms[i], lead_cols, coeffs = spanning_column_split(w, instance.s)
-        store("raw-cols", i, lead_cols.data, lead)
-        store("coded-Q", i, coeffs.data, coeff)
-    if coeff is not None:
-        for user in users:
-            user.metadata["column-permutations"] = perms
+        cache_file(users, lead, ("raw-cols", i), lead_cols.data)
+        cache_file(users, coeff, ("coded-Q", i), coeffs.data)
     return CacheContents(tuple(users))
 
 
@@ -346,43 +341,14 @@ def deliver(
     if coeff is None:
         return DeliveryTranscript(tuple(messages))
 
-    def coeff_segment(slot: int, k: int, rest: tuple[int, ...]) -> np.ndarray:
-        return coeffs[demands.pair(k)[slot - 1]][:, coeff.by_subset[rest].span].ravel()
+    def coeff_file(slot: int, k: int) -> np.ndarray:
+        return coeffs[demands.pair(k)[slot - 1]]
 
     # Steps 2 and 3 send the coefficient blocks of each user's second, then
     # first, demanded matrix by plain coded multicasts.
     for step, slot in (("step2", 2), ("step3", 1)):
-        for s_set, width in coeff.multicasts():
-            payload = subset_sum(q, s * width, s_set, partial(coeff_segment, slot))
-            messages.append(Message(("col", step, s_set), payload))
+        messages += multicast_file(q, coeff, ("col", step), partial(coeff_file, slot))
     return DeliveryTranscript(tuple(messages))
-
-
-def _assemble_coeff(
-    instance: ProblemInstance,
-    split: ManSplit,
-    k: int,
-    cache: UserCache,
-    transcript: DeliveryTranscript,
-    demands: DemandVector,
-    step: str,
-    slot: int,
-) -> np.ndarray:
-    """Rebuild the full coefficient matrix of user k's demanded matrix for the
-    given slot from cached blocks plus the step's multicasts."""
-    q, s = instance.field.q, instance.s
-
-    def cached(user: int, subset: tuple[int, ...]) -> np.ndarray:
-        return cache.get(("coded-Q", demands.pair(user)[slot - 1], subset)).ravel()
-
-    def payload_for(s_set: tuple[int, ...]) -> np.ndarray:
-        return transcript.find(("col", step, s_set)).payload
-
-    out = np.zeros((s, split.total), dtype=np.int64)
-    for block, flat in zip(split.blocks, recover(q, k, split.by_subset, payload_for, cached)):
-        flat = cached(k, block.subset) if flat is None else flat
-        out[:, block.span] = flat.reshape(s, block.width)
-    return out
 
 
 def decode(
@@ -393,23 +359,28 @@ def decode(
     transcript: DeliveryTranscript,
     demands: DemandVector,
 ) -> FieldMatrix:
-    q, r = instance.field.q, instance.r
+    q, s, r = instance.field.q, instance.s, instance.r
     d1, d2 = demands.pair(k)
     lead, coeff = _splits(instance)
 
     t11 = _decode_grid(instance, lead, k, cache, transcript, demands)
     if coeff is None:
         return FieldMatrix(instance.field, t11)
-    q2 = _assemble_coeff(instance, coeff, k, cache, transcript, demands, "step2", 2)
-    t12 = _matmul_mod(t11, q2, q)
-    q1 = _assemble_coeff(instance, coeff, k, cache, transcript, demands, "step3", 1)
+
+    def coeff_matrix(step: str, slot: int) -> np.ndarray:
+        def cached(user: int, subset: tuple[int, ...]) -> np.ndarray:
+            return cache.get(("coded-Q", demands.pair(user)[slot - 1], subset))
+
+        return decode_file(q, k, coeff, ("col", step), transcript, cached, (s, coeff.total))
+
+    t12 = _matmul_mod(t11, coeff_matrix("step2", 2), q)
+    q1 = coeff_matrix("step3", 1)
     top = np.concatenate([t11, t12], axis=1)
     bottom = _matmul_mod(q1.T, top, q)
     shuffled = np.concatenate([top, bottom], axis=0)
     perms = cache.metadata["column-permutations"]
-    perm1, perm2 = list(perms[d1]), list(perms[d2])
     out = np.zeros((r, r), dtype=np.int64)
-    out[np.ix_(perm1, perm2)] = shuffled
+    out[np.ix_(perms[d1], perms[d2])] = shuffled
     return FieldMatrix(instance.field, out)
 
 

@@ -17,6 +17,13 @@ segment by the user wanting it and the subset caching it.
 A split depends only on (n, x, total), and place, deliver and every user's
 decode ask for the same one, so `man_split` keeps the splits it built last;
 a `ManSplit` is immutable, as every caller shares it.
+
+When every segment is a slice of one file per user, the whole scheme is
+`cache_file`, `multicast_file` and `decode_file`.  A file is an array whose
+last axis the split cuts: `agnostic`'s compressed product packet, `multireq`'s
+flattened matrix, and `col`'s s x (r - s) coefficient matrix.  `row` and
+`col`'s cross-product grid call `subset_sum` and `recover` directly: their
+segments are compressed products of cached blocks, not slices of one file.
 """
 
 from __future__ import annotations
@@ -28,9 +35,11 @@ from itertools import combinations
 from math import comb, floor
 from numbers import Rational
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+
+from ..model import DeliveryTranscript, Message, UserCache
 
 Segment = Callable[[int, tuple[int, ...]], np.ndarray | None]
 
@@ -148,3 +157,50 @@ def recover(
                 if part is not None:
                     payload = (payload - part) % q
         yield payload
+
+
+def cache_file(users: Sequence[UserCache], split: ManSplit, label: tuple, file: np.ndarray) -> None:
+    """Each user in a block's subset caches file[..., block.span] as label + (subset,)."""
+    for block in split.blocks:
+        part = file[..., block.span]
+        for k in block.subset:
+            users[k - 1].segments[label + (block.subset,)] = part
+
+
+def multicast_file(
+    q: int, split: ManSplit, tag: tuple, file_of: Callable[[int], np.ndarray]
+) -> list[Message]:
+    """One message per multicast set S, in split order, tagged tag + (S,): the
+    subset sum over k in S of file_of(k)[..., span(S \\ {k})], flattened."""
+
+    def segment(k: int, rest: tuple[int, ...]) -> np.ndarray:
+        return file_of(k)[..., split.by_subset[rest].span].ravel()
+
+    messages = []
+    for s_set, width in split.multicasts():
+        length = file_of(s_set[0]).size // split.total * width
+        messages.append(Message(tag + (s_set,), subset_sum(q, length, s_set, segment)))
+    return messages
+
+
+def decode_file(
+    q: int,
+    k: int,
+    split: ManSplit,
+    tag: tuple,
+    transcript: DeliveryTranscript,
+    cached: Segment,
+    shape: tuple[int, ...],
+) -> np.ndarray:
+    """User k's file of `shape`: each block it caches read from
+    cached(k, subset), each other block recovered from the multicast tagged
+    tag + (S,).  `cached(p, subset)` reads user p's block from k's cache."""
+    out = np.zeros(shape, dtype=np.int64)
+    rows = out.size // split.total
+
+    def payload_for(s_set: tuple[int, ...]) -> np.ndarray:
+        return transcript.find(tag + (s_set,)).payload.reshape(rows, -1)
+
+    for block, part in zip(split.blocks, recover(q, k, split.by_subset, payload_for, cached)):
+        out[..., block.span] = cached(k, block.subset) if part is None else part
+    return out
