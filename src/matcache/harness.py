@@ -108,19 +108,10 @@ class ExperimentSpec:
             object.__setattr__(self, "a", Fraction(self.a))
 
     def sort_key(self) -> tuple:
-        return (
-            self.scheme,
-            self.K,
-            self.N,
-            self.s or 0,
-            self.r or 0,
-            self.q,
-            self.M,
-            -1 if self.t is None else self.t,
-            -1 if self.ell is None else self.ell,
-            self.seed,
-            self.demands,
-        )
+        """Every setting of the cell, `a` last, each as (set, value): an unset
+        value sorts before every set one.  Sweeps deduplicate on this key."""
+        values = (getattr(self, key) for key in (*SWEEP_SETTINGS, "a"))
+        return tuple((value is not None, 0 if value is None else value) for value in values)
 
 
 _SPEC_INT_KEYS = {"K", "N", "s", "r", "q", "t", "ell", "seed"}

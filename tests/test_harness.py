@@ -194,6 +194,16 @@ def test_expand_sweep_cells_ranges_dedupe_and_order():
     assert [c.sort_key() for c in cells] == sorted(c.sort_key() for c in cells)
 
 
+def test_expand_sweep_cells_keeps_cells_that_differ_only_in_a_or_an_unset_shape():
+    base = {"scheme": "col", "K": "2", "N": "4", "M": "2"}
+    by_ratio = harness.expand_sweep_cells([{**base, "a": "1/2,2"}])
+    assert [cell.a for cell in by_ratio] == [F(1, 2), F(2)]
+    zero_s = harness.expand_sweep_cells([{**base, "a": "1", "s": "0"}, {**base, "a": "1"}])
+    assert [cell.s for cell in zero_s] == [None, 0]  # unset sorts before set
+    rows = harness.run_sweep(zero_s)
+    assert rows[0]["error"] == "" and rows[1]["error"] != ""
+
+
 def test_expand_preserves_demand_lists():
     mapping = {
         "scheme": "col",
