@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matcache.bounds import load_R1, load_R2
+from matcache.field import mat_mul
 from matcache.model import ProblemInstance, SchemeParameterError, run_scheme
 from matcache.schemes.baselines import MultiRequestConfig, UncodedConfig
 
@@ -56,6 +57,31 @@ def test_uncoded_verifies_at_both_corners(seed, half):
     result = run_scheme("uncoded", inst, UncodedConfig(), seed=seed)
     assert result.verified
     assert max(result.cache.totals()) <= inst.cache_budget
+
+
+# The entries uncoded unicasts at r = 3 for each cached column count c, in
+# wire order: the tail of each of the first c rows, then the full later rows.
+UNCODED_WIRE_ORDER = {
+    0: [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)],
+    1: [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)],
+    2: [(0, 2), (1, 2), (2, 0), (2, 1), (2, 2)],
+    3: [],
+}
+
+
+@pytest.mark.parametrize("c", sorted(UNCODED_WIRE_ORDER))
+def test_uncoded_payload_lists_the_uncached_entries_row_by_row(c):
+    inst = ProblemInstance(K=2, N=3, s=2, r=3, M=F(c))  # c = M*r/N = M
+    result = run_scheme("uncoded", inst, UncodedConfig(), seed=c)
+    assert result.verified
+    entries = UNCODED_WIRE_ORDER[c]
+    if not entries:
+        assert result.transcript.messages == ()
+        return
+    for k, (d1, d2) in enumerate(result.demands.pairs, start=1):
+        product = mat_mul(result.library[d1 - 1].transpose(), result.library[d2 - 1]).data
+        payload = result.transcript.find(("uncoded", k)).payload
+        assert payload.tolist() == [product[i, j] for i, j in entries]
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ from fractions import Fraction as F
 from itertools import combinations
 from math import comb, lcm
 
+import numpy as np
 import pytest
 
 from matcache.bounds import _split_params
+from matcache.model import DeliveryTranscript, UserCache
 from matcache.schemes.col import _layout
-from matcache.schemes.common import man_split, split_widths
+from matcache.schemes.common import cache_file, decode_file, man_split, multicast_file, split_widths
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -79,3 +81,43 @@ def test_a_shared_split_and_its_groups_are_read_only():
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
+
+
+@pytest.mark.parametrize("q", [2, 2**61 - 1])
+@pytest.mark.parametrize("rows", [None, 3], ids=["1-D", "2-D"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_file_engine_decodes_every_split_exactly(n, rows, q):
+    """Every MAN split over n <= 4 users, both tiers: each user caches exactly
+    its blocks, one message goes to each multicast set, and every user decodes
+    its demanded file from its cache and the messages."""
+    rng = np.random.default_rng(n * 7 + (rows or 0))
+    demand = {k: (k * 2) % (n + 1) for k in range(1, n + 1)}  # user k wants file demand[k]
+    if n > 1:
+        demand[n] = demand[1]  # two users want the same file
+    for x in [F(t) for t in range(n + 1)] + [F(2 * t + 1, 2) for t in range(n)]:
+        t = int(x)
+        total = 2 * lcm(comb(n, t), max(comb(n, t + 1), 1))
+        split = man_split(n, x, total)
+        shape = (total,) if rows is None else (rows, total)
+        files = [rng.integers(0, q, size=shape, dtype=np.int64) for _ in range(n + 1)]
+        users = [UserCache({}, {}) for _ in range(n)]
+        for i, file in enumerate(files):
+            cache_file(users, split, ("file", i), file)
+        for k, user in enumerate(users, start=1):
+            mine = [b for b in split.blocks if k in b.subset]
+            assert set(user.segments) == {("file", i, b.subset) for i in range(n + 1) for b in mine}
+            for (_, i, subset), part in user.segments.items():
+                assert np.array_equal(part, files[i][..., split.by_subset[subset].span])
+
+        messages = multicast_file(q, split, ("m",), lambda k: files[demand[k]])
+        casts = list(split.multicasts())
+        assert [m.tag for m in messages] == [("m", s_set) for s_set, _ in casts]
+        assert [m.payload.size for m in messages] == [(rows or 1) * w for _, w in casts]
+        transcript = DeliveryTranscript(tuple(messages))
+        for k, user in enumerate(users, start=1):
+
+            def cached(p, subset, user=user):
+                return user.get(("file", demand[p], subset))
+
+            out = decode_file(q, k, split, ("m",), transcript, cached, shape)
+            assert np.array_equal(out, files[demand[k]]), (n, x, k)
