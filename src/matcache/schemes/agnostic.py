@@ -51,7 +51,8 @@ def _product_packet(
 ) -> tuple[PacketHeader, np.ndarray]:
     """The header (rank, basis rows) and the B-symbol packet of product `pair`."""
     i, j = pair
-    cp = compress_product(mat_mul(library[i - 1].transpose(), library[j - 1]), instance.s)
+    product = mat_mul(library[i - 1].transpose(), library[j - 1])
+    cp = compress_product(product, instance.s)
     return (cp.rank, cp.basis_row_indices), packet_symbols(cp)
 
 
@@ -83,7 +84,7 @@ def place(
     instance: ProblemInstance, config: AgnosticConfig, library: Sequence[FieldMatrix]
 ) -> CacheContents:
     t, K = config.t, instance.K
-    if t == 0:  # nothing to cache
+    if t == 0:  # no user caches a block, so compress nothing
         return CacheContents(tuple(UserCache({}, {}) for _ in range(K)))
     headers: dict[tuple[int, int], PacketHeader] = {}
     users = [UserCache({}, {"product-headers": headers}) for _ in range(K)]
@@ -135,7 +136,8 @@ def decode(
         return cache.get(("product-subfile", demands.pair(user), subset))
 
     packet = decode_file(q, k, split, ("agnostic",), transcript, cached, (instance.B,))
-    return decompress_product(CompressedProduct.from_packet(instance.field, dims, rank, basis, packet))
+    cp = CompressedProduct.from_packet(instance.field, dims, rank, basis, packet)
+    return decompress_product(cp)
 
 
 def formula_load(instance: ProblemInstance, config: AgnosticConfig) -> Fraction:

@@ -195,12 +195,11 @@ def decode_file(
     """User k's file of `shape`: each block it caches read from
     cached(k, subset), each other block recovered from the multicast tagged
     tag + (S,).  `cached(p, subset)` reads user p's block from k's cache."""
-    out = np.zeros(shape, dtype=np.int64)
-    rows = out.size // split.total
 
     def payload_for(s_set: tuple[int, ...]) -> np.ndarray:
-        return transcript.find(tag + (s_set,)).payload.reshape(rows, -1)
+        return transcript.find(tag + (s_set,)).payload.reshape(*shape[:-1], -1)
 
+    out = np.zeros(shape, dtype=np.int64)
     for block, part in zip(split.blocks, recover(q, k, split.by_subset, payload_for, cached)):
         out[..., block.span] = cached(k, block.subset) if part is None else part
     return out
