@@ -15,6 +15,11 @@ in the block returns the earlier (immutable) result.  The caller still
 computes every product it passes; the memo only skips the elimination.  It
 holds no more than the block's own products and is emptied when the block
 ends.
+
+A single-row product (m = 1) needs no elimination: its rank is 1 exactly
+when its row is nonzero, with basis (0,) and no coefficients, and its packet
+is the row itself, since f(1, n, p) = p.  `compress_stack` and
+`decompress_stack` take such stacks on that rule, with the same bytes.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ import numpy as np
 from .field import _WORD_Q, FieldMatrix, FieldSpec, _eliminate_stack, _matmul_mod, _rref
 
 Header = tuple[int, tuple[int, ...]]  # (rank, basis row indices)
+# The headers of a nonzero and of a zero single-row product.
+_ROW: Header = (1, (0,))
+_ZERO: Header = (0, ())
 # (q, shape, inner dimension, product residues as bytes) -> result, while a
 # `compression_memo` block runs in this context.
 _MemoKey = tuple[int, tuple[int, int], int, bytes]
@@ -219,13 +227,16 @@ def compress_stack(products: np.ndarray, inner_dim: int, q: int) -> tuple[np.nda
     dimension n: the (b, f(m,n,p)) packets, item i equal to
     packet_symbols(compress_product(products[i], n)), and each item's
     (rank, basis_row_indices).  The items share one stacked elimination and
-    one gather per distinct rank.
+    one gather per distinct rank; single-row items need neither.
 
     Raises ValueError("inner-dimension contract violated") when some item's
     rank exceeds min(n, m, p).
     """
     b, m, p = products.shape
     dims = DimTriple(m, inner_dim, p)
+    if m == 1:
+        packets = products.reshape(b, p).copy()
+        return packets, [_ROW if nonzero else _ZERO for nonzero in packets.any(axis=1).tolist()]
     reduced = products.transpose(0, 2, 1).copy()
     if q > _WORD_Q:
         reduced = reduced.astype(object)
@@ -261,6 +272,10 @@ def decompress_stack(
     b = len(headers)
     if packets.shape != (b, f_len(dims)):
         raise ValueError(f"packet stack of shape {packets.shape}, expected {(b, f_len(dims))}")
+    if m == 1 and all(header in (_ROW, _ZERO) for header in headers):
+        out = packets.reshape(b, 1, p).copy()
+        out[np.array([header == _ZERO for header in headers], dtype=bool)] = 0
+        return out
     ranks = np.array([rank for rank, _ in headers], dtype=np.int64)
     bad = np.flatnonzero((ranks < 0) | (ranks > min(n, m, p)))
     if bad.size:

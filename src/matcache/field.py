@@ -23,7 +23,9 @@ sweep: below them the int64 paths are faster, and the tests hold the BLAS
 paths to them as oracles.  q > 2^31 computes on Python ints (object dtype).
 For many small products of one shape, `_matmul_mod` also multiplies
 (b, m, n) @ (b, n, p) stacks and `_eliminate_stack` runs the rank-1 loop on
-every item of a stack in the same numpy calls.
+every item of a stack in the same numpy calls.  Every elimination stops
+once the rows below its last pivot are zero on the columns still to pivot:
+no later column could find a pivot there, so stopping changes no result.
 
 Random matrices come from a counter-based PRNG (SplitMix64 finalizer over a
 linear counter encoding) with rejection sampling, so entry (i, j) of a matrix
@@ -332,9 +334,15 @@ def _rref(data: np.ndarray, q: int, ncols: int | None = None) -> tuple[np.ndarra
     ncols = work.shape[1] if ncols is None else ncols
     if q > _WORD_Q:
         work = work.astype(object)  # a factor times an entry must stay exact
-    elif work.shape[1] >= _BLOCKED_MIN_COLS and work.size >= _BLOCKED_MIN_ENTRIES:
+    elif _blocked(q, work.shape):
         return work, _eliminate_blocked(work, q, ncols)
     return work, _eliminate(work, q, ncols)[0]
+
+
+def _blocked(q: int, shape: tuple[int, int]) -> bool:
+    """Whether `_rref` eliminates a matrix of this shape in panels."""
+    rows, cols = shape
+    return q < _WORD_Q and cols >= _BLOCKED_MIN_COLS and rows * cols >= _BLOCKED_MIN_ENTRIES
 
 
 def _eliminate(work: np.ndarray, q: int, ncols: int) -> tuple[list[int], list[int]]:
@@ -352,6 +360,8 @@ def _eliminate(work: np.ndarray, q: int, ncols: int) -> tuple[list[int], list[in
             break
         nonzero = np.flatnonzero(work[row:, col])
         if nonzero.size == 0:
+            if not work[row:, col:ncols].any():
+                break  # no later column has a pivot candidate either
             continue
         sel = row + int(nonzero[0])
         if sel != row:
@@ -381,6 +391,8 @@ def _eliminate_stack(work: np.ndarray, q: int, ncols: int) -> np.ndarray:
     rank = np.zeros(b, dtype=np.int64)
     rows = np.arange(m)
     for col in range(ncols):
+        if np.all(rank == m):
+            break
         candidates = (work[:, :, col] != 0) & (rows >= rank[:, None])
         items = np.flatnonzero(candidates.any(axis=1))
         if items.size == 0:
@@ -446,6 +458,8 @@ def _eliminate_blocked(work: np.ndarray, q: int, ncols: int) -> list[int]:
         work[r : r + k, c0:] = basis
         work[r + k :, c0:] = rest[r:]
         pivots.extend(cols.tolist())
+        if not work[r + k :, c1:ncols].any():
+            break  # the rows below the pivots are zero on every column left
     return pivots
 
 
@@ -491,22 +505,45 @@ def spanning_column_split(
 
     Raises ValueError when rank(W) exceeds block_cols, so no W1 spans W.
     """
-    if block_cols > w.cols:
-        raise ValueError(f"block_cols {block_cols} exceeds matrix cols {w.cols}")
-    reduced, pivots = _rref(w.data, w.spec.q)
-    rank = len(pivots)
-    if rank > block_cols:
-        raise ValueError(f"rank {rank} exceeds block_cols {block_cols}: column not in span")
-    if pivots and pivots[-1] >= block_cols:
-        chosen = set(pivots)
-        perm = pivots + [c for c in range(w.cols) if c not in chosen]
-        lead = list(range(rank))  # where the pivot columns sit in W1
-    else:
-        perm, lead = list(range(w.cols)), pivots
-    coeffs = np.zeros((block_cols, w.cols - block_cols), dtype=np.int64)
-    coeffs[lead] = reduced[:rank, perm[block_cols:]]
-    w1 = FieldMatrix._trusted(w.spec, w.data[:, perm[:block_cols]])
-    return tuple(perm), w1, FieldMatrix._trusted(w.spec, coeffs)
+    return spanning_column_splits([w], block_cols)[0]
+
+
+def spanning_column_splits(
+    matrices: Sequence[FieldMatrix], block_cols: int
+) -> list[tuple[tuple[int, ...], FieldMatrix, FieldMatrix]]:
+    """[spanning_column_split(w, block_cols) for w in matrices], byte for
+    byte, raising what the first failing item would.  Matrices of one field
+    and shape share one `_eliminate_stack`, unless there is only one of them
+    or `_rref` would eliminate them in panels: then each takes `_rref`."""
+    groups: dict[tuple[int, tuple[int, int]], list[int]] = {}
+    for i, w in enumerate(matrices):
+        groups.setdefault((w.spec.q, w.shape), []).append(i)
+    stacked: dict[int, tuple[np.ndarray, list[int]]] = {}
+    for (q, shape), items in groups.items():
+        if len(items) > 1 and not _blocked(q, shape):
+            work = np.array([matrices[i].data for i in items], dtype=object if q > _WORD_Q else None)
+            pivots = _eliminate_stack(work, q, shape[1])
+            for i, reduced, mask in zip(items, work, pivots):
+                stacked[i] = reduced, np.flatnonzero(mask).tolist()
+    splits = []
+    for i, w in enumerate(matrices):
+        reduced, pivots = stacked[i] if i in stacked else _rref(w.data, w.spec.q)
+        if block_cols > w.cols:
+            raise ValueError(f"block_cols {block_cols} exceeds matrix cols {w.cols}")
+        rank = len(pivots)
+        if rank > block_cols:
+            raise ValueError(f"rank {rank} exceeds block_cols {block_cols}: column not in span")
+        if pivots and pivots[-1] >= block_cols:
+            chosen = set(pivots)
+            perm = pivots + [c for c in range(w.cols) if c not in chosen]
+            lead = list(range(rank))  # where the pivot columns sit in W1
+        else:
+            perm, lead = list(range(w.cols)), pivots
+        coeffs = np.zeros((block_cols, w.cols - block_cols), dtype=np.int64)
+        coeffs[lead] = reduced[:rank, perm[block_cols:]]
+        w1 = FieldMatrix._trusted(w.spec, w.data[:, perm[:block_cols]])
+        splits.append((tuple(perm), w1, FieldMatrix._trusted(w.spec, coeffs)))
+    return splits
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:

@@ -26,8 +26,10 @@ leading s columns span it; those columns get the treatment above, while the
 remaining r - s columns are represented by cached coefficient blocks Q with
 W1 @ Q = W2, placed by their own MAN split, delivered by its plain coded
 multicasts and combined locally.  One elimination of the matrix gives both
-the permutation and Q.  Matrices with r <= s have no coefficient
-split.
+the permutation and Q, and each side of the link splits its matrices in
+one call, so the matrices share one stacked elimination: `place` the whole
+library and `deliver` the demanded matrices.  Matrices with r <= s have no
+coefficient split.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..compress import DimTriple, compress_stack, decompress_stack, f_len
-from ..field import FieldMatrix, _matmul_mod, spanning_column_split
+from ..field import FieldMatrix, _matmul_mod, spanning_column_splits
 from ..model import (
     CacheContents,
     DeliveryTranscript,
@@ -312,11 +314,12 @@ def place(
     perms: dict[int, tuple[int, ...]] = {}
     metadata = {} if coeff is None else {"column-permutations": perms}
     users = [UserCache({}, dict(metadata)) for _ in range(instance.K)]
-    for i, w in enumerate(library, start=1):
-        if coeff is None:
+    if coeff is None:
+        for i, w in enumerate(library, start=1):
             cache_file(users, lead, ("raw-cols", i), w.data)
-            continue
-        perms[i], lead_cols, coeffs = spanning_column_split(w, instance.s)
+        return CacheContents(tuple(users))
+    for i, split in enumerate(spanning_column_splits(library, instance.s), start=1):
+        perms[i], lead_cols, coeffs = split
         cache_file(users, lead, ("raw-cols", i), lead_cols.data)
         cache_file(users, coeff, ("coded-Q", i), coeffs.data)
     return CacheContents(tuple(users))
@@ -334,8 +337,8 @@ def deliver(
     leads = {i: library[i - 1].data for i in demanded}
     coeffs: dict[int, np.ndarray] = {}
     if coeff is not None:
-        for i in demanded:
-            _, lead_cols, coeff_cols = spanning_column_split(library[i - 1], s)
+        splits = spanning_column_splits([library[i - 1] for i in demanded], s)
+        for i, (_, lead_cols, coeff_cols) in zip(demanded, splits):
             leads[i], coeffs[i] = lead_cols.data, coeff_cols.data
     messages = _round_messages(instance, lead, demands, leads)
     if coeff is None:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matcache import compress as compress_mod
 from matcache.compress import (
     CompressedProduct,
     DimTriple,
@@ -150,6 +151,8 @@ Q31 = (1 << 31) - 1
 Q61 = (1 << 61) - 1
 # (m, n, p): 1 x 1, m < p, m > p, n below min(m, p), n above it, square.
 STACK_SHAPES = ((1, 4, 1), (2, 5, 6), (6, 5, 2), (5, 2, 6), (4, 9, 3), (5, 5, 5))
+# Single rows (m = 1), which skip the elimination: p of 3 and 7, n below and above p.
+SINGLE_ROW_SHAPES = ((1, 2, 3), (1, 5, 3), (1, 4, 7), (1, 9, 7))
 
 
 def _stack(q: int, b: int, m: int, n: int, p: int, seed: int) -> np.ndarray:
@@ -167,7 +170,7 @@ def _stack(q: int, b: int, m: int, n: int, p: int, seed: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("q", [2, 3, Q31, Q61])
-@pytest.mark.parametrize("m, n, p", STACK_SHAPES)
+@pytest.mark.parametrize("m, n, p", STACK_SHAPES + SINGLE_ROW_SHAPES)
 def test_stacked_compression_matches_items(q, m, n, p):
     spec = FieldSpec(q)
     dims = DimTriple(m, n, p)
@@ -222,6 +225,42 @@ def test_stacked_decompression_rejects_what_from_packet_rejects(header, message)
     stack = np.zeros((3, f_len(dims)), dtype=np.int64)
     with pytest.raises(ValueError, match=message):
         decompress_stack(stack, [good, header, good], dims, DEFAULT_FIELD.q)
+
+
+@pytest.mark.parametrize("q", [2, Q31, Q61])
+def test_single_row_stacks_take_no_elimination(q, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a single-row stack needs no elimination or product")
+
+    monkeypatch.setattr(compress_mod, "_eliminate_stack", refuse)
+    monkeypatch.setattr(compress_mod, "_matmul_mod", refuse)
+    rows = np.array([[[1, 0, q - 1]], [[0, 0, 0]], [[0, 1, 0]]], dtype=np.int64)
+    packets, headers = compress_stack(rows, 2, q)
+    assert packets.tolist() == [[1, 0, q - 1], [0, 0, 0], [0, 1, 0]]
+    assert headers == [(1, (0,)), (0, ()), (1, (0,))]
+    assert all(type(x) is int for rank, basis in headers for x in (rank, *basis))
+    # A rank-0 header zeroes its product, whatever its packet holds.
+    rebuilt = decompress_stack(packets, [(1, (0,)), (0, ()), (0, ())], DimTriple(1, 2, 3), q)
+    assert rebuilt.tolist() == [[[1, 0, q - 1]], [[0, 0, 0]], [[0, 0, 0]]]
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ((1, (1,)), "basis index out of range"),
+        ((2, (0, 1)), "rank 2 out of range"),
+        ((1, ()), "basis index count must equal rank"),
+        ((-1, ()), "rank -1 out of range"),
+    ],
+)
+def test_single_row_decompression_rejects_what_from_packet_rejects(header, message):
+    dims = DimTriple(1, 2, 3)
+    packet = np.zeros(64, dtype=np.int64)
+    with pytest.raises(ValueError, match=message):
+        CompressedProduct.from_packet(DEFAULT_FIELD, dims, header[0], header[1], packet)
+    stack = np.zeros((3, f_len(dims)), dtype=np.int64)
+    with pytest.raises(ValueError, match=message):
+        decompress_stack(stack, [(1, (0,)), header, (0, ())], dims, DEFAULT_FIELD.q)
 
 
 def test_stacked_decompression_rejects_a_misshapen_stack():

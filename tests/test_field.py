@@ -29,6 +29,7 @@ from matcache.field import (
     random_matrix,
     solve_columns,
     spanning_column_split,
+    spanning_column_splits,
     uniform_residues,
 )
 
@@ -257,6 +258,65 @@ def test_spanning_column_split_equals_the_two_step_split(q):
         assert (perm, w1, coeffs) == _two_step_split(w, s)
         permuted += perm != tuple(range(w.cols))
     assert permuted > 0
+
+
+def _spy_on_eliminations(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
+    """Record the name and input shape of every `_rref` and `_eliminate_stack` call."""
+    calls = []
+    for name in ("_rref", "_eliminate_stack"):
+
+        def spy(work, *args, name=name, real=getattr(field_mod, name)):
+            calls.append((name, work.shape))
+            return real(work, *args)
+
+        monkeypatch.setattr(field_mod, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("q", [2, 3, Q31, Q61])
+def test_stacked_splits_equal_the_two_step_split(q, monkeypatch):
+    groups: dict[tuple[int, tuple[int, int]], list[FieldMatrix]] = {}
+    for s, w in _split_cases(q):
+        groups.setdefault((s, w.shape), []).append(w)
+    calls = _spy_on_eliminations(monkeypatch)
+    splits = {}
+    for (s, shape), matrices in groups.items():
+        calls.clear()
+        splits[s, shape] = spanning_column_splits(matrices, s)
+        if q < 1 << 31 and shape[1] >= field_mod._BLOCKED_MIN_COLS:
+            assert calls == [("_rref", shape)] * len(matrices)  # blocked size: one by one
+        else:
+            assert calls == [("_eliminate_stack", (len(matrices), *shape))]
+    monkeypatch.undo()  # the reference below runs on the real kernels
+    kinds = set()
+    for key, matrices in groups.items():
+        s = key[0]
+        assert len(splits[key]) == len(matrices)
+        for w, (perm, w1, coeffs) in zip(matrices, splits[key]):
+            ref_perm, ref_w1, ref_coeffs = _two_step_split(w, s)
+            assert perm == ref_perm and all(type(c) is int for c in perm)
+            assert w1.shape == ref_w1.shape and w1.data.tobytes() == ref_w1.data.tobytes()
+            assert coeffs.shape == ref_coeffs.shape and coeffs.data.dtype == np.int64
+            assert coeffs.data.tobytes() == ref_coeffs.data.tobytes()
+            rank = mat_rank(w)
+            kinds.add("zero" if rank == 0 else "full" if rank == min(w.shape) else "deficient")
+            kinds.add("permuted" if perm != tuple(range(w.cols)) else "identity")
+    assert kinds == {"zero", "full", "deficient", "permuted", "identity"}
+    assert spanning_column_splits([], 3) == []
+
+
+@pytest.mark.parametrize("q", [2, 3, Q31, Q61])
+def test_stacked_splits_raise_what_the_first_failing_split_raises(q):
+    spec = FieldSpec(q)
+    fits = FieldMatrix.from_rows(spec, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    too_wide = FieldMatrix.from_rows(spec, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for matrices in ([too_wide], [fits, too_wide, fits], [fits, fits, too_wide]):
+        with pytest.raises(ValueError, match="rank 3 exceeds block_cols 2: column not in span"):
+            spanning_column_split(too_wide, 2)
+        with pytest.raises(ValueError, match="rank 3 exceeds block_cols 2: column not in span"):
+            spanning_column_splits(matrices, 2)
+    with pytest.raises(ValueError, match="block_cols 4 exceeds matrix cols 3"):
+        spanning_column_splits([fits, fits], 4)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +590,46 @@ def test_blocked_compress_product_bytes_match_loop(q, blocked_spy, monkeypatch):
     for got, expected in zip(fast, slow):
         assert (got.rank, got.basis_row_indices) == (expected.rank, expected.basis_row_indices)
         assert got.payload.tobytes() == expected.payload.tobytes()
+
+
+@pytest.mark.parametrize("q", [2, 3, Q31])
+def test_blocked_elimination_stops_at_the_rank(q, monkeypatch):
+    """A 256 x 256 rank-32 product has every pivot in its first panel; the
+    seven panels after it hold none and are not eliminated."""
+    calls = []
+    loop = field_mod._eliminate
+
+    def spy(work, *args):
+        calls.append(work.shape)
+        return loop(work, *args)
+
+    monkeypatch.setattr(field_mod, "_eliminate", spy)
+    rng = np.random.default_rng(q + 3)
+    data = _with_pivots(rng, q, 256, 256, list(range(field_mod._PANEL)))
+    reduced, pivots = field_mod._rref(data, q)
+    assert pivots == list(range(field_mod._PANEL))
+    assert calls == [(256, field_mod._PANEL), (field_mod._PANEL, 2 * field_mod._PANEL)]  # panel, inverse
+    monkeypatch.undo()
+    _same_elimination(data, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, Q31, Q61])
+def test_solve_columns_reads_the_residual_past_the_rank(q):
+    """W1 has rank 2 on its first two columns, so the loop stops at column 2;
+    the rows below the rank still hold Y's residual past ncols."""
+    spec = FieldSpec(q)
+    w1 = np.zeros((5, 6), dtype=np.int64)
+    w1[:, :2] = [[1, 0], [0, 1], [1, 1], [1, 0], [0, 1]]
+    consistent = field_mod._matmul_mod(w1, np.arange(18, dtype=np.int64).reshape(6, 3) % q, q)
+    inconsistent = consistent.copy()
+    inconsistent[4, 2] = (inconsistent[4, 2] + 1) % q
+    reduced, pivots = field_mod._rref(np.concatenate([w1, inconsistent], axis=1), q, ncols=6)
+    assert pivots == [0, 1] and reduced[2:, 6:].any()
+    with pytest.raises(ValueError, match="column not in span"):
+        solve_columns(FieldMatrix(spec, w1), FieldMatrix(spec, inconsistent))
+    solved = solve_columns(FieldMatrix(spec, w1), FieldMatrix(spec, consistent))
+    assert solved.data.tolist() == _oracle_solve(w1.tolist(), consistent.tolist(), q)
+    assert np.array_equal(field_mod._matmul_mod(w1, solved.data, q), consistent)
 
 
 def test_q61_keeps_the_object_paths(monkeypatch):

@@ -234,3 +234,22 @@ def test_rounds_walk_only_the_group_sizes_that_exist(M, monkeypatch):
     assert result.verified
     assert result.report.load == load_Rcol(64, 128, 1, M)
     assert asked == ([65] if M else [1])
+
+
+@pytest.mark.parametrize("wide", [True, False])
+def test_each_side_splits_its_wide_matrices_in_one_call(wide, monkeypatch):
+    """`place` splits the whole library in one call and `deliver` the
+    demanded matrices in another; matrices with r <= s are not split."""
+    inst = ProblemInstance(K=3, N=6, s=3, r=6 if wide else 3, M=F(2))
+    calls = []
+    real = col.spanning_column_splits
+
+    def splits(matrices, block_cols):
+        calls.append((len(matrices), block_cols))
+        return real(matrices, block_cols)
+
+    monkeypatch.setattr(col, "spanning_column_splits", splits)
+    demands = DemandVector(((1, 2), (2, 1), (4, 4)), False)
+    result = run_scheme("col", inst, None, 5, demands)
+    assert result.verified
+    assert calls == ([(6, 3), (3, 3)] if wide else [])  # the library, then matrices 1, 2 and 4
