@@ -64,16 +64,20 @@ def uncoded_deliver(
     library: Sequence[FieldMatrix],
     demands: DemandVector,
 ) -> DeliveryTranscript:
-    c = int(_cached_columns(instance))
-    sent = np.ones((instance.r, instance.r), dtype=bool)
+    c, r = int(_cached_columns(instance)), instance.r
+    if c >= r:
+        return DeliveryTranscript(())  # every user forms its whole product from its cache
+    sent = np.ones((r, r), dtype=bool)
     sent[:c, :c] = False  # row by row: the tail of each of the first c rows, then the later rows
+    payloads: dict[tuple[int, int], np.ndarray] = {}  # one product per distinct demanded pair
     messages = []
     for k in range(1, instance.K + 1):
-        d1, d2 = demands.pair(k)
-        product = _matmul_mod(library[d1 - 1].data.T, library[d2 - 1].data, instance.field.q)
-        payload = product[sent]
-        if payload.size:
-            messages.append(Message(("uncoded", k), payload))
+        pair = demands.pair(k)
+        if pair not in payloads:
+            d1, d2 = pair
+            product = _matmul_mod(library[d1 - 1].data.T, library[d2 - 1].data, instance.field.q)
+            payloads[pair] = product[sent]
+        messages.append(Message(("uncoded", k), payloads[pair]))
     return DeliveryTranscript(tuple(messages))
 
 

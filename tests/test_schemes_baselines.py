@@ -4,13 +4,22 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matcache.bounds import load_R1, load_R2
 from matcache.field import mat_mul
-from matcache.model import ProblemInstance, SchemeParameterError, run_scheme
+from matcache.model import (
+    DemandVector,
+    ProblemInstance,
+    SchemeParameterError,
+    build_library,
+    run_scheme,
+    worst_case_demands,
+)
+from matcache.schemes import baselines
 from matcache.schemes.baselines import MultiRequestConfig, UncodedConfig
 
 
@@ -82,6 +91,44 @@ def test_uncoded_payload_lists_the_uncached_entries_row_by_row(c):
         product = mat_mul(result.library[d1 - 1].transpose(), result.library[d2 - 1]).data
         payload = result.transcript.find(("uncoded", k)).payload
         assert payload.tolist() == [product[i, j] for i, j in entries]
+
+
+def _count_products(monkeypatch) -> list[tuple[int, ...]]:
+    calls = []
+    real = baselines._matmul_mod
+
+    def counted(a, b, q):
+        calls.append(a.shape)
+        return real(a, b, q)
+
+    monkeypatch.setattr(baselines, "_matmul_mod", counted)
+    return calls
+
+
+def test_uncoded_server_multiplies_nothing_at_full_memory(monkeypatch):
+    inst = ProblemInstance(K=4, N=20, s=12, r=6, M=F(20))  # c = r
+    library = build_library(inst, 3)
+    calls = _count_products(monkeypatch)
+    transcript = baselines.uncoded_deliver(inst, UncodedConfig(), library, worst_case_demands(inst))
+    assert transcript.messages == () and calls == []
+
+
+def test_uncoded_server_multiplies_each_demanded_pair_once(monkeypatch):
+    inst = ProblemInstance(K=4, N=20, s=12, r=6, M=F(10))
+    demands = DemandVector(((1, 2), (2, 1), (1, 2), (3, 3)), False)
+    library = build_library(inst, 4)
+    calls = _count_products(monkeypatch)
+    transcript = baselines.uncoded_deliver(inst, UncodedConfig(), library, demands)
+    assert len(calls) == 2  # the pairs (1, 2) and (3, 3)
+    assert [message.tag for message in transcript.messages] == [("uncoded", k) for k in range(1, 5)]
+    sent = np.ones((6, 6), dtype=bool)
+    sent[:3, :3] = False  # c = M*r/N = 3
+    for k, message in enumerate(transcript.messages, start=1):
+        d1, d2 = demands.pair(k)
+        product = mat_mul(library[d1 - 1].transpose(), library[d2 - 1]).data
+        assert np.array_equal(message.payload, product[sent])
+    monkeypatch.undo()
+    assert run_scheme("uncoded", inst, UncodedConfig(), 4, demands).verified
 
 
 # ---------------------------------------------------------------------------
