@@ -527,9 +527,9 @@ def spanning_column_splits(
                 stacked[i] = reduced, np.flatnonzero(mask).tolist()
     splits = []
     for i, w in enumerate(matrices):
-        reduced, pivots = stacked[i] if i in stacked else _rref(w.data, w.spec.q)
         if block_cols > w.cols:
             raise ValueError(f"block_cols {block_cols} exceeds matrix cols {w.cols}")
+        reduced, pivots = stacked[i] if i in stacked else _rref(w.data, w.spec.q)
         rank = len(pivots)
         if rank > block_cols:
             raise ValueError(f"rank {rank} exceeds block_cols {block_cols}: column not in span")
