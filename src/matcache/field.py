@@ -334,15 +334,9 @@ def _rref(data: np.ndarray, q: int, ncols: int | None = None) -> tuple[np.ndarra
     ncols = work.shape[1] if ncols is None else ncols
     if q > _WORD_Q:
         work = work.astype(object)  # a factor times an entry must stay exact
-    elif _blocked(q, work.shape):
+    elif work.shape[1] >= _BLOCKED_MIN_COLS and work.size >= _BLOCKED_MIN_ENTRIES:
         return work, _eliminate_blocked(work, q, ncols)
     return work, _eliminate(work, q, ncols)[0]
-
-
-def _blocked(q: int, shape: tuple[int, int]) -> bool:
-    """Whether `_rref` eliminates a matrix of this shape in panels."""
-    rows, cols = shape
-    return q < _WORD_Q and cols >= _BLOCKED_MIN_COLS and rows * cols >= _BLOCKED_MIN_ENTRIES
 
 
 def _eliminate(work: np.ndarray, q: int, ncols: int) -> tuple[list[int], list[int]]:
@@ -512,24 +506,26 @@ def spanning_column_splits(
     matrices: Sequence[FieldMatrix], block_cols: int
 ) -> list[tuple[tuple[int, ...], FieldMatrix, FieldMatrix]]:
     """[spanning_column_split(w, block_cols) for w in matrices], byte for
-    byte, raising what the first failing item would.  Matrices of one field
-    and shape share one `_eliminate_stack`, unless there is only one of them
-    or `_rref` would eliminate them in panels: then each takes `_rref`."""
-    groups: dict[tuple[int, tuple[int, int]], list[int]] = {}
-    for i, w in enumerate(matrices):
-        groups.setdefault((w.spec.q, w.shape), []).append(i)
-    stacked: dict[int, tuple[np.ndarray, list[int]]] = {}
-    for (q, shape), items in groups.items():
-        if len(items) > 1 and not _blocked(q, shape):
-            work = np.array([matrices[i].data for i in items], dtype=object if q > _WORD_Q else None)
-            pivots = _eliminate_stack(work, q, shape[1])
-            for i, reduced, mask in zip(items, work, pivots):
-                stacked[i] = reduced, np.flatnonzero(mask).tolist()
+    byte, raising what the first failing item would.  Two or more matrices
+    of one field and shape with fewer than _BLOCKED_MIN_COLS columns share
+    one `_eliminate_stack`; otherwise each takes `_rref`.  On wider ones
+    the stack's gathers cost more than the per-column calls it saves."""
+    first = matrices[0] if matrices else None
+    stacked = (
+        len(matrices) > 1
+        and first.cols < _BLOCKED_MIN_COLS
+        and all(w.spec == first.spec and w.shape == first.shape for w in matrices)
+    )
+    if stacked:
+        q = first.spec.q
+        work = np.array([w.data for w in matrices], dtype=object if q > _WORD_Q else None)
+        masks = _eliminate_stack(work, q, first.cols)
+        eliminated = [(reduced, np.flatnonzero(mask).tolist()) for reduced, mask in zip(work, masks)]
     splits = []
     for i, w in enumerate(matrices):
         if block_cols > w.cols:
             raise ValueError(f"block_cols {block_cols} exceeds matrix cols {w.cols}")
-        reduced, pivots = stacked[i] if i in stacked else _rref(w.data, w.spec.q)
+        reduced, pivots = eliminated[i] if stacked else _rref(w.data, w.spec.q)
         rank = len(pivots)
         if rank > block_cols:
             raise ValueError(f"rank {rank} exceeds block_cols {block_cols}: column not in span")

@@ -283,8 +283,8 @@ def test_stacked_splits_equal_the_two_step_split(q, monkeypatch):
     for (s, shape), matrices in groups.items():
         calls.clear()
         splits[s, shape] = spanning_column_splits(matrices, s)
-        if q < 1 << 31 and shape[1] >= field_mod._BLOCKED_MIN_COLS:
-            assert calls == [("_rref", shape)] * len(matrices)  # blocked size: one by one
+        if shape[1] >= field_mod._BLOCKED_MIN_COLS:
+            assert calls == [("_rref", shape)] * len(matrices)  # wide: one by one
         else:
             assert calls == [("_eliminate_stack", (len(matrices), *shape))]
     monkeypatch.undo()  # the reference below runs on the real kernels
@@ -303,6 +303,23 @@ def test_stacked_splits_equal_the_two_step_split(q, monkeypatch):
             kinds.add("permuted" if perm != tuple(range(w.cols)) else "identity")
     assert kinds == {"zero", "full", "deficient", "permuted", "identity"}
     assert spanning_column_splits([], 3) == []
+
+
+@pytest.mark.parametrize("q", [2, 3, Q31, Q61])
+def test_wide_or_mixed_splits_take_rref_one_by_one(q, monkeypatch):
+    spec = FieldSpec(q)
+    wide = [random_matrix(spec, 2, field_mod._BLOCKED_MIN_COLS, seed) for seed in range(3)]
+    narrow = [random_matrix(spec, 2, 4, seed) for seed in range(2)]
+    cases = (wide, [narrow[0], wide[0], narrow[1]], narrow[:1])
+    calls = _spy_on_eliminations(monkeypatch)
+    splits = []
+    for matrices in cases:
+        calls.clear()
+        splits.append(spanning_column_splits(matrices, 2))
+        assert calls == [("_rref", w.shape) for w in matrices]
+    monkeypatch.undo()  # the reference below runs on the real kernels
+    for matrices, got in zip(cases, splits):
+        assert got == [_two_step_split(w, 2) for w in matrices]
 
 
 @pytest.mark.parametrize("q", [2, 3, Q31, Q61])
