@@ -77,6 +77,7 @@ def uncoded_deliver(
             d1, d2 = pair
             product = _matmul_mod(library[d1 - 1].data.T, library[d2 - 1].data, instance.field.q)
             payloads[pair] = product[sent]
+            payloads[pair].flags.writeable = False  # so Message keeps it without a copy
         messages.append(Message(("uncoded", k), payloads[pair]))
     return DeliveryTranscript(tuple(messages))
 

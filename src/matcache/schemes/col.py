@@ -27,9 +27,9 @@ remaining r - s columns are represented by cached coefficient blocks Q with
 W1 @ Q = W2, placed by their own MAN split, delivered by its plain coded
 multicasts and combined locally.  One elimination of the matrix gives both
 the permutation and Q, and each side of the link splits its matrices in
-one call, so the matrices share one stacked elimination: `place` the whole
-library and `deliver` the demanded matrices.  Matrices with r <= s have no
-coefficient split.
+one call, so matrices of fewer than 112 columns share one stacked
+elimination: `place` the whole library and `deliver` the demanded matrices.
+Matrices with r <= s have no coefficient split.
 """
 
 from __future__ import annotations
