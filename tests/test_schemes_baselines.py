@@ -127,6 +127,8 @@ def test_uncoded_server_multiplies_each_demanded_pair_once(monkeypatch):
         d1, d2 = demands.pair(k)
         product = mat_mul(library[d1 - 1].transpose(), library[d2 - 1]).data
         assert np.array_equal(message.payload, product[sent])
+    first, _, third, _ = transcript.messages
+    assert first.payload is third.payload  # one frozen array per pair, not a copy per message
     monkeypatch.undo()
     assert run_scheme("uncoded", inst, UncodedConfig(), 4, demands).verified
 
