@@ -4,17 +4,19 @@ An m x p matrix known to be a product with inner dimension n has rank at
 most min(n, m, p), so it is determined by a row basis (rank x p), the
 coefficients expressing the remaining rows in that basis ((m-rank) x rank),
 and the basis-row index list.  The index list travels as an uncounted
-header; the numeric payload is zero-padded to the fixed packet length
-f(m, n, p) so equal-shaped packets can be summed in multicasts.
+header; the numeric payload, zero-padded to the fixed length f(m, n, p), is
+the packet that goes on the wire, so equal-shaped packets can be summed in
+multicasts.  A `CompressedProduct` holds that packet, and `compress_stack`
+and `decompress_stack` take stacks of the same (header, packet) pairs.
 
 Within a `compression_memo` block, which `model.run_scheme` opens around
 place, deliver and decode, `compress_product` compresses each distinct
 product once: a call with the same field, shape, inner dimension and
 entries (its residues as raw bytes, not a hash of them) as an earlier one
-in the block returns the earlier (immutable) result.  The caller still
-computes every product it passes; the memo only skips the elimination.  It
-holds no more than the block's own products and is emptied when the block
-ends.
+in the block returns the earlier result, whose frozen packet the server and
+every decoder then share without a copy.  The caller still computes every
+product it passes; the memo only skips the elimination.  It holds no more
+than the block's own products and is emptied when the block ends.
 
 A single-row product (m = 1) needs no elimination: its rank is 1 exactly
 when its row is nonzero, with basis (0,) and no coefficients, and its packet
@@ -34,10 +36,10 @@ import numpy as np
 
 from .field import _WORD_Q, FieldMatrix, FieldSpec, _eliminate_stack, _matmul_mod, _rref
 
-Header = tuple[int, tuple[int, ...]]  # (rank, basis row indices)
+PacketHeader = tuple[int, tuple[int, ...]]  # (rank, basis row indices)
 # The headers of a nonzero and of a zero single-row product.
-_ROW: Header = (1, (0,))
-_ZERO: Header = (0, ())
+_ROW: PacketHeader = (1, (0,))
+_ZERO: PacketHeader = (0, ())
 # (q, shape, inner dimension, product residues as bytes) -> result, while a
 # `compression_memo` block runs in this context.
 _MemoKey = tuple[int, tuple[int, int], int, bytes]
@@ -87,19 +89,20 @@ def g_ratio(alpha: Fraction, beta: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class CompressedProduct:
-    """P(C, B) encoding: basis rows A1, coefficients A2, basis-index header.
+    """P(C, B) encoding: the f(m,n,p)-symbol wire packet and its header.
 
-    payload = A1 entries row-major, then A2 entries row-major (non-basis
-    rows in ascending original index order); its length is
-    rank*p + (m-rank)*rank <= padded_length = f(m,n,p).
+    packet = A1 entries row-major (the basis rows), then A2 entries
+    row-major (the coefficients of the non-basis rows, in ascending original
+    index order), then zeros up to f(m,n,p).  The padding is never read, so
+    a packet whose padding is not zero still decompresses.  The packet is
+    kept read-only, without a copy when it already is.
     """
 
     spec: FieldSpec
     dims: DimTriple
     rank: int
     basis_row_indices: tuple[int, ...]
-    payload: np.ndarray
-    padded_length: int
+    packet: np.ndarray
 
     def __post_init__(self) -> None:
         m, n, p = self.dims.m, self.dims.n, self.dims.p
@@ -111,34 +114,18 @@ class CompressedProduct:
             raise ValueError("basis index out of range")
         if any(b >= c for b, c in zip(self.basis_row_indices, self.basis_row_indices[1:])):
             raise ValueError("basis indices must be strictly increasing")
-        expected = self.rank * p + (m - self.rank) * self.rank
-        arr = np.ascontiguousarray(self.payload, dtype=np.int64)
-        if arr.ndim != 1 or arr.shape[0] != expected:
-            raise ValueError(f"malformed payload length {arr.shape}, expected {expected}")
-        if self.padded_length != f_len(self.dims):
-            raise ValueError("padded_length must equal f(m,n,p)")
-        if expected > self.padded_length:
-            raise ValueError("payload longer than padded length")
-        if arr is self.payload and arr.flags.writeable:
+        arr = np.ascontiguousarray(self.packet, dtype=np.int64)
+        if arr.shape != (f_len(self.dims),):
+            raise ValueError(f"packet of shape {arr.shape}, expected ({f_len(self.dims)},)")
+        if arr is self.packet and arr.flags.writeable:
             arr = arr.copy()
         arr.flags.writeable = False
-        object.__setattr__(self, "payload", arr)
+        object.__setattr__(self, "packet", arr)
 
-    @classmethod
-    def from_packet(
-        cls,
-        spec: FieldSpec,
-        dims: DimTriple,
-        rank: int,
-        basis_row_indices: tuple[int, ...],
-        packet: np.ndarray,
-    ) -> "CompressedProduct":
-        """Rebuild from a wire packet; padding symbols beyond the payload are ignored."""
-        expected = rank * dims.p + (dims.m - rank) * rank
-        packet = np.asarray(packet, dtype=np.int64).ravel()
-        if packet.shape[0] < expected:
-            raise ValueError(f"packet too short: {packet.shape[0]} < {expected}")
-        return cls(spec, dims, rank, basis_row_indices, packet[:expected], f_len(dims))
+    @property
+    def payload(self) -> np.ndarray:
+        """The packet without its padding: rank*p + (m-rank)*rank symbols."""
+        return self.packet[: self.rank * self.dims.p + (self.dims.m - self.rank) * self.rank]
 
 
 @contextmanager
@@ -187,10 +174,11 @@ def _compress_product(product: FieldMatrix, inner_dim: int) -> CompressedProduct
         raise ValueError("inner-dimension contract violated")
     chosen = set(basis)
     non_basis = [i for i in range(m) if i not in chosen]
-    a1 = product.data[basis]
-    a2 = reduced[:rank, non_basis].T
-    payload = np.concatenate([a1.ravel(), a2.ravel()])
-    return CompressedProduct(product.spec, dims, rank, tuple(basis), payload, f_len(dims))
+    packet = np.zeros(f_len(dims), dtype=np.int64)
+    packet[: rank * p] = product.data[basis].ravel()
+    packet[rank * p : rank * p + (m - rank) * rank] = reduced[:rank, non_basis].T.ravel()
+    packet.flags.writeable = False
+    return CompressedProduct(product.spec, dims, rank, tuple(basis), packet)
 
 
 def decompress_product(cp: CompressedProduct) -> FieldMatrix:
@@ -199,8 +187,8 @@ def decompress_product(cp: CompressedProduct) -> FieldMatrix:
     rank = cp.rank
     out = np.zeros((m, p), dtype=np.int64)
     if rank:
-        a1 = cp.payload[: rank * p].reshape(rank, p)
-        a2 = cp.payload[rank * p :].reshape(m - rank, rank)
+        a1 = cp.packet[: rank * p].reshape(rank, p)
+        a2 = cp.packet[rank * p : rank * p + (m - rank) * rank].reshape(m - rank, rank)
         out[list(cp.basis_row_indices)] = a1
         chosen = set(cp.basis_row_indices)
         non_basis = [i for i in range(m) if i not in chosen]
@@ -209,23 +197,18 @@ def decompress_product(cp: CompressedProduct) -> FieldMatrix:
     return FieldMatrix(cp.spec, out)
 
 
-def packet_symbols(cp: CompressedProduct) -> np.ndarray:
-    """Payload zero-padded to f(m,n,p): the fixed-length multicast wire form."""
-    packet = np.zeros(cp.padded_length, dtype=np.int64)
-    packet[: cp.payload.shape[0]] = cp.payload
-    return packet
-
-
 def _basis_first(basis: np.ndarray) -> np.ndarray:
     """Per item of a (b, m) basis-row mask: the basis rows, then the other
     rows, each ascending."""
     return np.argsort(~basis, axis=1, kind="stable")
 
 
-def compress_stack(products: np.ndarray, inner_dim: int, q: int) -> tuple[np.ndarray, list[Header]]:
+def compress_stack(
+    products: np.ndarray, inner_dim: int, q: int
+) -> tuple[np.ndarray, list[PacketHeader]]:
     """compress_product over a (b, m, p) stack of residue products with inner
     dimension n: the (b, f(m,n,p)) packets, item i equal to
-    packet_symbols(compress_product(products[i], n)), and each item's
+    compress_product(products[i], n).packet, and each item's
     (rank, basis_row_indices).  The items share one stacked elimination and
     one gather per distinct rank; single-row items need neither.
 
@@ -259,7 +242,7 @@ def compress_stack(products: np.ndarray, inner_dim: int, q: int) -> tuple[np.nda
 
 
 def decompress_stack(
-    packets: np.ndarray, headers: Sequence[Header], dims: DimTriple, q: int
+    packets: np.ndarray, headers: Sequence[PacketHeader], dims: DimTriple, q: int
 ) -> np.ndarray:
     """decompress_product over a (b, f(m,n,p)) stack of packets with their
     (rank, basis_row_indices) headers: the (b, m, p) products.  The items

@@ -483,13 +483,13 @@ def solve_columns(w1: FieldMatrix, y: FieldMatrix) -> FieldMatrix:
     return FieldMatrix._trusted(w1.spec, sol)
 
 
-def spanning_column_split(
-    w: FieldMatrix, block_cols: int
-) -> tuple[tuple[int, ...], FieldMatrix, FieldMatrix]:
-    """Split W into a leading block W1 that spans it and coefficients Q.
+def spanning_column_splits(
+    matrices: Sequence[FieldMatrix], block_cols: int
+) -> list[tuple[tuple[int, ...], FieldMatrix, FieldMatrix]]:
+    """Split each W into a leading block W1 that spans it and coefficients Q.
 
-    Returns (perm, W1, Q) with W1 = W[:, perm[:block_cols]] and
-    W1 @ Q = W[:, perm[block_cols:]].  perm is the identity whenever the
+    Returns one (perm, W1, Q) per matrix, with W1 = W[:, perm[:block_cols]]
+    and W1 @ Q = W[:, perm[block_cols:]].  perm is the identity whenever the
     natural leading block already has rank rank(W); otherwise the
     lexicographically first independent columns are pulled to the front
     (greedy, deterministic).  Q is the solution with free variables pinned to
@@ -497,19 +497,13 @@ def spanning_column_split(
     elimination of W: W1 holds every pivot column of W, and the RREF rows
     carrying those pivots are unique, so they are the permuted matrix's too.
 
-    Raises ValueError when rank(W) exceeds block_cols, so no W1 spans W.
+    Raises ValueError when some rank(W) exceeds block_cols, so no W1 spans
+    W, raising what the first failing item would.  Two or more matrices of
+    one field and shape with fewer than _BLOCKED_MIN_COLS columns share one
+    `_eliminate_stack`, with the same bytes; otherwise each takes `_rref`.
+    On wider ones the stack's gathers cost more than the per-column calls it
+    saves.
     """
-    return spanning_column_splits([w], block_cols)[0]
-
-
-def spanning_column_splits(
-    matrices: Sequence[FieldMatrix], block_cols: int
-) -> list[tuple[tuple[int, ...], FieldMatrix, FieldMatrix]]:
-    """[spanning_column_split(w, block_cols) for w in matrices], byte for
-    byte, raising what the first failing item would.  Two or more matrices
-    of one field and shape with fewer than _BLOCKED_MIN_COLS columns share
-    one `_eliminate_stack`; otherwise each takes `_rref`.  On wider ones
-    the stack's gathers cost more than the per-column calls it saves."""
     first = matrices[0] if matrices else None
     stacked = (
         len(matrices) > 1

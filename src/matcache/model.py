@@ -21,7 +21,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .compress import DimTriple, compression_memo, f_len
+from .compress import DimTriple, PacketHeader, compression_memo, f_len
 from .field import (
     DEFAULT_FIELD,
     FieldMatrix,
@@ -36,7 +36,6 @@ from .field import (
 _DEMAND_SEED_INDEX = 1 << 32
 
 Label = tuple  # (kind, matrix key, subset) — kind in {raw-rows, raw-cols, coded-Q, product-subfile}
-PacketHeader = tuple  # (rank, basis_row_indices)
 
 
 @dataclass(frozen=True)

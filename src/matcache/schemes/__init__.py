@@ -1,6 +1,10 @@
 """Caching scheme registry: name -> Scheme contract (which names its config type).
 
-Adding a scheme takes one module exporting its Scheme plus one entry below.
+Each scheme is one module exporting its Scheme plus one entry below.  The
+registry is not the only list of them: `harness.build_scheme_config` (which
+derives omitted parameters) and `harness.corner_cells` (the cells `verify`
+and the benchmark run) branch on scheme names, so a new scheme also needs a
+branch in each.
 
 Schemes:
   agnostic  — cache coded product subfiles, oblivious to matrix structure

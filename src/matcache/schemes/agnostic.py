@@ -18,19 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ..compress import (
-    CompressedProduct,
-    DimTriple,
-    compress_product,
-    decompress_product,
-    packet_symbols,
-)
+from ..compress import CompressedProduct, DimTriple, PacketHeader, compress_product, decompress_product
 from ..field import FieldMatrix, mat_mul
 from ..model import (
     CacheContents,
     DeliveryTranscript,
     DemandVector,
-    PacketHeader,
     ProblemInstance,
     Scheme,
     UserCache,
@@ -53,7 +46,7 @@ def _product_packet(
     i, j = pair
     product = mat_mul(library[i - 1].transpose(), library[j - 1])
     cp = compress_product(product, instance.s)
-    return (cp.rank, cp.basis_row_indices), packet_symbols(cp)
+    return (cp.rank, cp.basis_row_indices), cp.packet
 
 
 def corner_memory(instance: ProblemInstance, t: int) -> Fraction:
@@ -136,8 +129,7 @@ def decode(
         return cache.get(("product-subfile", demands.pair(user), subset))
 
     packet = decode_file(q, k, split, ("agnostic",), transcript, cached, (instance.B,))
-    cp = CompressedProduct.from_packet(instance.field, dims, rank, basis, packet)
-    return decompress_product(cp)
+    return decompress_product(CompressedProduct(instance.field, dims, rank, basis, packet))
 
 
 def formula_load(instance: ProblemInstance, config: AgnosticConfig) -> Fraction:

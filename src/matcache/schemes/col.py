@@ -42,14 +42,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..compress import DimTriple, compress_stack, decompress_stack, f_len
+from ..compress import DimTriple, PacketHeader, compress_stack, decompress_stack, f_len
 from ..field import FieldMatrix, _matmul_mod, spanning_column_splits
 from ..model import (
     CacheContents,
     DeliveryTranscript,
     DemandVector,
     Message,
-    PacketHeader,
     ProblemInstance,
     Scheme,
     UserCache,
@@ -299,11 +298,18 @@ def _decode_grid(
 
 
 def validate(instance: ProblemInstance, config: ColConfig) -> list[str]:
+    x = Fraction(instance.K) * instance.M / instance.N
     problems = []
-    for name, width in constraints(instance, config).items():
-        tier = "wide" if name.startswith("alpha") else "narrow"
-        if width.denominator != 1 or width <= 0:
-            problems.append(f"{tier} block width {name} = {width} is not a positive integer")
+    for name, total in _column_ranges(instance):
+        # The narrow width is 0, an integer, when there is no narrow tier.
+        _, _, wide, narrow = split_widths(instance.K, x, total)
+        widths = (
+            ("wide", f"alpha*{name}/C(K,t)", wide),
+            ("narrow", f"(1-alpha)*{name}/C(K,t+1)", narrow),
+        )
+        for tier, label, width in widths:
+            if width.denominator != 1:
+                problems.append(f"{tier} block width {label} = {width} is not a positive integer")
     return problems
 
 
@@ -391,17 +397,6 @@ def formula_load(instance: ProblemInstance, config: ColConfig) -> Fraction:
     from ..bounds import load_Rcol
 
     return load_Rcol(instance.K, instance.N, instance.a, instance.M)
-
-
-def constraints(instance: ProblemInstance, config: ColConfig) -> Mapping[str, Fraction]:
-    x = Fraction(instance.K) * instance.M / instance.N
-    out: dict[str, Fraction] = {}
-    for name, total in _column_ranges(instance):
-        _, alpha, w1, w2 = split_widths(instance.K, x, total)
-        out[f"alpha*{name}/C(K,t)"] = w1
-        if alpha < 1:
-            out[f"(1-alpha)*{name}/C(K,t+1)"] = w2
-    return out
 
 
 SCHEME = Scheme("col", ColConfig, validate, place, deliver, decode, formula_load)

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..compress import CompressedProduct, DimTriple, compress_product, decompress_product, f_len, packet_symbols
+from ..compress import CompressedProduct, DimTriple, compress_product, decompress_product, f_len
 from ..field import FieldMatrix, _matmul_mod
 from ..model import (
     CacheContents,
@@ -50,12 +50,14 @@ def validate(instance: ProblemInstance, config: RowConfig) -> list[str]:
     ell = config.ell
     if not isinstance(ell, int) or not 1 <= ell <= instance.K:
         return [f"ell={ell} outside [1, K={instance.K}]"]
-    problems = []
-    for name, height in constraints(instance, config).items():
-        tier = "tall" if name.startswith("alpha") else "short"
-        if height.denominator != 1 or height <= 0:
-            problems.append(f"{tier}-tier block height {name} = {height} is not a positive integer")
-    return problems
+    _, _, tall, short = split_widths(ell, Fraction(ell) * instance.M / instance.N, instance.s)
+    # The short height is 0, an integer, when there is no short tier.
+    heights = (("tall", "alpha*s/C(ell,t)", tall), ("short", "(1-alpha)*s/C(ell,t+1)", short))
+    return [
+        f"{tier}-tier block height {name} = {height} is not a positive integer"
+        for tier, name, height in heights
+        if height.denominator != 1
+    ]
 
 
 def place(
@@ -106,7 +108,7 @@ def deliver(
                 w1, w2 = library[d1 - 1].data[span], library[d2 - 1].data[span]
                 cp = _block_product(instance, h, w1, w2)
                 headers.append((k, ((cp.rank, cp.basis_row_indices),)))
-                return packet_symbols(cp)
+                return cp.packet
 
             payload = subset_sum(q, f_len(DimTriple(r, h, r)), s_set, segment)
             tier = len(s_set) - split.t
@@ -140,7 +142,7 @@ def decode(
             return None
         e1, e2 = demands.pair(peer_k)
         h = split.by_subset[subset].width
-        return packet_symbols(_block_product(instance, h, rows(e1, subset), rows(e2, subset)))
+        return _block_product(instance, h, rows(e1, subset), rows(e2, subset)).packet
 
     d1, d2 = demands.pair(k)
     out = np.zeros((r, r), dtype=np.int64)
@@ -150,8 +152,7 @@ def decode(
             contrib = _matmul_mod(rows(d1, block.subset).T, rows(d2, block.subset), q)
         else:
             rank, basis = message(tuple(sorted(block.subset + (u,)))).headers_for(k)[0]
-            dims = DimTriple(r, block.width, r)
-            cp = CompressedProduct.from_packet(instance.field, dims, rank, tuple(basis), packet)
+            cp = CompressedProduct(instance.field, DimTriple(r, block.width, r), rank, basis, packet)
             contrib = decompress_product(cp).data
         out = (out + contrib) % q
     return FieldMatrix._trusted(instance.field, out)
@@ -161,15 +162,6 @@ def formula_load(instance: ProblemInstance, config: RowConfig) -> Fraction:
     from ..bounds import row_partition_load
 
     return row_partition_load(instance.K, instance.N, instance.a, instance.M, config.ell)
-
-
-def constraints(instance: ProblemInstance, config: RowConfig) -> Mapping[str, Fraction]:
-    ell = config.ell
-    _, alpha, h1, h2 = split_widths(ell, Fraction(ell) * instance.M / instance.N, instance.s)
-    out = {"alpha*s/C(ell,t)": h1}
-    if alpha < 1:
-        out["(1-alpha)*s/C(ell,t+1)"] = h2
-    return out
 
 
 SCHEME = Scheme("row", RowConfig, validate, place, deliver, decode, formula_load)

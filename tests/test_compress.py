@@ -19,7 +19,6 @@ from matcache.compress import (
     decompress_stack,
     f_len,
     g_ratio,
-    packet_symbols,
 )
 from matcache.field import DEFAULT_FIELD, FieldMatrix, FieldSpec, _matmul_mod, derive_seed, mat_mul, random_matrix
 
@@ -76,7 +75,7 @@ def test_compress_round_trip(m, n, p, seed):
     cp = compress_product(product, n)
     assert decompress_product(cp) == product
     assert cp.payload.size <= f_len(DimTriple(m, n, p))
-    assert cp.padded_length == f_len(DimTriple(m, n, p))
+    assert cp.packet.shape == (f_len(DimTriple(m, n, p)),)
 
 
 @settings(deadline=None, max_examples=60)
@@ -90,9 +89,9 @@ def test_packet_round_trip_via_header(m, n, p, seed):
     """Zero-padded packet plus (rank, basis) header reconstructs the product."""
     product = random_product(m, n, p, seed)
     cp = compress_product(product, n)
-    packet = packet_symbols(cp)
+    packet = cp.packet.copy()  # as a decoder receives it: a fresh, writable array
     assert packet.size == f_len(DimTriple(m, n, p))
-    rebuilt = CompressedProduct.from_packet(cp.spec, cp.dims, cp.rank, cp.basis_row_indices, packet)
+    rebuilt = CompressedProduct(cp.spec, cp.dims, cp.rank, cp.basis_row_indices, packet)
     assert decompress_product(rebuilt) == product
 
 
@@ -109,6 +108,58 @@ def test_payload_length_matches_rank():
     assert decompress_product(cp) == product
 
 
+@pytest.mark.parametrize("m, n, p", [(6, 2, 7), (5, 5, 5), (1, 4, 3), (4, 9, 3)])
+def test_packet_is_the_read_only_wire_form(m, n, p):
+    """The packet holds f(m,n,p) symbols: the payload, then zeros.  It is
+    frozen, payload is a view of it, and compress_stack sends the same bytes."""
+    product = random_product(m, n, p, seed=m * 100 + n * 10 + p)
+    cp = compress_product(product, n)
+    length = f_len(DimTriple(m, n, p))
+    assert cp.packet.shape == (length,) and cp.packet.dtype == np.int64
+    assert not cp.packet.flags.writeable and not cp.payload.flags.writeable
+    assert np.shares_memory(cp.payload, cp.packet)
+    assert cp.payload.size == cp.rank * p + (m - cp.rank) * cp.rank
+    assert np.array_equal(cp.packet[: cp.payload.size], cp.payload)
+    assert not cp.packet[cp.payload.size :].any()
+    packets, headers = compress_stack(product.data[None], n, DEFAULT_FIELD.q)
+    assert packets[0].tobytes() == cp.packet.tobytes()
+    assert headers == [(cp.rank, cp.basis_row_indices)]
+
+
+def test_constructor_keeps_a_frozen_packet_and_copies_a_writable_one():
+    cp = compress_product(random_product(3, 2, 3, seed=7), 2)
+    header = (cp.spec, cp.dims, cp.rank, cp.basis_row_indices)
+    assert CompressedProduct(*header, cp.packet).packet is cp.packet
+    packet = cp.packet.copy()
+    rebuilt = CompressedProduct(*header, packet)
+    assert rebuilt.packet is not packet and not rebuilt.packet.flags.writeable
+    packet[0] += 1  # the sender's array may change; the packet does not
+    assert decompress_product(rebuilt) == decompress_product(cp)
+
+
+def test_constructor_rejects_a_packet_of_the_wrong_length():
+    cp = compress_product(random_product(4, 2, 3, seed=3), 2)
+    length = f_len(cp.dims)
+    header = (cp.spec, cp.dims, cp.rank, cp.basis_row_indices)
+    for wrong in (length - 1, length + 1):
+        with pytest.raises(ValueError, match=rf"packet of shape \({wrong},\), expected \({length},\)"):
+            CompressedProduct(*header, np.zeros(wrong, dtype=np.int64))
+    with pytest.raises(ValueError, match="packet of shape"):
+        CompressedProduct(*header, np.zeros((1, length), dtype=np.int64))
+
+
+def test_padding_is_not_read():
+    """A nonzero padding symbol, as a corrupted broadcast may carry, is no
+    error: the product decompresses from A1 and A2 alone."""
+    product = random_product(6, 2, 7, seed=5)
+    cp = compress_product(product, 4)  # inner dimension 4, rank 2: 8 padding symbols
+    assert cp.payload.size < f_len(cp.dims)
+    packet = cp.packet.copy()
+    packet[cp.payload.size :] = 1
+    rebuilt = CompressedProduct(cp.spec, cp.dims, cp.rank, cp.basis_row_indices, packet)
+    assert decompress_product(rebuilt) == product
+
+
 def test_compress_rejects_rank_above_inner_dimension():
     product = FieldMatrix.identity(DEFAULT_FIELD, 3)
     with pytest.raises(ValueError):
@@ -121,13 +172,11 @@ def test_packet_sums_cancel_like_multicast():
     q = DEFAULT_FIELD.q
     first = compress_product(random_product(3, 2, 3, seed=11), 2)
     second = compress_product(random_product(3, 2, 3, seed=12), 2)
-    a, b = packet_symbols(first), packet_symbols(second)
+    a, b = first.packet, second.packet
     multicast = (a + b) % q
     recovered = (multicast - a) % q
     assert np.array_equal(recovered, b)
-    rebuilt = CompressedProduct.from_packet(
-        second.spec, second.dims, second.rank, second.basis_row_indices, recovered
-    )
+    rebuilt = CompressedProduct(second.spec, second.dims, second.rank, second.basis_row_indices, recovered)
     assert decompress_product(rebuilt) == decompress_product(second)
 
 
@@ -183,7 +232,7 @@ def test_stacked_compression_matches_items(q, m, n, p):
         assert len(headers) == b
         singles = [compress_product(FieldMatrix(spec, products[i]), n) for i in range(b)]
         for i, cp in enumerate(singles):
-            assert packets[i].tobytes() == packet_symbols(cp).tobytes()
+            assert packets[i].tobytes() == cp.packet.tobytes()
             assert headers[i] == (cp.rank, cp.basis_row_indices)
             assert all(type(x) is int for x in (headers[i][0], *headers[i][1]))
         rebuilt = decompress_stack(packets, headers, dims, q)
@@ -218,9 +267,10 @@ def test_stacked_compression_rejects_rank_above_inner_dimension(q):
 )
 def test_stacked_decompression_rejects_what_from_packet_rejects(header, message):
     dims = DimTriple(4, 2, 3)
-    packet = np.zeros(64, dtype=np.int64)  # long enough for any rank
-    with pytest.raises(ValueError, match=message):
-        CompressedProduct.from_packet(DEFAULT_FIELD, dims, header[0], header[1], packet)
+    # The header is checked first: a packet of the wrong length changes no message.
+    for length in (f_len(dims), f_len(dims) + 1):
+        with pytest.raises(ValueError, match=message):
+            CompressedProduct(DEFAULT_FIELD, dims, header[0], header[1], np.zeros(length, dtype=np.int64))
     good = (2, (0, 3))
     stack = np.zeros((3, f_len(dims)), dtype=np.int64)
     with pytest.raises(ValueError, match=message):
@@ -255,9 +305,9 @@ def test_single_row_stacks_take_no_elimination(q, monkeypatch):
 )
 def test_single_row_decompression_rejects_what_from_packet_rejects(header, message):
     dims = DimTriple(1, 2, 3)
-    packet = np.zeros(64, dtype=np.int64)
-    with pytest.raises(ValueError, match=message):
-        CompressedProduct.from_packet(DEFAULT_FIELD, dims, header[0], header[1], packet)
+    for length in (f_len(dims), f_len(dims) - 1):
+        with pytest.raises(ValueError, match=message):
+            CompressedProduct(DEFAULT_FIELD, dims, header[0], header[1], np.zeros(length, dtype=np.int64))
     stack = np.zeros((3, f_len(dims)), dtype=np.int64)
     with pytest.raises(ValueError, match=message):
         decompress_stack(stack, [(1, (0,)), header, (0, ())], dims, DEFAULT_FIELD.q)

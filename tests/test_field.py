@@ -28,7 +28,6 @@ from matcache.field import (
     mat_rank,
     random_matrix,
     solve_columns,
-    spanning_column_split,
     spanning_column_splits,
     uniform_residues,
 )
@@ -190,7 +189,7 @@ def test_full_rank_fraction_monte_carlo():
 def test_spanning_column_split_restores_invertibility():
     rows = [[0, 0, 1, 0], [0, 0, 0, 1]]
     w = FieldMatrix.from_rows(DEFAULT_FIELD, rows)
-    perm, w1, coeffs = spanning_column_split(w, 2)
+    perm, w1, coeffs = spanning_column_splits([w], 2)[0]
     assert perm == (2, 3, 0, 1)
     assert mat_rank(w1) == 2 and w1.data.tolist() == [[1, 0], [0, 1]]
     assert mat_mul(w1, coeffs) == w.submatrix(slice(None), list(perm[2:]))
@@ -199,16 +198,16 @@ def test_spanning_column_split_restores_invertibility():
 def test_spanning_column_split_rejects_a_block_too_narrow_to_span():
     w = FieldMatrix.from_rows(SMALL_PRIME, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(ValueError, match="column not in span"):
-        spanning_column_split(w, 2)
+        spanning_column_splits([w], 2)
     with pytest.raises(ValueError, match="exceeds matrix cols"):
-        spanning_column_split(w, 4)
+        spanning_column_splits([w], 4)
 
 
 @settings(deadline=None, max_examples=40)
 @given(s=st.integers(1, 5), extra=st.integers(0, 4), seed=st.integers(0, 2**31))
 def test_spanning_column_split_random_matrices(s, extra, seed):
     w = random_matrix(DEFAULT_FIELD, s, s + extra, seed)
-    perm, w1, coeffs = spanning_column_split(w, s)
+    perm, w1, coeffs = spanning_column_splits([w], s)[0]
     assert sorted(perm) == list(range(s + extra))
     assert w1 == w.submatrix(slice(None), list(perm[:s]))
     assert mat_rank(w1) == mat_rank(w)
@@ -254,7 +253,7 @@ def _split_cases(q: int):
 def test_spanning_column_split_equals_the_two_step_split(q):
     permuted = 0
     for s, w in _split_cases(q):
-        perm, w1, coeffs = spanning_column_split(w, s)
+        perm, w1, coeffs = spanning_column_splits([w], s)[0]
         assert (perm, w1, coeffs) == _two_step_split(w, s)
         permuted += perm != tuple(range(w.cols))
     assert permuted > 0
@@ -329,7 +328,7 @@ def test_stacked_splits_raise_what_the_first_failing_split_raises(q):
     too_wide = FieldMatrix.from_rows(spec, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     for matrices in ([too_wide], [fits, too_wide, fits], [fits, fits, too_wide]):
         with pytest.raises(ValueError, match="rank 3 exceeds block_cols 2: column not in span"):
-            spanning_column_split(too_wide, 2)
+            spanning_column_splits([too_wide], 2)
         with pytest.raises(ValueError, match="rank 3 exceeds block_cols 2: column not in span"):
             spanning_column_splits(matrices, 2)
     with pytest.raises(ValueError, match="block_cols 4 exceeds matrix cols 3"):

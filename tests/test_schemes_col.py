@@ -17,7 +17,7 @@ from matcache.field import (
     FieldSpec,
     _matmul_mod,
     mat_mul,
-    spanning_column_split,
+    spanning_column_splits,
 )
 from matcache.model import (
     DemandVector,
@@ -29,16 +29,29 @@ from matcache.model import (
     worst_case_demands,
 )
 from matcache.schemes import col
-from matcache.schemes.col import ColConfig, constraints
+from matcache.schemes.col import ColConfig, validate
 from matcache.schemes.common import man_split, split_widths
 
 
 def test_col_split_at_corner_and_between():
     corner = ProblemInstance(K=4, N=20, s=12, r=6, M=F(10))
     assert split_widths(4, 4 * corner.M / corner.N, corner.r)[:2] == (2, F(1))
-    assert constraints(corner, ColConfig()) == {"alpha*r/C(K,t)": 1}
+    assert [block.width for block in man_split(4, 4 * corner.M / corner.N, corner.r).blocks] == [1] * 6
+    assert validate(corner, ColConfig()) == []
     between = ProblemInstance(K=4, N=20, s=12, r=6, M=F(15, 2))
     assert split_widths(4, 4 * between.M / between.N, between.r)[:2] == (1, F(1, 2))
+
+
+def test_validate_names_each_fractional_width_of_each_range():
+    wide = ProblemInstance(K=2, N=4, s=2, r=3, M=F(2))
+    assert validate(wide, ColConfig()) == [
+        "wide block width alpha*(r-s)/C(K,t) = 1/2 is not a positive integer"
+    ]
+    square = ProblemInstance(K=3, N=6, s=3, r=3, M=F(1))
+    assert validate(square, ColConfig()) == [
+        "wide block width alpha*r/C(K,t) = 3/2 is not a positive integer",
+        "narrow block width (1-alpha)*r/C(K,t+1) = 1/2 is not a positive integer",
+    ]
 
 
 def test_layout_covers_all_columns_once():
@@ -186,7 +199,7 @@ def test_compress_cells_of_all_products_equal_one_call_per_product(inst, pairs):
     assert result.verified
     split, coeff = col._splits(inst)
     leads = {
-        i: w.data if coeff is None else spanning_column_split(w, inst.s)[1].data
+        i: w.data if coeff is None else spanning_column_splits([w], inst.s)[0][1].data
         for i, w in enumerate(result.library, start=1)
     }
     layout = col._layout(split, inst.s)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from matcache.bounds import load_Rrow, row_partition_load
 from matcache.model import ProblemInstance, SchemeParameterError, run_scheme
-from matcache.schemes.common import split_widths
-from matcache.schemes.row import RowConfig, constraints
+from matcache.schemes.common import man_split, split_widths
+from matcache.schemes.row import RowConfig, validate
 
 
 def test_row_split_integral():
@@ -20,7 +20,8 @@ def test_row_split_integral():
     assert (t, alpha) == (1, F(1))
     assert h1 == 6  # alpha * s / C(2,1)
     assert h2 == 0
-    assert constraints(inst, RowConfig(ell=2)) == {"alpha*s/C(ell,t)": 6}
+    assert [block.width for block in man_split(2, 2 * inst.M / inst.N, inst.s).blocks] == [6, 6]
+    assert validate(inst, RowConfig(ell=2)) == []
 
 
 def test_row_split_fractional():
@@ -28,7 +29,21 @@ def test_row_split_fractional():
     t, alpha, h1, h2 = split_widths(2, 2 * inst.M / inst.N, inst.s)  # ell = 2
     assert (t, alpha) == (0, F(1, 2))
     assert h1 == 6 and h2 == 3
-    assert list(constraints(inst, RowConfig(ell=2)).values()) == [6, 3]
+    assert [block.width for block in man_split(2, 2 * inst.M / inst.N, inst.s).blocks] == [6, 3, 3]
+    assert validate(inst, RowConfig(ell=2)) == []
+
+
+def test_validate_names_each_fractional_tier():
+    tall = ProblemInstance(K=2, N=4, s=5, r=5, M=F(2))
+    assert validate(tall, RowConfig(ell=2)) == [
+        "tall-tier block height alpha*s/C(ell,t) = 5/2 is not a positive integer"
+    ]
+    both = ProblemInstance(K=3, N=6, s=5, r=5, M=F(1))
+    assert validate(both, RowConfig(ell=3)) == [
+        "tall-tier block height alpha*s/C(ell,t) = 5/2 is not a positive integer",
+        "short-tier block height (1-alpha)*s/C(ell,t+1) = 5/6 is not a positive integer",
+    ]
+    assert validate(tall, RowConfig(ell=3)) == ["ell=3 outside [1, K=2]"]
 
 
 def test_single_packet_fixture():
