@@ -25,9 +25,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
+def benchmark() -> dict:
+    """The benchmark's declaration, BENCHMARK.json."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def end_to_end() -> list[dict]:
     """The end-to-end metrics, with the direction each one improves in."""
-    return json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    return benchmark()["end_to_end"]
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
@@ -82,6 +87,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=25.0)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
+    if not args.seconds > 0:
+        parser.error(f"--seconds must be positive, got {args.seconds:g}")
+    known = [workload["name"] for workload in benchmark()["workloads"]] + ["all"]
+    unknown = [workload for workload in args.workload if workload not in known]
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}; choose from {', '.join(known)}")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, checkout in checkouts.items():
         if not (checkout / "perfbench" / "run.py").is_file():
