@@ -8,8 +8,13 @@ PARENT and CHANGE are checkouts of the repository (each with its own
 one process at a time, and the side that goes first alternates from pair to
 pair, so drift in the machine's speed falls on both sides alike.  For each
 end-to-end metric of `BENCHMARK.json` the script prints each side's median
-and interquartile range over the pairs, the change/parent ratio of the
-medians, and in how many pairs the change did better than the parent.
+and interquartile range over the pairs, two verdicts, the change/parent
+ratio of the medians, and in how many pairs the change did better than the
+parent.  `bound` reads OVER when the change's median is worse than the
+parent's by more than the metric's bound, taken relative to the parent's
+median.  `claim` reads met when the change did better in at least 9 of
+every 10 pairs and its median beats the parent's by more than the parent's
+interquartile range: what a claimed gain must show.
 """
 
 from __future__ import annotations
@@ -59,10 +64,10 @@ def spread(values: list[float]) -> tuple[float, float]:
 
 
 def table(runs: dict[str, list[dict[str, float]]]) -> list[str]:
-    """One line per end-to-end metric: medians, IQRs, ratio and pairs won."""
+    """One line per end-to-end metric: medians, IQRs, verdicts, ratio and pairs won."""
     lines = [
         f"{'metric':14s} {'parent median (IQR)':>24s} {'change median (IQR)':>24s}"
-        f" {'ratio':>7s} {'won':>6s}"
+        f" {'bound':>5s} {'claim':>5s} {'ratio':>7s} {'won':>6s}"
     ]
     for metric in end_to_end():
         name, higher = metric["name"], metric["better"] == "higher"
@@ -70,10 +75,13 @@ def table(runs: dict[str, list[dict[str, float]]]) -> list[str]:
         change = [run[name] for run in runs["change"]]
         won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
         (pm, piqr), (cm, ciqr) = spread(parent), spread(change)
+        gain = cm - pm if higher else pm - cm
+        bound = "OVER" if -gain > metric["bound"] * abs(pm) else "ok"
+        claim = "met" if 10 * won >= 9 * len(parent) and gain > piqr else "-"
         ratio = cm / pm if pm else float("nan")
         lines.append(
             f"{name:14s} {pm:>12.4g} ({piqr:>8.3g}) {cm:>12.4g} ({ciqr:>8.3g})"
-            f" {ratio:>7.3f} {won:>3d}/{len(parent)}"
+            f" {bound:>5s} {claim:>5s} {ratio:>7.3f} {won:>3d}/{len(parent)}"
         )
     return lines
 

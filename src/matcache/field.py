@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -194,21 +194,6 @@ class FieldMatrix:
 
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix._trusted(self.spec, np.ascontiguousarray(self.data.T))
-
-    def submatrix(self, rows: slice | Sequence[int], cols: slice | Sequence[int]) -> "FieldMatrix":
-        return FieldMatrix._trusted(self.spec, np.ascontiguousarray(self.data[rows][:, cols]))
-
-    @classmethod
-    def from_rows(cls, spec: FieldSpec, rows: Iterable[Iterable[int]]) -> "FieldMatrix":
-        return cls(spec, np.array([list(r) for r in rows], dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, spec: FieldSpec, rows: int, cols: int) -> "FieldMatrix":
-        return cls(spec, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, spec: FieldSpec, n: int) -> "FieldMatrix":
-        return cls(spec, np.eye(n, dtype=np.int64))
 
 
 def _limb_bits(q: int, n: int) -> int:

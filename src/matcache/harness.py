@@ -160,36 +160,9 @@ def spec_from_mapping(values: Mapping[str, str]) -> ExperimentSpec:
 
 
 def build_scheme_config(spec: ExperimentSpec, instance: ProblemInstance):
-    """Concrete scheme config from the spec; derives omitted parameters where
-    a unique natural choice exists (multireq t from M, row ell by best load)."""
-    name = spec.scheme
-    config_type = get_scheme(name).config_type
-    if name == "agnostic":
-        t = spec.t
-        if t is None:
-            from .schemes.agnostic import corner_memory
-
-            matches = [u for u in range(instance.K + 1) if corner_memory(instance, u) == instance.M]
-            if not matches:
-                raise SchemeParameterError(
-                    [
-                        f"memory M={instance.M} is not an agnostic corner; pass t explicitly "
-                        "or use a corner memory"
-                    ]
-                )
-            t = matches[0]
-        return config_type(t=t)
-    if name == "multireq":
-        t = spec.t
-        if t is None:
-            t = int(Fraction(instance.K) * instance.M / instance.N)
-        return config_type(t=t)
-    if name == "row":
-        ell = spec.ell
-        if ell is None:
-            _, ell = bounds.load_Rrow(instance.K, instance.N, instance.a, instance.M)
-        return config_type(ell=ell)
-    return config_type()
+    """Concrete scheme config from the spec; the scheme derives an omitted
+    parameter where a unique natural choice exists (see `Scheme.configure`)."""
+    return get_scheme(spec.scheme).configure(instance, spec.t, spec.ell)
 
 
 def _first_valid_shape(
@@ -562,24 +535,14 @@ class CornerCell:
 
 
 def corner_cells(K: int, N: int, a: Fraction) -> list[CornerCell]:
-    """Every corner configuration of every scheme at (K, N, a): memories where
-    the scheme's partition parameters are integral (agnostic corners only when
-    they fit in M <= N)."""
+    """Every corner configuration of every scheme at (K, N, a), scheme by
+    scheme in registry order (see `Scheme.corners`)."""
     a = Fraction(a)
-    cells: list[CornerCell] = []
-    for t, corner in enumerate(bounds.load_sa_corners(K, N, a)):
-        if corner.M <= N:
-            cells.append(CornerCell("agnostic", K, N, a, corner.M, t=t))
-    for M in (Fraction(0), Fraction(N, 2), Fraction(N)):
-        cells.append(CornerCell("uncoded", K, N, a, M))
-    for t, corner in enumerate(bounds.load_R2_corners(K, N, a)):
-        cells.append(CornerCell("multireq", K, N, a, corner.M, t=t))
-    for ell in range(1, K + 1):
-        for t in range(ell + 1):
-            cells.append(CornerCell("row", K, N, a, Fraction(N * t, ell), ell=ell))
-    for t in range(K + 1):
-        cells.append(CornerCell("col", K, N, a, Fraction(N * t, K)))
-    return cells
+    return [
+        CornerCell(name, K, N, a, M, t, ell)
+        for name, scheme in SCHEMES.items()
+        for M, t, ell in scheme.corners(K, N, a)
+    ]
 
 
 def corner_shape(cell: CornerCell, max_scale: int = 4096) -> tuple[int, int] | None:
@@ -648,15 +611,11 @@ def default_matrix() -> list[tuple[int, int, Fraction]]:
     ]
 
 
-def _example3_instance() -> ProblemInstance:
-    return ProblemInstance(K=4, N=20, s=12, r=6, M=Fraction(10))
-
-
 def check_row_comparison_point() -> CheckResult:
     """Row-partition loads per ell plus the analytic comparison values at the
     (K=4, N=20, a=1/2, M=10) reference point."""
     failures: list[str] = []
-    instance = _example3_instance()
+    instance = ProblemInstance(K=4, N=20, s=12, r=6, M=Fraction(10))
     expected = {1: Fraction(4), 2: Fraction(2), 3: Fraction(40, 9), 4: Fraction(20, 9)}
     for ell, want in expected.items():
         report = simulate_cell(

@@ -317,12 +317,15 @@ class Scheme:
     decode receives only (instance, config, user index, that user's cache,
     transcript, demands) — never the library — so end-to-end verification is
     meaningful.  validate lists the reasons a configuration is not realizable
-    (the shape suggester scans for a shape it accepts).  config_type is the
-    dataclass holding the scheme's free parameters.
+    (the shape suggester scans for a shape it accepts).  configure(instance,
+    t, ell) builds the config from a cell's free parameters, deriving an
+    omitted one where a natural choice exists; corners(K, N, a) lists the
+    (M, t, ell) of every corner configuration the verification matrix runs.
     """
 
     name: str
-    config_type: type
+    configure: Callable[[ProblemInstance, int | None, int | None], Any]
+    corners: Callable[[int, int, Fraction], list[tuple[Fraction, int | None, int | None]]]
     validate: Callable[[ProblemInstance, Any], list[str]]
     place: Callable[[ProblemInstance, Any, Sequence[FieldMatrix]], CacheContents]
     deliver: Callable[[ProblemInstance, Any, Sequence[FieldMatrix], DemandVector], DeliveryTranscript]

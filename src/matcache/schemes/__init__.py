@@ -1,10 +1,8 @@
-"""Caching scheme registry: name -> Scheme contract (which names its config type).
+"""Caching scheme registry: name -> Scheme contract.
 
 Each scheme is one module exporting its Scheme plus one entry below.  The
-registry is not the only list of them: `harness.build_scheme_config` (which
-derives omitted parameters) and `harness.corner_cells` (the cells `verify`
-and the benchmark run) branch on scheme names, so a new scheme also needs a
-branch in each.
+entry order is the order of `harness.corner_cells`, whose cell index seeds
+each cell of the corner fuzz, so a new scheme goes last.
 
 Schemes:
   agnostic  — cache coded product subfiles, oblivious to matrix structure

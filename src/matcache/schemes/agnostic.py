@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..bounds import load_sa_corners
 from ..compress import CompressedProduct, DimTriple, PacketHeader, compress_product, decompress_product
 from ..field import FieldMatrix, mat_mul
 from ..model import (
@@ -26,6 +27,7 @@ from ..model import (
     DemandVector,
     ProblemInstance,
     Scheme,
+    SchemeParameterError,
     UserCache,
     product_pairs,
 )
@@ -54,6 +56,25 @@ def corner_memory(instance: ProblemInstance, t: int) -> Fraction:
     t/K share of all N(N+1)/2 compressed products of B symbols each."""
     pairs = instance.N * (instance.N + 1) // 2
     return Fraction(pairs * instance.B * t, instance.K * instance.s * instance.r)
+
+
+def configure(instance: ProblemInstance, t: int | None, ell: int | None) -> AgnosticConfig:
+    """t as given, else the t whose corner memory is M."""
+    if t is None:
+        matches = [u for u in range(instance.K + 1) if corner_memory(instance, u) == instance.M]
+        if not matches:
+            raise SchemeParameterError(
+                [
+                    f"memory M={instance.M} is not an agnostic corner; pass t explicitly "
+                    "or use a corner memory"
+                ]
+            )
+        t = matches[0]
+    return AgnosticConfig(t=t)
+
+
+def corners(K: int, N: int, a: Fraction) -> list[tuple[Fraction, int, None]]:
+    return [(c.M, t, None) for t, c in enumerate(load_sa_corners(K, N, a)) if c.M <= N]
 
 
 def validate(instance: ProblemInstance, config: AgnosticConfig) -> list[str]:
@@ -129,6 +150,7 @@ def decode(
         return cache.get(("product-subfile", demands.pair(user), subset))
 
     packet = decode_file(q, k, split, ("agnostic",), transcript, cached, (instance.B,))
+    packet.flags.writeable = False  # so CompressedProduct keeps it without a copy
     return decompress_product(CompressedProduct(instance.field, dims, rank, basis, packet))
 
 
@@ -136,4 +158,4 @@ def formula_load(instance: ProblemInstance, config: AgnosticConfig) -> Fraction:
     return Fraction(instance.K - config.t, config.t + 1)
 
 
-SCHEME = Scheme("agnostic", AgnosticConfig, validate, place, deliver, decode, formula_load)
+SCHEME = Scheme("agnostic", configure, corners, validate, place, deliver, decode, formula_load)

@@ -21,6 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ..bounds import load_R1, load_R2_corners
+from ..compress import g_ratio
 from ..field import FieldMatrix, _matmul_mod
 from ..model import (
     CacheContents,
@@ -106,8 +108,6 @@ def uncoded_decode(
 
 
 def uncoded_formula_load(instance: ProblemInstance, config: UncodedConfig) -> Fraction:
-    from ..bounds import load_R1
-
     return load_R1(instance.K, instance.N, instance.a, instance.M)
 
 
@@ -116,6 +116,19 @@ class MultiRequestConfig:
     """Replication parameter t; requires M = N*t/K exactly."""
 
     t: int
+
+
+def multireq_configure(
+    instance: ProblemInstance, t: int | None, ell: int | None
+) -> MultiRequestConfig:
+    """t as given, else floor(K*M/N)."""
+    if t is None:
+        t = int(Fraction(instance.K) * instance.M / instance.N)
+    return MultiRequestConfig(t=t)
+
+
+def multireq_corners(K: int, N: int, a: Fraction) -> list[tuple[Fraction, int, None]]:
+    return [(c.M, t, None) for t, c in enumerate(load_R2_corners(K, N, a))]
 
 
 def multireq_validate(instance: ProblemInstance, config: MultiRequestConfig) -> list[str]:
@@ -182,15 +195,14 @@ def multireq_decode(
 
 
 def multireq_formula_load(instance: ProblemInstance, config: MultiRequestConfig) -> Fraction:
-    from ..compress import g_ratio
-
     a = instance.a
     return 2 * Fraction(instance.K - config.t, config.t + 1) * a / g_ratio(a, a)
 
 
 UNCODED = Scheme(
     "uncoded",
-    UncodedConfig,
+    lambda instance, t, ell: UncodedConfig(),
+    lambda K, N, a: [(M, None, None) for M in (Fraction(0), Fraction(N, 2), Fraction(N))],
     uncoded_validate,
     uncoded_place,
     uncoded_deliver,
@@ -200,7 +212,8 @@ UNCODED = Scheme(
 
 MULTIREQ = Scheme(
     "multireq",
-    MultiRequestConfig,
+    multireq_configure,
+    multireq_corners,
     multireq_validate,
     multireq_place,
     multireq_deliver,

@@ -42,6 +42,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ..bounds import load_Rcol
 from ..compress import DimTriple, PacketHeader, compress_stack, decompress_stack, f_len
 from ..field import FieldMatrix, _matmul_mod, spanning_column_splits
 from ..model import (
@@ -394,9 +395,16 @@ def decode(
 
 
 def formula_load(instance: ProblemInstance, config: ColConfig) -> Fraction:
-    from ..bounds import load_Rcol
-
     return load_Rcol(instance.K, instance.N, instance.a, instance.M)
 
 
-SCHEME = Scheme("col", ColConfig, validate, place, deliver, decode, formula_load)
+SCHEME = Scheme(
+    "col",
+    lambda instance, t, ell: ColConfig(),
+    lambda K, N, a: [(Fraction(N * t, K), None, None) for t in range(K + 1)],
+    validate,
+    place,
+    deliver,
+    decode,
+    formula_load,
+)

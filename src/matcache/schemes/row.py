@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..bounds import load_Rrow, row_partition_load
 from ..compress import CompressedProduct, DimTriple, compress_product, decompress_product, f_len
 from ..field import FieldMatrix, _matmul_mod
 from ..model import (
@@ -44,6 +45,17 @@ class RowConfig:
 def _split(instance: ProblemInstance, ell: int) -> ManSplit:
     """The MAN split of the s rows over the ell classes at x = ell*M/N."""
     return man_split(ell, Fraction(ell) * instance.M / instance.N, instance.s)
+
+
+def configure(instance: ProblemInstance, t: int | None, ell: int | None) -> RowConfig:
+    """ell as given, else the class count of the best row load."""
+    if ell is None:
+        _, ell = load_Rrow(instance.K, instance.N, instance.a, instance.M)
+    return RowConfig(ell=ell)
+
+
+def corners(K: int, N: int, a: Fraction) -> list[tuple[Fraction, None, int]]:
+    return [(Fraction(N * t, ell), None, ell) for ell in range(1, K + 1) for t in range(ell + 1)]
 
 
 def validate(instance: ProblemInstance, config: RowConfig) -> list[str]:
@@ -152,6 +164,7 @@ def decode(
             contrib = _matmul_mod(rows(d1, block.subset).T, rows(d2, block.subset), q)
         else:
             rank, basis = message(tuple(sorted(block.subset + (u,)))).headers_for(k)[0]
+            packet.flags.writeable = False  # so CompressedProduct keeps it without a copy
             cp = CompressedProduct(instance.field, DimTriple(r, block.width, r), rank, basis, packet)
             contrib = decompress_product(cp).data
         out = (out + contrib) % q
@@ -159,9 +172,7 @@ def decode(
 
 
 def formula_load(instance: ProblemInstance, config: RowConfig) -> Fraction:
-    from ..bounds import row_partition_load
-
     return row_partition_load(instance.K, instance.N, instance.a, instance.M, config.ell)
 
 
-SCHEME = Scheme("row", RowConfig, validate, place, deliver, decode, formula_load)
+SCHEME = Scheme("row", configure, corners, validate, place, deliver, decode, formula_load)

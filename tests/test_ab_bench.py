@@ -68,3 +68,43 @@ def test_one_pair_prints_every_end_to_end_metric(tmp_path, capsys):
     assert lines[0] == "workload all  seed 5  pairs 1  seconds 0.5"
     assert [line.split()[0] for line in lines[2:]] == names
     assert all(line.split()[-2] == "2.000" for line in lines[2:])
+
+
+def test_verdicts_mark_a_bound_overrun_and_a_met_claim(tmp_path, capsys):
+    """Ten pairs.  runs_per_s: the change wins 9/10 by a median gap of 30
+    over a parent IQR of 0 (claim met).  run_p50_ms: 30% slower, over its
+    0.24 bound.  setup_s: 20% slower, within its 0.25 bound.  peak_rss_mb:
+    the change wins 10/10 but by 1 MB, inside the parent's IQR of 11."""
+    ab_bench = _load()
+    values = {
+        "parent": {
+            "runs_per_s": [100.0] * 10,
+            "run_p50_ms": [1.0] * 10,
+            "setup_s": [1.0] * 10,
+            "peak_rss_mb": [40.0 + 2 * i for i in range(10)],
+        },
+        "change": {
+            "runs_per_s": [130.0] * 9 + [90.0],
+            "run_p50_ms": [1.3] * 10,
+            "setup_s": [1.2] * 10,
+            "peak_rss_mb": [39.0 + 2 * i for i in range(10)],
+        },
+    }
+    calls = {"parent": 0, "change": 0}
+
+    def stub(checkout, workload, seed, seconds):
+        side = Path(checkout).name
+        calls[side] += 1
+        return {name: series[calls[side] - 1] for name, series in values[side].items()}
+
+    ab_bench.run_once = stub
+    assert ab_bench.main(_checkouts(tmp_path) + ["--workload", "corners"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split()[-4:] == ["bound", "claim", "ratio", "won"]
+    verdicts = {line.split()[0]: line.split()[-4:-2] for line in lines[2:]}
+    assert verdicts == {
+        "runs_per_s": ["ok", "met"],
+        "run_p50_ms": ["OVER", "-"],
+        "setup_s": ["ok", "-"],
+        "peak_rss_mb": ["ok", "-"],
+    }

@@ -161,7 +161,7 @@ def test_padding_is_not_read():
 
 
 def test_compress_rejects_rank_above_inner_dimension():
-    product = FieldMatrix.identity(DEFAULT_FIELD, 3)
+    product = FieldMatrix(DEFAULT_FIELD, np.eye(3, dtype=np.int64))
     with pytest.raises(ValueError):
         compress_product(product, 1)
 

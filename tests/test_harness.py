@@ -372,6 +372,24 @@ def test_every_corner_has_a_realizable_shape():
         assert harness.corner_shape(cell) is not None, cell
 
 
+def test_a_new_scheme_needs_only_its_registry_entry(monkeypatch):
+    """A sixth scheme added to SCHEMES (SCHEME_NAMES is its key tuple) gets
+    its corner cells after col's and runs through the corner fuzz, with no
+    other harness change."""
+    from dataclasses import replace
+
+    from matcache.schemes import SCHEMES, col
+
+    before = harness.corner_cells(2, 4, F(1))
+    monkeypatch.setitem(SCHEMES, "col2", replace(col.SCHEME, name="col2"))
+    monkeypatch.setattr(harness, "SCHEME_NAMES", tuple(SCHEMES))
+    col2 = [replace(cell, scheme="col2") for cell in before if cell.scheme == "col"]
+    assert harness.corner_cells(2, 4, F(1)) == before + col2
+    fuzz, parity = harness.corner_fuzz([(2, 4, F(1))], seeds=2)
+    assert fuzz.passed and parity.passed
+    assert fuzz.detail == f"{len(before) + len(col2)} corner cells x 2 seeds verified within budget"
+
+
 def test_each_scheme_closed_form_is_the_plotted_curve_at_its_corners():
     # agnostic and multireq restate their closed forms instead of reading
     # bounds, so formula-parity alone does not tie them to the plotted curves.

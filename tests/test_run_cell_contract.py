@@ -6,15 +6,20 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matcache import harness
+from matcache import harness, model
+from matcache.field import FieldMatrix, mat_mul
 from matcache.harness import ConfigurationError, ExperimentSpec
 from matcache.model import SchemeParameterError
 
 FIELD_RANGE = (2, 3, 5, 2**61 - 1)
 FIELD_RANGE_COMBOS = ((2, 4, F(1)), (3, 8, F(2)), (2, 4, F(1, 2)), (3, 4, F(2)))
+DEGENERATE_FIELDS = (2, 3, 2**31 - 1, 2**61 - 1)
+DEGENERATE_COMBOS = ((2, 4, F(1, 2)), (2, 4, F(2)), (3, 4, F(1)))
 
 
 def test_corner_cells_decode_at_formula_load_in_every_field():
@@ -36,6 +41,60 @@ def test_corner_cells_decode_at_formula_load_in_every_field():
                     if not (report["verified"] and report["formula_matches"]):
                         failures.append((spec, report["load"], report["formula_load"]))
     assert runs == 584
+    assert failures == []
+
+
+def _rank_one(library: list[FieldMatrix]) -> list[FieldMatrix]:
+    """Each matrix's first column times its first row."""
+    return [
+        mat_mul(FieldMatrix(w.spec, w.data[:, :1]), FieldMatrix(w.spec, w.data[:1]))
+        for w in library
+    ]
+
+
+def _every_other_zero(library: list[FieldMatrix]) -> list[FieldMatrix]:
+    zero = np.zeros(library[0].shape, dtype=np.int64)
+    return [FieldMatrix(w.spec, zero) if i % 2 else w for i, w in enumerate(library)]
+
+
+def _one_repeated(library: list[FieldMatrix]) -> list[FieldMatrix]:
+    return [library[0]] * len(library)
+
+
+def _leading_half_zero(library: list[FieldMatrix]) -> list[FieldMatrix]:
+    """Each matrix with its leading r/2 columns zeroed."""
+    out = []
+    for w in library:
+        data = w.data.copy()
+        data[:, : w.cols // 2] = 0
+        out.append(FieldMatrix(w.spec, data))
+    return out
+
+
+@pytest.mark.parametrize("q", DEGENERATE_FIELDS)
+@pytest.mark.parametrize(
+    "degenerate", [_rank_one, _every_other_zero, _one_repeated, _leading_half_zero]
+)
+def test_corner_cells_decode_degenerate_libraries(degenerate, q, monkeypatch):
+    """Libraries of low rank, zero matrices, repeated matrices and zero
+    leading columns (which col must permute away) still decode every corner
+    cell at the formula load, with worst-case and random demands."""
+    build_library = model.build_library
+    monkeypatch.setattr(model, "build_library", lambda *args: degenerate(build_library(*args)))
+    failures, runs = [], 0
+    for K, N, a in DEGENERATE_COMBOS:
+        for cell in harness.corner_cells(K, N, a):
+            s, r = harness.corner_shape(cell)
+            for demands in ("worst", "random"):
+                spec = ExperimentSpec(
+                    scheme=cell.scheme, K=K, N=N, M=cell.M, s=s, r=r, q=q,
+                    t=cell.t, ell=cell.ell, seed=runs, demands=demands,
+                )
+                report, _ = harness.run_cell(spec)
+                runs += 1
+                if not (report["verified"] and report["formula_matches"]):
+                    failures.append((spec, report["load"], report["formula_load"]))
+    assert runs == 106
     assert failures == []
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from matcache.model import ProblemInstance, SchemeParameterError, run_scheme
@@ -67,3 +68,25 @@ def test_transcript_regenerates_identically():
     first = run_scheme("agnostic", inst, AgnosticConfig(t=1), seed=7)
     second = run_scheme("agnostic", inst, AgnosticConfig(t=1), seed=7)
     assert first.transcript.digest() == second.transcript.digest()
+
+
+def test_decoder_keeps_the_recovered_packet_without_a_copy(monkeypatch):
+    from matcache.schemes import agnostic
+
+    decode_file, decompress_product = agnostic.decode_file, agnostic.decompress_product
+    recovered, kept = [], []
+
+    def recording_decode_file(*args):
+        recovered.append(decode_file(*args))
+        return recovered[-1]
+
+    def recording_decompress(cp):
+        kept.append(cp.packet)
+        return decompress_product(cp)
+
+    monkeypatch.setattr(agnostic, "decode_file", recording_decode_file)
+    monkeypatch.setattr(agnostic, "decompress_product", recording_decompress)
+    inst = ProblemInstance(K=2, N=4, s=10, r=2, M=F(1))
+    assert run_scheme("agnostic", inst, AgnosticConfig(t=1), seed=1).verified
+    assert len(kept) == len(recovered) == 2
+    assert all(np.shares_memory(packet, file) for packet, file in zip(kept, recovered))

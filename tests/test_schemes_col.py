@@ -138,7 +138,7 @@ def test_singular_leading_block_uses_column_permutation():
         [[0, 0, 2, 7], [0, 0, 1, 9]],
         [[0, 0, 8, 3], [0, 0, 2, 1]],
     ]
-    library = [FieldMatrix.from_rows(DEFAULT_FIELD, rows) for rows in blocks]
+    library = [FieldMatrix(DEFAULT_FIELD, np.array(rows)) for rows in blocks]
     scheme = get_scheme("col")
     config = ColConfig()
     assert scheme.validate(inst, config) == []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,3 +124,27 @@ def test_row_verifies_at_integral_corners(seed, ell, t):
     result = run_scheme("row", inst, RowConfig(ell=ell), seed=seed)
     assert result.verified
     assert max(result.cache.totals()) <= inst.cache_budget
+
+
+def test_decoder_keeps_each_recovered_packet_without_a_copy(monkeypatch):
+    from matcache.schemes import row
+
+    recover, decompress_product = row.recover, row.decompress_product
+    recovered, kept = [], []
+
+    def recording_recover(*args):
+        for packet in recover(*args):
+            if packet is not None:
+                recovered.append(packet)
+            yield packet
+
+    def recording_decompress(cp):
+        kept.append(cp.packet)
+        return decompress_product(cp)
+
+    monkeypatch.setattr(row, "recover", recording_recover)
+    monkeypatch.setattr(row, "decompress_product", recording_decompress)
+    inst = ProblemInstance(K=4, N=20, s=12, r=6, M=F(10))  # ell = 2: t = 1, peers to cancel
+    assert run_scheme("row", inst, RowConfig(ell=2), seed=4).verified
+    assert len(kept) == len(recovered) == 4
+    assert all(np.shares_memory(packet, block) for packet, block in zip(kept, recovered))
