@@ -1,6 +1,7 @@
 """Golden transcript digests: SHA-256 of every broadcast transcript, plus the
-load and symbol counts, pinned for eighteen cells covering every scheme, both
-column-scheme paths, padded row groups, irregular demands and the field range.
+load and symbol counts, pinned for twenty cells covering every scheme, both
+column-scheme paths, padded row groups, thin row blocks, irregular demands and
+the field range.
 
 The values in golden/transcript_digests.json were produced by this module's
 `observed` function; a change that alters any of them changes bytes on the
@@ -77,6 +78,13 @@ CELLS = {
     "col-wide-many-users-q2": ExperimentSpec(
         scheme="col", K=6, N=12, s=20, r=40, M=F(6), q=2, demands="random", seed=14
     ),
+    # Thin row blocks: at x = ell*M/N = 3/2 the blocks are 5 and 2 rows high
+    # against r = 120 (and 7 and 2 against r = 224), so every block product
+    # has rank far below r.  Over GF(2) many blocks are rank-deficient.
+    "row-thin-blocks-q2": ExperimentSpec(
+        scheme="row", K=6, N=12, s=60, r=120, M=F(3), ell=6, q=2, seed=15
+    ),
+    "row-large-k": ExperimentSpec(scheme="row", K=8, N=16, s=112, r=224, M=F(3), ell=8, seed=16),
 }
 
 FIELDS = (
