@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Time two checkouts' `harness.run_cell` in one process, pass by pass in alternation.
+
+    python3 scripts/ab_inproc.py PARENT CHANGE --workload corners --scheme row --passes 6
+
+PARENT and CHANGE are checkouts of the repository (each with its own `src/`
+and `perfbench/workloads.py`).  Both checkouts' `matcache` packages are
+imported into this one process, and `sys.modules` is switched to one side's
+modules before each of its passes, so a function-local import finds its own
+checkout.  A pass runs every cell of the workload at --seed once, filtered
+to one scheme with --scheme.  After one untimed warm-up pass per side, which
+also compares the two sides' transcript digests, the sides alternate which
+runs first; the script prints each pass's process CPU time and the ratio
+change/parent of the medians.
+
+Two processes of one tree can differ by more than a change does, because the
+host's speed and a process's memory layout drift between processes; inside
+one process both sides share them.  This is a diagnostic for small effects:
+a claimed gain is still judged by `scripts/ab_bench.py`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+from types import ModuleType
+
+SIDES = ("parent", "change")
+
+
+def _ours(name: str) -> bool:
+    return name == "matcache" or name.startswith("matcache.")
+
+
+def _swap(modules: dict[str, ModuleType]) -> dict[str, ModuleType]:
+    """Put `modules` in sys.modules in place of the `matcache` modules there;
+    return the ones taken out."""
+    taken = {name: sys.modules.pop(name) for name in [n for n in sys.modules if _ours(n)]}
+    sys.modules.update(modules)
+    return taken
+
+
+def load(checkout: Path, workload: str, seed: int, scheme: str | None) -> tuple[dict, list]:
+    """Import the checkout's `matcache` and build its workload's cells;
+    return (its `matcache` modules, the cells).  sys.modules and sys.path
+    are left as they were found.  Raises LookupError on an unknown workload
+    and on a scheme with no cell in it."""
+    saved = _swap({})
+    src = str(checkout / "src")
+    sys.path.insert(0, src)
+    try:
+        importlib.import_module("matcache.harness")
+        path = checkout / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        if workload not in workloads.WORKLOADS:
+            known = ", ".join(workloads.WORKLOADS)
+            raise LookupError(f"unknown workload {workload}; choose from {known}")
+        cells = [cell for cell in workloads.build(workload, seed) if scheme in (None, cell.scheme)]
+    finally:
+        sys.path.remove(src)
+        modules = _swap(saved)
+    if not cells:
+        raise LookupError(f"workload {workload} has no {scheme} cell")
+    return modules, cells
+
+
+def one_pass(modules: dict[str, ModuleType], cells: list) -> tuple[float, list[str]]:
+    """Process CPU seconds to run every cell once, and the cells' transcript digests."""
+    saved = _swap(modules)
+    try:
+        run_cell = modules["matcache.harness"].run_cell
+        start = time.process_time()
+        digests = [run_cell(cell)[0]["transcript_digest"] for cell in cells]
+        return time.process_time() - start, digests
+    finally:
+        _swap(saved)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True, help="perfbench workload name")
+    parser.add_argument("--scheme", help="run only this scheme's cells")
+    parser.add_argument("--passes", type=int, default=6, help="timed passes per side")
+    parser.add_argument("--seed", type=int, default=1, help="the workload's seed")
+    args = parser.parse_args(argv)
+    if args.passes < 1:
+        parser.error(f"--passes must be at least 1, got {args.passes}")
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, checkout in checkouts.items():
+        for part in ("src/matcache/harness.py", "perfbench/workloads.py"):
+            if not (checkout / part).is_file():
+                parser.error(f"{side} checkout {checkout} has no {part}")
+    try:
+        loaded = {
+            side: load(checkouts[side], args.workload, args.seed, args.scheme) for side in SIDES
+        }
+    except LookupError as error:
+        parser.error(str(error))
+    digests = {side: one_pass(*loaded[side])[1] for side in SIDES}
+    differ = sum(p != c for p, c in zip(digests["parent"], digests["change"]))
+    cells = len(digests["parent"])
+    scheme = args.scheme or "all"
+    print(f"workload {args.workload}  scheme {scheme}  seed {args.seed}  cells {cells}")
+    print(f"transcript digests: {differ} of {cells} cells differ")
+    times: dict[str, list[float]] = {side: [] for side in SIDES}
+    for index in range(args.passes):
+        order = SIDES if index % 2 == 0 else SIDES[::-1]
+        for side in order:
+            times[side].append(one_pass(*loaded[side])[0])
+        shown = "  ".join(f"{side} {times[side][-1]:.4f} s" for side in SIDES)
+        print(f"pass {index + 1}: {shown}  ratio {times['change'][-1] / times['parent'][-1]:.3f}")
+    parent, change = (statistics.median(times[side]) for side in SIDES)
+    print(f"median: parent {parent:.4f} s  change {change:.4f} s  ratio {change / parent:.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,6 +10,15 @@ and (t+2)-subset (short tier) of classes.
 Messages are always emitted at the full padded packet length, with absent
 users contributing zeros, so the broadcast cost depends only on (K, N, a, M,
 ell) and not on which group slots are occupied.
+
+A block product has rank at most its height h, so the server and every
+decoder compress it with `compress_factors`, which never forms a thin block
+product (h at most r/4, r at least 64) as an r x r matrix.  A decoder's
+output is the sum over blocks of L_i Pb_i: a cached block gives
+L_i = rows1^T and Pb_i = rows2, a received one the r x rank expansion of its
+header and coefficients and its basis rows (`CompressedProduct.factors`).
+So every user decodes with one product of the side-by-side L blocks and the
+stacked Pb blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from ..bounds import load_Rrow, row_partition_load
-from ..compress import CompressedProduct, DimTriple, compress_product, decompress_product, f_len
+from ..compress import CompressedProduct, DimTriple, compress_factors, f_len
 from ..field import FieldMatrix, _matmul_mod
 from ..model import (
     CacheContents,
@@ -88,14 +97,6 @@ def place(
     return CacheContents(tuple(users))
 
 
-def _block_product(
-    instance: ProblemInstance, h: int, rows1: np.ndarray, rows2: np.ndarray
-) -> CompressedProduct:
-    """Compressed rows1^T rows2 for two row blocks of height h."""
-    prod = _matmul_mod(rows1.T, rows2, instance.field.q)
-    return compress_product(FieldMatrix._trusted(instance.field, prod), h)
-
-
 def deliver(
     instance: ProblemInstance,
     config: RowConfig,
@@ -118,7 +119,7 @@ def deliver(
                 d1, d2 = demands.pair(k)
                 span = split.by_subset[subset].span
                 w1, w2 = library[d1 - 1].data[span], library[d2 - 1].data[span]
-                cp = _block_product(instance, h, w1, w2)
+                cp = compress_factors(instance.field, w1, w2)
                 headers.append((k, ((cp.rank, cp.basis_row_indices),)))
                 return cp.packet
 
@@ -153,21 +154,22 @@ def decode(
         if peer_k > instance.K:
             return None
         e1, e2 = demands.pair(peer_k)
-        h = split.by_subset[subset].width
-        return _block_product(instance, h, rows(e1, subset), rows(e2, subset)).packet
+        return compress_factors(instance.field, rows(e1, subset), rows(e2, subset)).packet
 
     d1, d2 = demands.pair(k)
-    out = np.zeros((r, r), dtype=np.int64)
+    lefts, rights = [], []
     packets = recover(q, u, split.by_subset, lambda s_set: message(s_set).payload, peer_segment)
     for block, packet in zip(split.blocks, packets):
         if packet is None:
-            contrib = _matmul_mod(rows(d1, block.subset).T, rows(d2, block.subset), q)
+            left, right = rows(d1, block.subset).T, rows(d2, block.subset)
         else:
             rank, basis = message(tuple(sorted(block.subset + (u,)))).headers_for(k)[0]
             packet.flags.writeable = False  # so CompressedProduct keeps it without a copy
             cp = CompressedProduct(instance.field, DimTriple(r, block.width, r), rank, basis, packet)
-            contrib = decompress_product(cp).data
-        out = (out + contrib) % q
+            left, right = cp.factors()
+        lefts.append(left)
+        rights.append(right)
+    out = _matmul_mod(np.concatenate(lefts, axis=1), np.concatenate(rights), q)
     return FieldMatrix._trusted(instance.field, out)
 
 

@@ -317,3 +317,107 @@ def test_stacked_decompression_rejects_a_misshapen_stack():
     dims = DimTriple(2, 2, 2)
     with pytest.raises(ValueError, match="packet stack of shape"):
         decompress_stack(np.zeros((2, f_len(dims) + 1), dtype=np.int64), [(0, ()), (0, ())], dims, 2)
+
+
+# ---------------------------------------------------------------------------
+# Compression from the factors against compress_product of their product
+
+# (m, p), m != p: small ones, whose products compress_factors forms, and two
+# at least 64 wide, which it keeps factored up to h = min(m, p)/4; the second
+# has factor eliminations long enough for the blocked path.
+FACTOR_SHAPES = ((7, 5), (4, 9), (70, 64), (130, 150))
+
+
+def _heights(q: int, m: int, p: int) -> tuple[int, ...]:
+    """h from 1 to one past min(m, p), across the cut-over at min(m, p)/4."""
+    if min(m, p) < 64:
+        return tuple(range(1, min(m, p) + 2))
+    if q > 1 << 32:  # object arithmetic: keep the products small
+        return (1, 7) if m > 100 else (1, 16, 17)
+    return (1, 2, 7, min(m, p) // 4, min(m, p) // 4 + 1, min(m, p) // 2, min(m, p), min(m, p) + 1)
+
+
+def _factors(kind: str, q: int, h: int, m: int, p: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    hi = min(q, 1 << 62)
+    a = rng.integers(0, hi, (h, m), dtype=np.int64)
+    b = rng.integers(0, hi, (h, p), dtype=np.int64)
+    if kind == "a-zero":
+        a[:] = 0
+    elif kind == "b-zero":
+        b[:] = 0
+    elif kind == "b-repeated-rows":  # rank of b below h
+        b = b[np.arange(h) // 2]
+    elif kind == "b-zero-leading-columns":
+        b[:, : p // 2] = 0
+    elif kind == "a-low-rank":
+        a = _matmul_mod(rng.integers(0, hi, (h, h - 1), dtype=np.int64), a[: h - 1], q)
+    return a, b
+
+
+@pytest.mark.parametrize("q", [2, 3, Q31, Q61])
+@pytest.mark.parametrize(
+    "kind", ["random", "a-zero", "b-zero", "b-repeated-rows", "b-zero-leading-columns", "a-low-rank"]
+)
+def test_factored_compression_matches_the_product(q, kind):
+    spec = FieldSpec(q)
+    rng = np.random.default_rng([q % 1000, len(kind)])
+    for m, p in FACTOR_SHAPES:
+        for h in _heights(q, m, p):
+            a, b = _factors(kind, q, h, m, p, rng)
+            expected = compress_product(FieldMatrix(spec, _matmul_mod(a.T, b, q)), h)
+            # compress_factors on either side of its cut-over, and the
+            # factored elimination itself wherever h < min(m, p).
+            results = [compress_mod.compress_factors(spec, a, b)]
+            if h < min(m, p):
+                results.append(compress_mod._compress_factors(spec, a, b))
+            for cp in results:
+                assert cp.dims == expected.dims == DimTriple(m, h, p)
+                assert (cp.rank, cp.basis_row_indices) == (expected.rank, expected.basis_row_indices)
+                assert cp.packet.tobytes() == expected.packet.tobytes()
+                assert not cp.packet.flags.writeable
+            if kind in ("a-zero", "b-zero"):
+                assert expected.rank == 0
+
+
+def test_factored_compression_shares_a_memo_entry(monkeypatch):
+    """Inside one memo block, equal factors are eliminated once; the thin
+    product is never formed and compress_product is never called."""
+    calls = []
+    original = compress_mod._compress_factors
+
+    def counted(spec, a, b):
+        calls.append((a.shape, b.shape))
+        return original(spec, a, b)
+
+    def refuse(*args):
+        raise AssertionError("a thin product goes through its factors")
+
+    monkeypatch.setattr(compress_mod, "_compress_factors", counted)
+    monkeypatch.setattr(compress_mod, "compress_product", refuse)
+    rng = np.random.default_rng(5)
+    a, b = rng.integers(0, Q31, (3, 64)), rng.integers(0, Q31, (3, 96))
+    # The same residues, cut at another shape: the key holds the shapes too.
+    flat = np.concatenate([a.ravel(), b.ravel()])
+    swapped = flat[:288].reshape(3, 96), flat[288:].reshape(3, 64)
+    with compress_mod.compression_memo():
+        first = compress_mod.compress_factors(DEFAULT_FIELD, a, b)
+        again = compress_mod.compress_factors(DEFAULT_FIELD, a.copy(), b.copy())
+        other = compress_mod.compress_factors(DEFAULT_FIELD, *swapped)
+    assert again is first and other.dims == DimTriple(96, 3, 64)
+    assert calls == [((3, 64), (3, 96)), ((3, 96), (3, 64))]
+
+
+@pytest.mark.parametrize("q", [2, Q31, Q61])
+def test_factors_multiply_back_to_the_product(q):
+    spec = FieldSpec(q)
+    for m, n, p in ((6, 2, 7), (5, 5, 5), (4, 9, 3), (1, 4, 3)):
+        for inner in range(n + 1):  # ranks 0..n
+            rng = np.random.default_rng([m, n, p, inner])
+            left = rng.integers(0, min(q, 1 << 62), (m, inner), dtype=np.int64)
+            right = rng.integers(0, min(q, 1 << 62), (inner, p), dtype=np.int64)
+            product = FieldMatrix(spec, _matmul_mod(left, right, q))
+            cp = compress_product(product, n)
+            l_factor, basis_rows = cp.factors()
+            assert l_factor.shape == (m, cp.rank) and basis_rows.shape == (cp.rank, p)
+            assert np.shares_memory(basis_rows, cp.packet) or cp.rank == 0
+            assert np.array_equal(_matmul_mod(l_factor, basis_rows, q), product.data)

@@ -190,39 +190,43 @@ def test_library_matrices_are_read_only_and_disjoint(s, r, n):
 
 
 def _count_eliminations(monkeypatch) -> list:
-    """Record, for each elimination compress_product runs, the memo open in
-    the context."""
+    """Record, for each elimination compress_product or compress_factors
+    runs, the memo open in the context."""
     seen = []
-    original = compress._compress_product
+    for name in ("_compress_product", "_compress_factors"):
+        def counted(*args, original=getattr(compress, name)):
+            seen.append(compress._memo.get())
+            return original(*args)
 
-    def counted(product, inner_dim):
-        seen.append(compress._memo.get())
-        return original(product, inner_dim)
-
-    monkeypatch.setattr(compress, "_compress_product", counted)
+        monkeypatch.setattr(compress, name, counted)
     return seen
 
 
 @pytest.mark.parametrize("q", [2, (1 << 31) - 1, (1 << 61) - 1])
 def test_compression_memo_lives_for_one_run(q, monkeypatch):
-    """row's decoders regenerate the packets the server compressed: inside
-    run_scheme they reuse them from one memo, which is emptied on return,
-    and the run's bytes equal those of a run without the memo."""
+    """row's decoders regenerate the packets the server compressed, from
+    the product when its blocks are 6 rows high against r = 6, from the
+    factors against r = 64: inside run_scheme they reuse them from one memo,
+    which is emptied on return, and the run's bytes equal those of a run
+    without the memo."""
     from matcache.schemes.row import RowConfig
 
-    inst = ProblemInstance(K=4, N=20, s=12, r=6, field=FieldSpec(q), M=Fraction(10))
     seen = _count_eliminations(monkeypatch)
-    result = run_scheme("row", inst, RowConfig(ell=2), 3)
-    memos = {id(memo): memo for memo in seen}
-    assert result.verified and len(memos) == 1
-    assert next(iter(memos.values())) == {} and compress._memo.get() is None
-    with_memo = len(seen)
-    monkeypatch.setattr(model, "compression_memo", contextlib.nullcontext)
-    plain = run_scheme("row", inst, RowConfig(ell=2), 3)
-    without_memo = len(seen) - with_memo
-    assert 0 < with_memo < without_memo
-    assert plain.transcript.digest() == result.transcript.digest()
-    assert plain.decoded == result.decoded
+    for r in (6, 64):
+        inst = ProblemInstance(K=4, N=20, s=12, r=r, field=FieldSpec(q), M=Fraction(10))
+        before = len(seen)
+        result = run_scheme("row", inst, RowConfig(ell=2), 3)
+        memos = {id(memo): memo for memo in seen[before:]}
+        assert result.verified and len(memos) == 1
+        assert next(iter(memos.values())) == {} and compress._memo.get() is None
+        with_memo = len(seen) - before
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "compression_memo", contextlib.nullcontext)
+            plain = run_scheme("row", inst, RowConfig(ell=2), 3)
+        without_memo = len(seen) - before - with_memo
+        assert 0 < with_memo < without_memo
+        assert plain.transcript.digest() == result.transcript.digest()
+        assert plain.decoded == result.decoded
 
 
 def _over_budget(place):

@@ -127,10 +127,11 @@ def test_row_verifies_at_integral_corners(seed, ell, t):
 
 
 def test_decoder_keeps_each_recovered_packet_without_a_copy(monkeypatch):
+    from matcache.compress import CompressedProduct
     from matcache.schemes import row
 
-    recover, decompress_product = row.recover, row.decompress_product
-    recovered, kept = [], []
+    recover, factors = row.recover, CompressedProduct.factors
+    recovered, kept, read = [], [], []
 
     def recording_recover(*args):
         for packet in recover(*args):
@@ -138,13 +139,45 @@ def test_decoder_keeps_each_recovered_packet_without_a_copy(monkeypatch):
                 recovered.append(packet)
             yield packet
 
-    def recording_decompress(cp):
+    def recording_factors(cp):
+        left, basis_rows = factors(cp)
         kept.append(cp.packet)
-        return decompress_product(cp)
+        read.append(basis_rows)
+        return left, basis_rows
 
     monkeypatch.setattr(row, "recover", recording_recover)
-    monkeypatch.setattr(row, "decompress_product", recording_decompress)
+    monkeypatch.setattr(CompressedProduct, "factors", recording_factors)
     inst = ProblemInstance(K=4, N=20, s=12, r=6, M=F(10))  # ell = 2: t = 1, peers to cancel
     assert run_scheme("row", inst, RowConfig(ell=2), seed=4).verified
-    assert len(kept) == len(recovered) == 4
+    assert len(kept) == len(read) == len(recovered) == 4
     assert all(np.shares_memory(packet, block) for packet, block in zip(kept, recovered))
+    assert all(np.shares_memory(rows, block) for rows, block in zip(read, recovered))
+
+
+@pytest.mark.parametrize("ell", [2, 4])
+def test_thin_blocks_never_form_an_r_by_r_block_product(ell, monkeypatch):
+    """Blocks 2 to 9 rows high against r = 96: the server and the decoders
+    compress every block product from its factors, and each user's r x r
+    output is the run's only r x r product."""
+    from matcache import compress
+    from matcache.schemes import row
+
+    inst = ProblemInstance(K=4, N=8, s=24, r=96, M=F(3))  # x = ell*M/N: two tiers
+    height = max(block.width for block in row._split(inst, ell).blocks)
+    assert height <= 9
+    shapes = []
+    for module in (row, compress):
+        def spy(a, b, q, original=module._matmul_mod):
+            shapes.append((a.shape, b.shape))
+            return original(a, b, q)
+
+        monkeypatch.setattr(module, "_matmul_mod", spy)
+
+    def refuse(*args):
+        raise AssertionError("a thin block product went through compress_product")
+
+    monkeypatch.setattr(compress, "_compress_product", refuse)
+    assert run_scheme("row", inst, RowConfig(ell=ell), seed=6).verified
+    square = [(a, b) for a, b in shapes if a[0] == b[1] == inst.r]
+    assert len(square) == inst.K
+    assert all(a[1] > height for a, _ in square)  # one product over all blocks, not one per block
