@@ -8,20 +8,28 @@ and `perfbench/workloads.py`).  Both checkouts' `matcache` packages are
 imported into this one process, and `sys.modules` is switched to one side's
 modules before each of its passes, so a function-local import finds its own
 checkout.  A pass runs every cell of the workload at --seed once, filtered
-to one scheme with --scheme.  After one untimed warm-up pass per side, which
-also compares the two sides' transcript digests, the sides alternate which
-runs first; the script prints each pass's process CPU time and the ratio
-change/parent of the medians.
+to one scheme with --scheme.
+
+The run has two halves.  In the first the parent is imported first, in the
+second the change; each half imports both sides afresh and drops them at its
+end.  After one untimed warm-up pass per side, which also compares the two
+sides' transcript digests, each half runs --passes timed passes per side,
+the sides alternating which runs first.  The script prints each pass's
+process CPU time, each half's ratio change/parent of the medians, and the
+ratio of the medians over both halves.
 
 Two processes of one tree can differ by more than a change does, because the
 host's speed and a process's memory layout drift between processes; inside
-one process both sides share them.  This is a diagnostic for small effects:
-a claimed gain is still judged by `scripts/ab_bench.py`.
+one process both sides share them.  The import order still moves the ratio:
+whichever side is imported first lays its modules and caches out first.
+Both orders, and the pooled ratio, show how far.  This is a diagnostic for
+small effects: a claimed gain is still judged by `scripts/ab_bench.py`.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import importlib.util
 import statistics
@@ -89,7 +97,9 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True, help="perfbench workload name")
     parser.add_argument("--scheme", help="run only this scheme's cells")
-    parser.add_argument("--passes", type=int, default=6, help="timed passes per side")
+    parser.add_argument(
+        "--passes", type=int, default=6, help="timed passes per side in each import order"
+    )
     parser.add_argument("--seed", type=int, default=1, help="the workload's seed")
     args = parser.parse_args(argv)
     if args.passes < 1:
@@ -99,29 +109,46 @@ def main(argv=None) -> int:
         for part in ("src/matcache/harness.py", "perfbench/workloads.py"):
             if not (checkout / part).is_file():
                 parser.error(f"{side} checkout {checkout} has no {part}")
-    try:
-        loaded = {
-            side: load(checkouts[side], args.workload, args.seed, args.scheme) for side in SIDES
-        }
-    except LookupError as error:
-        parser.error(str(error))
-    digests = {side: one_pass(*loaded[side])[1] for side in SIDES}
-    differ = sum(p != c for p, c in zip(digests["parent"], digests["change"]))
-    cells = len(digests["parent"])
-    scheme = args.scheme or "all"
-    print(f"workload {args.workload}  scheme {scheme}  seed {args.seed}  cells {cells}")
-    print(f"transcript digests: {differ} of {cells} cells differ")
+    cell_args = (args.workload, args.seed, args.scheme)
     times: dict[str, list[float]] = {side: [] for side in SIDES}
-    for index in range(args.passes):
+    for half, order in enumerate((SIDES, SIDES[::-1])):
+        try:
+            loaded = {side: load(checkouts[side], *cell_args) for side in order}
+        except LookupError as error:
+            parser.error(str(error))
+        digests = {side: one_pass(*loaded[side])[1] for side in SIDES}
+        differ = sum(p != c for p, c in zip(digests["parent"], digests["change"]))
+        cells = len(digests["parent"])
+        if half == 0:
+            scheme = args.scheme or "all"
+            print(f"workload {args.workload}  scheme {scheme}  seed {args.seed}  cells {cells}")
+        print(f"{order[0]} imported first")
+        print(f"transcript digests: {differ} of {cells} cells differ")
+        timed = _alternate(loaded, args.passes)
+        _print_medians("median", timed)
+        for side in SIDES:
+            times[side] += timed[side]
+        del loaded
+        gc.collect()
+    _print_medians("pooled median", times)
+    return 0
+
+
+def _alternate(loaded: dict[str, tuple[dict, list]], passes: int) -> dict[str, list[float]]:
+    """Time `passes` passes per side, the sides alternating which runs first."""
+    times: dict[str, list[float]] = {side: [] for side in SIDES}
+    for index in range(passes):
         order = SIDES if index % 2 == 0 else SIDES[::-1]
         for side in order:
             times[side].append(one_pass(*loaded[side])[0])
         shown = "  ".join(f"{side} {times[side][-1]:.4f} s" for side in SIDES)
         print(f"pass {index + 1}: {shown}  ratio {times['change'][-1] / times['parent'][-1]:.3f}")
-    parent, change = (statistics.median(times[side]) for side in SIDES)
-    print(f"median: parent {parent:.4f} s  change {change:.4f} s  ratio {change / parent:.3f}")
-    return 0
+    return times
 
+
+def _print_medians(label: str, times: dict[str, list[float]]) -> None:
+    parent, change = (statistics.median(times[side]) for side in SIDES)
+    print(f"{label}: parent {parent:.4f} s  change {change:.4f} s  ratio {change / parent:.3f}")
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -33,9 +33,12 @@ place, deliver and decode, `compress_product` compresses each distinct
 product once, and `compress_factors` each distinct pair of factors: a call
 with the same field, shapes and entries (residues as raw bytes, not a hash
 of them) as an earlier one in the block returns the earlier result, whose
-frozen packet the server and every decoder then share without a copy.  The
-memo only skips the eliminations.  It holds no more than the block's own
-products and is emptied when the block ends.
+frozen packet the server and every decoder then share without a copy.
+`column_splits` keeps each matrix's `spanning_column_splits` result in the
+same memo, keyed by field, shape, block width and entries, so a server
+that split its library in `place` reads the splits again in `deliver`.
+The memo only skips the eliminations.  It holds no more than the block's
+own products and splits and is emptied when the block ends.
 
 A single-row product (m = 1) needs no elimination: its rank is 1 exactly
 when its row is nonzero, with basis (0,) and no coefficients, and its packet
@@ -53,22 +56,32 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .field import _WORD_Q, FieldMatrix, FieldSpec, _eliminate_stack, _matmul_mod, _rref
+from .field import (
+    _WORD_Q,
+    FieldMatrix,
+    FieldSpec,
+    _eliminate_stack,
+    _matmul_mod,
+    _rref,
+    spanning_column_splits,
+)
 
 PacketHeader = tuple[int, tuple[int, ...]]  # (rank, basis row indices)
 # The headers of a nonzero and of a zero single-row product.
 _ROW: PacketHeader = (1, (0,))
 _ZERO: PacketHeader = (0, ())
 # (q, product shape, inner dimension, product residues as bytes) or
-# (q, shape of a, shape of b, residues of a and b as bytes) -> result, while a
-# `compression_memo` block runs in this context.
-_MemoKey = tuple[int, tuple[int, int], int | tuple[int, int], bytes]
+# (q, shape of a, shape of b, residues of a and b as bytes) -> result, and
+# (q, "split", matrix shape, block width, residues as bytes) -> the matrix's
+# (perm, W1, Q), while a `compression_memo` block runs in this context.
+_MemoKey = tuple
+ColumnSplit = tuple[tuple[int, ...], FieldMatrix, FieldMatrix]
 # compress_factors eliminates the factors when min(m, p) is at least
 # _FACTORS_MIN_OUTER and at least _FACTORS_MIN_RATIO times h; below either,
 # forming the product is faster (see the module docstring).
 _FACTORS_MIN_OUTER = 64
 _FACTORS_MIN_RATIO = 4
-_memo: ContextVar[dict[_MemoKey, "CompressedProduct"] | None] = ContextVar(
+_memo: ContextVar[dict[_MemoKey, "CompressedProduct | ColumnSplit"] | None] = ContextVar(
     "compression_memo", default=None
 )
 
@@ -168,10 +181,11 @@ class CompressedProduct:
 
 @contextmanager
 def compression_memo() -> Iterator[None]:
-    """Let `compress_product` reuse its results for the length of the block;
-    the memo is emptied and closed when the block ends, also when it
-    raises.  Nested blocks each get their own memo."""
-    memo: dict[_MemoKey, CompressedProduct] = {}
+    """Let `compress_product` and `compress_factors` reuse their results,
+    and `column_splits` its splits, for the length of the block; the memo is
+    emptied and closed when the block ends, also when it raises.  Nested
+    blocks each get their own memo."""
+    memo: dict[_MemoKey, CompressedProduct | ColumnSplit] = {}
     token = _memo.set(memo)
     try:
         yield
@@ -208,6 +222,32 @@ def compress_factors(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> Compresse
     return _memoized(lambda: _compress_factors(spec, a, b), (spec.q, a.shape, b.shape), a, b)
 
 
+def column_splits(matrices: Sequence[FieldMatrix], block_cols: int) -> list[ColumnSplit]:
+    """spanning_column_splits(matrices, block_cols), item for item.
+
+    Inside a `compression_memo` block, a matrix split there before (same
+    q, shape, block width and entries) returns its earlier split, and the
+    others are split in one call.
+    """
+    memo = _memo.get()
+    if memo is None:
+        return spanning_column_splits(matrices, block_cols)
+    keys = [_key((w.spec.q, "split", w.shape, block_cols), w.data) for w in matrices]
+    todo = {key: w for key, w in zip(keys, matrices) if key not in memo}
+    if todo:
+        memo.update(zip(todo, spanning_column_splits(list(todo.values()), block_cols)))
+    return [memo[key] for key in keys]
+
+
+def _key(head: tuple, *arrays: np.ndarray) -> _MemoKey:
+    """The memo key of `head`, which starts with q, and the entries of
+    `arrays`.  Residues below 2^32 are keyed as 4-byte words: the key stays
+    exact and the memo, which holds every distinct product of the run, half
+    as large."""
+    width = np.uint32 if head[0] <= 1 << 32 else np.int64
+    return (*head, b"".join(array.astype(width).tobytes() for array in arrays))
+
+
 def _memoized(
     compress: Callable[[], CompressedProduct], head: tuple, *arrays: np.ndarray
 ) -> CompressedProduct:
@@ -216,10 +256,7 @@ def _memoized(
     memo = _memo.get()
     if memo is None:
         return compress()
-    # Residues below 2^32 are keyed as 4-byte words: the key stays exact and
-    # the memo, which holds every distinct product of the run, half as large.
-    width = np.uint32 if head[0] <= 1 << 32 else np.int64
-    key = (*head, b"".join(array.astype(width).tobytes() for array in arrays))
+    key = _key(head, *arrays)
     if key not in memo:
         memo[key] = compress()
     return memo[key]

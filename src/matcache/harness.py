@@ -161,7 +161,8 @@ def spec_from_mapping(values: Mapping[str, str]) -> ExperimentSpec:
 
 def build_scheme_config(spec: ExperimentSpec, instance: ProblemInstance):
     """Concrete scheme config from the spec; the scheme derives an omitted
-    parameter where a unique natural choice exists (see `Scheme.configure`)."""
+    parameter where a unique natural choice exists, and rejects one it does
+    not take (see `Scheme.configure`)."""
     return get_scheme(spec.scheme).configure(instance, spec.t, spec.ell)
 
 

@@ -319,8 +319,10 @@ class Scheme:
     meaningful.  validate lists the reasons a configuration is not realizable
     (the shape suggester scans for a shape it accepts).  configure(instance,
     t, ell) builds the config from a cell's free parameters, deriving an
-    omitted one where a natural choice exists; corners(K, N, a) lists the
-    (M, t, ell) of every corner configuration the verification matrix runs.
+    omitted one where a natural choice exists and raising
+    SchemeParameterError for one the scheme does not take; corners(K, N, a)
+    lists the (M, t, ell) of every corner configuration the verification
+    matrix runs.
     """
 
     name: str

@@ -31,7 +31,7 @@ from ..model import (
     UserCache,
     product_pairs,
 )
-from .common import cache_file, decode_file, man_split, multicast_file
+from .common import cache_file, decode_file, man_split, multicast_file, takes_none
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,8 @@ def corner_memory(instance: ProblemInstance, t: int) -> Fraction:
 
 
 def configure(instance: ProblemInstance, t: int | None, ell: int | None) -> AgnosticConfig:
-    """t as given, else the t whose corner memory is M."""
+    """t as given, else the t whose corner memory is M; no ell."""
+    takes_none("agnostic", ell=ell)
     if t is None:
         matches = [u for u in range(instance.K + 1) if corner_memory(instance, u) == instance.M]
         if not matches:

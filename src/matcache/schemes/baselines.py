@@ -33,12 +33,24 @@ from ..model import (
     Scheme,
     UserCache,
 )
-from .common import cache_file, decode_file, man_split, multicast_file, split_widths
+from .common import (
+    cache_file,
+    decode_file,
+    man_split,
+    multicast_file,
+    split_widths,
+    takes_none,
+)
 
 
 @dataclass(frozen=True)
 class UncodedConfig:
     """No free parameters: the column count c = M*r/N is fixed by memory."""
+
+
+def uncoded_configure(instance: ProblemInstance, t: int | None, ell: int | None) -> UncodedConfig:
+    takes_none("uncoded", t=t, ell=ell)
+    return UncodedConfig()
 
 
 def _cached_columns(instance: ProblemInstance) -> Fraction:
@@ -121,7 +133,8 @@ class MultiRequestConfig:
 def multireq_configure(
     instance: ProblemInstance, t: int | None, ell: int | None
 ) -> MultiRequestConfig:
-    """t as given, else floor(K*M/N)."""
+    """t as given, else floor(K*M/N); no ell."""
+    takes_none("multireq", ell=ell)
     if t is None:
         t = int(Fraction(instance.K) * instance.M / instance.N)
     return MultiRequestConfig(t=t)
@@ -201,7 +214,7 @@ def multireq_formula_load(instance: ProblemInstance, config: MultiRequestConfig)
 
 UNCODED = Scheme(
     "uncoded",
-    lambda instance, t, ell: UncodedConfig(),
+    uncoded_configure,
     lambda K, N, a: [(M, None, None) for M in (Fraction(0), Fraction(N, 2), Fraction(N))],
     uncoded_validate,
     uncoded_place,

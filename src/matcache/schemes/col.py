@@ -14,22 +14,31 @@ Every group's layout depends only on the split and s, so one read-only
 layout of the whole grid per split serves the server and every decoder.
 Compression runs once per distinct demanded product, one `compress_stack`
 per block shape (w1, w2) over the cells of every product.  The server
-compresses the products of the demanded columns; a decoder compresses the
-products of its own cached columns, its uncached columns zero, which hold
-every cell its peers' groups need, and rebuilds the groups it receives with
-one `decompress_stack` per shape.  Both are byte-equal to
+compresses the products of the demanded columns.  A decoder multiplies the
+demanded blocks it caches only, c_k x s x c_k for its c_k cached columns,
+places the products in a grid that is zero elsewhere, compresses the cells
+that hold every group its peers' groups need, and rebuilds the groups it
+receives with one `decompress_stack` per shape.  Both are byte-equal to
 `compress_product` and `decompress_product` item by item, so stacking
 changes no packet.
+
+The rounds run as array code over plans kept beside the layout: `_rounds`
+places every round payload in one array, to which each user adds all its
+groups with one scatter, and `_lacks` lets decoder k take its lacked
+groups' payloads end to end and subtract each peer's groups, read from the
+peer's regenerated flat packet with one gather.  Both reduce mod q after
+every step, so the sums stay exact for every q up to 2^62.
 
 For wide matrices (r > s) each matrix is first column-permuted so its
 leading s columns span it; those columns get the treatment above, while the
 remaining r - s columns are represented by cached coefficient blocks Q with
 W1 @ Q = W2, placed by their own MAN split, delivered by its plain coded
 multicasts and combined locally.  One elimination of the matrix gives both
-the permutation and Q, and each side of the link splits its matrices in
-one call, so matrices of fewer than 112 columns share one stacked
-elimination: `place` the whole library and `deliver` the demanded matrices.
-Matrices with r <= s have no coefficient split.
+the permutation and Q.  `place` splits the whole library in one call, so
+matrices of fewer than 112 columns share one stacked elimination, and
+keeps the splits in the run's `compression_memo`; `deliver` reads the
+demanded matrices' splits from there, and splits them in one call of its
+own only outside a memo.  Matrices with r <= s have no coefficient split.
 """
 
 from __future__ import annotations
@@ -43,8 +52,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..bounds import load_Rcol
-from ..compress import DimTriple, PacketHeader, compress_stack, decompress_stack, f_len
-from ..field import FieldMatrix, _matmul_mod, spanning_column_splits
+from ..compress import (
+    DimTriple,
+    PacketHeader,
+    column_splits,
+    compress_stack,
+    decompress_stack,
+    f_len,
+)
+from ..field import FieldMatrix, _matmul_mod
 from ..model import (
     CacheContents,
     DeliveryTranscript,
@@ -61,17 +77,20 @@ from .common import (
     decode_file,
     man_split,
     multicast_file,
-    recover,
     split_widths,
-    subset_sum,
     subsets_of,
-    without,
+    takes_none,
 )
 
 
 @dataclass(frozen=True)
 class ColConfig:
     """No free parameters: t = floor(K*M/N) and the tier split are derived."""
+
+
+def configure(instance: ProblemInstance, t: int | None, ell: int | None) -> ColConfig:
+    takes_none("col", t=t, ell=ell)
+    return ColConfig()
 
 
 def _column_ranges(instance: ProblemInstance) -> list[tuple[str, int]]:
@@ -201,6 +220,106 @@ def _compress_cells(
     return {pair: (flats[pair], headers[pair]) for pair in products}
 
 
+def _spans(starts: Sequence[int], lengths: Sequence[int]) -> np.ndarray:
+    """The positions of the spans [start, start + length), end to end, as
+    int32: the plans below hold many of them."""
+    parts = [np.arange(a, a + n, dtype=np.int32) for a, n in zip(starts, lengths)]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)
+
+
+@dataclass(frozen=True)
+class _Lacks:
+    """What user k lacks of a split's grid and how it reads it back.  Its
+    cached blocks (`subsets`) hold the grid columns whose cells `cut`
+    indexes.  `groups` lists, in layout order, each group V that k lacks:
+    the multicast set V + {k} that carries it, its symbols and its header
+    slice.  `lacked` marks their symbols in the flat packet; k receives
+    their round payloads end to end.  For each peer p, `peers` holds the
+    positions there of the groups whose set holds p, and the symbols of
+    p's group in that set, V + {k} - {p}, in p's flat packet.  Read-only:
+    callers share it."""
+
+    subsets: tuple[tuple[int, ...], ...]
+    cut: tuple[np.ndarray, np.ndarray]
+    groups: tuple[tuple[tuple[int, ...], slice, slice], ...]
+    lacked: np.ndarray
+    peers: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+
+
+@lru_cache(maxsize=128)
+def _lacks(K: int, blocks: tuple[Block, ...], s: int, k: int) -> _Lacks:
+    layout = _grid_layout(K, blocks, s)
+    cached = [block for block in blocks if k in block.subset]
+    columns = _spans([block.offset for block in cached], [block.width for block in cached])
+    groups, lacked = [], np.zeros(layout.size, dtype=bool)
+    dst: dict[int, list[int]] = {}  # per peer: where its groups start in what k receives,
+    src: dict[int, list[int]] = {}  # where they start in its flat packet,
+    lengths: dict[int, list[int]] = {}  # and how long they are
+    at = 0
+    for v_set, span in layout.symbols.items():
+        if k in v_set:
+            continue
+        length = span.stop - span.start
+        groups.append((tuple(sorted(v_set + (k,))), span, layout.pairs[v_set]))
+        lacked[span] = True
+        for j, p in enumerate(v_set):
+            group = layout.symbols[tuple(sorted(v_set[:j] + v_set[j + 1 :] + (k,)))]
+            if group.stop - group.start != length:
+                raise AssertionError(f"group lengths differ across users: {length}")
+            dst.setdefault(p, []).append(at)
+            src.setdefault(p, []).append(group.start)
+            lengths.setdefault(p, []).append(length)
+        at += length
+    peers = [(p, _spans(dst[p], lengths[p]), _spans(src[p], lengths[p])) for p in sorted(dst)]
+    for array in [columns, lacked] + [array for _, *pair in peers for array in pair]:
+        array.flags.writeable = False
+    subsets = tuple(block.subset for block in cached)
+    return _Lacks(subsets, (columns[:, None], columns), tuple(groups), lacked, tuple(peers))
+
+
+@dataclass(frozen=True)
+class _Rounds:
+    """The messages of a split's grid in send order: round by round, each
+    round's multicast sets S in lexicographic order, and no message for a
+    set whose groups are empty.  Message j is symbols starts[j]:starts[j+1]
+    of the rounds' payloads laid end to end, and members[j] pairs each k in
+    S with the header slice of its group S - {k}.  sends[k - 1] holds the
+    positions there of user k's lacked groups, in layout order.
+    Read-only: callers share it."""
+
+    sets: tuple[tuple[int, ...], ...]
+    starts: tuple[int, ...]
+    members: tuple[tuple[tuple[int, slice], ...], ...]
+    sends: tuple[np.ndarray, ...]
+
+
+@lru_cache(maxsize=32)
+def _rounds(K: int, blocks: tuple[Block, ...], s: int) -> _Rounds:
+    layout = _grid_layout(K, blocks, s)
+    sets, starts, members, at = [], [0], [], {}
+    for size in sorted({len(v_set) + 1 for v_set in layout.symbols}):
+        for s_set in subsets_of(K, size):
+            rests = [s_set[:j] + s_set[j + 1 :] for j in range(size)]
+            spans = [layout.symbols.get(rest, slice(0)) for rest in rests]
+            lengths = {span.stop - span.start for span in spans}
+            if len(lengths) != 1:
+                raise AssertionError(f"group lengths differ across users: {lengths}")
+            (length,) = lengths
+            if length == 0:
+                continue
+            at[s_set] = starts[-1]
+            sets.append(s_set)
+            starts.append(starts[-1] + length)
+            members.append(tuple((k, layout.pairs[rest]) for k, rest in zip(s_set, rests)))
+    sends = []
+    for k in range(1, K + 1):
+        groups = _lacks(K, blocks, s, k).groups
+        starts_k = [at[s_set] for s_set, _, _ in groups]
+        sends.append(_spans(starts_k, [span.stop - span.start for _, span, _ in groups]))
+        sends[-1].flags.writeable = False
+    return _Rounds(tuple(sets), tuple(starts), tuple(members), tuple(sends))
+
+
 def _round_messages(
     instance: ProblemInstance,
     split: ManSplit,
@@ -208,36 +327,76 @@ def _round_messages(
     leads: Mapping[int, np.ndarray],
 ) -> list[Message]:
     """Round i sends, to every (i+1)-subset S, the subset sum of each member's
-    group for the intersection set S minus that member.  Only the rounds of
-    group sizes that exist are walked: no other round sends anything."""
-    q, K = instance.field.q, instance.K
-    layout = _layout(split, instance.s)
+    group for the intersection set S minus that member.  Every round's
+    payloads sit in one array, and each user adds all its groups there in
+    one scatter, mod q: reducing after every addition keeps the sum of two
+    residues below 2^63 for every q up to 2^62."""
+    q, K, s = instance.field.q, instance.K, instance.s
+    layout = _layout(split, s)
+    rounds = _rounds(K, split.blocks, s)
     products = {}
     for d1, d2 in set(demands.normalized):
         products[d1, d2] = _matmul_mod(leads[d1].T, leads[d2], q)
     own = _compress_cells(instance, layout, products)
-    empty = (np.zeros(0, dtype=np.int64), ())
-
-    def group(k: int, v_set: tuple[int, ...]) -> tuple[np.ndarray, tuple[PacketHeader, ...]]:
-        if v_set not in layout.symbols:
-            return empty
-        flat, headers = own[demands.pair(k)]
-        return flat[layout.symbols[v_set]], tuple(headers[layout.pairs[v_set]])
-
+    payloads = np.zeros(rounds.starts[-1], dtype=np.int64)
+    for k, at in enumerate(rounds.sends, start=1):
+        flat = own[demands.pair(k)][0]
+        payloads[at] = (payloads[at] + flat[_lacks(K, split.blocks, s, k).lacked]) % q
+    payloads.flags.writeable = False
     messages = []
-    for size in sorted({len(v_set) + 1 for v_set in layout.symbols}):
-        for s_set in subsets_of(K, size):
-            packets = {k: group(k, without(s_set, k)) for k in s_set}
-            lengths = {packet.size for packet, _ in packets.values()}
-            if len(lengths) != 1:
-                raise AssertionError(f"group lengths differ across users: {lengths}")
-            (length,) = lengths
-            if length == 0:
-                continue
-            payload = subset_sum(q, length, s_set, lambda k, _: packets[k][0])
-            headers = tuple((k, packets[k][1]) for k in s_set)
-            messages.append(Message(("col", size - 1, s_set), payload, headers))
+    for s_set, start, stop, members in zip(
+        rounds.sets, rounds.starts, rounds.starts[1:], rounds.members
+    ):
+        headers = tuple((k, tuple(own[demands.pair(k)][1][group])) for k, group in members)
+        messages.append(Message(("col", len(s_set) - 1, s_set), payloads[start:stop], headers))
     return messages
+
+
+def _cached_products(
+    instance: ProblemInstance, total: int, lacks: _Lacks, cache: UserCache, demands: DemandVector
+) -> dict[tuple[int, int], np.ndarray]:
+    """Each distinct demanded product over the columns a user caches alone,
+    c_k x s x c_k, placed in a total x total grid that is zero elsewhere."""
+    q, s = instance.field.q, instance.s
+    parts = {}
+    for i in {d for pair in demands.normalized for d in pair}:
+        blocks = [cache.get(("raw-cols", i, subset)) for subset in lacks.subsets]
+        parts[i] = np.concatenate(blocks, axis=1) if blocks else np.zeros((s, 0), dtype=np.int64)
+    products = {}
+    for d1, d2 in set(demands.normalized):
+        products[d1, d2] = np.zeros((total, total), dtype=np.int64)
+        products[d1, d2][lacks.cut] = _matmul_mod(parts[d1].T, parts[d2], q)
+    return products
+
+
+def _receive(
+    q: int,
+    k: int,
+    layout: _Layout,
+    lacks: _Lacks,
+    transcript: DeliveryTranscript,
+    peer_flats: Mapping[int, np.ndarray],
+) -> tuple[np.ndarray, list[PacketHeader]]:
+    """User k's flat packet and header list, holding every group k lacks:
+    its round payload minus each peer p's group there, read from p's flat
+    packet peer_flats[p] with one gather per peer and reduced mod q after
+    each, so the difference stays exact for every q up to 2^62.  The other
+    groups stay zero."""
+    headers: list[PacketHeader] = [()] * layout.count
+    payloads = []
+    for s_set, span, group in lacks.groups:
+        message = transcript.find(("col", len(s_set) - 1, s_set))
+        heads = message.headers_for(k)
+        if message.payload.size != span.stop - span.start or len(heads) != group.stop - group.start:
+            raise AssertionError("group payload or header count mismatch")
+        payloads.append(message.payload)
+        headers[group] = heads
+    received = np.concatenate(payloads) if payloads else np.zeros(0, dtype=np.int64)
+    for p, at, symbols in lacks.peers:
+        received[at] = (received[at] - peer_flats[p][symbols]) % q
+    flat = np.zeros(layout.size, dtype=np.int64)
+    flat[lacks.lacked] = received
+    return flat, headers
 
 
 def _decode_grid(
@@ -250,43 +409,17 @@ def _decode_grid(
 ) -> np.ndarray:
     """Reassemble user k's full cross-product grid.  Cell (b1, b2) depends
     only on the columns of blocks b1 and b2, so the demanded products of k's
-    cached columns, with the uncached columns zero, hold every cell whose V
-    holds k: k's own such cells, and its peers' groups, which it regenerates
-    from them.  Every other group is cancelled out of the round message for
-    V + {k} and decompressed one stack per block shape."""
+    cached columns alone hold every cell whose V holds k: k's own such
+    cells, and its peers' groups, which it regenerates from them.  Every
+    other group is received and decompressed one stack per block shape."""
     q, s = instance.field.q, instance.s
     layout = _layout(split, s)
-    columns = {
-        i: np.zeros((s, split.total), dtype=np.int64)
-        for i in {d for pair in demands.normalized for d in pair}
-    }
-    for block in split.blocks:
-        if k in block.subset:
-            for i, matrix in columns.items():
-                matrix[:, block.span] = cache.get(("raw-cols", i, block.subset))
-    products = {}
-    for d1, d2 in set(demands.normalized):
-        products[d1, d2] = _matmul_mod(columns[d1].T, columns[d2], q)
+    lacks = _lacks(split.n, split.blocks, s, k)
+    products = _cached_products(instance, split.total, lacks, cache, demands)
     peer_pairs = {demands.pair(p) for p in range(1, instance.K + 1) if p != k}
     peers = _compress_cells(instance, layout, {pair: products[pair] for pair in peer_pairs}, k)
-
-    def message(s_set: tuple[int, ...]) -> Message:
-        return transcript.find(("col", len(s_set) - 1, s_set))
-
-    def peer_group(p: int, rest: tuple[int, ...]) -> np.ndarray:
-        return peers[demands.pair(p)][0][layout.symbols[rest]]
-
-    missing = [v_set for v_set in layout.symbols if k not in v_set]
-    received = recover(q, k, missing, lambda s_set: message(s_set).payload, peer_group)
-    flat = np.zeros(layout.size, dtype=np.int64)
-    headers: list[PacketHeader] = [()] * layout.count
-    for v_set, packet in zip(missing, received):
-        span, group = layout.symbols[v_set], layout.pairs[v_set]
-        heads = message(tuple(sorted(v_set + (k,)))).headers_for(k)
-        if packet.size != span.stop - span.start or len(heads) != group.stop - group.start:
-            raise AssertionError("group payload or header count mismatch")
-        flat[span] = packet
-        headers[group] = heads
+    peer_flats = {p: peers[demands.pair(p)][0] for p, _, _ in lacks.peers}
+    flat, headers = _receive(q, k, layout, lacks, transcript, peer_flats)
     grid = products[demands.pair(k)]
     for cells in layout.shapes.values():
         lacked = ~cells.holders[:, k]
@@ -325,7 +458,7 @@ def place(
         for i, w in enumerate(library, start=1):
             cache_file(users, lead, ("raw-cols", i), w.data)
         return CacheContents(tuple(users))
-    for i, split in enumerate(spanning_column_splits(library, instance.s), start=1):
+    for i, split in enumerate(column_splits(library, instance.s), start=1):
         perms[i], lead_cols, coeffs = split
         cache_file(users, lead, ("raw-cols", i), lead_cols.data)
         cache_file(users, coeff, ("coded-Q", i), coeffs.data)
@@ -344,7 +477,7 @@ def deliver(
     leads = {i: library[i - 1].data for i in demanded}
     coeffs: dict[int, np.ndarray] = {}
     if coeff is not None:
-        splits = spanning_column_splits([library[i - 1] for i in demanded], s)
+        splits = column_splits([library[i - 1] for i in demanded], s)
         for i, (_, lead_cols, coeff_cols) in zip(demanded, splits):
             leads[i], coeffs[i] = lead_cols.data, coeff_cols.data
     messages = _round_messages(instance, lead, demands, leads)
@@ -400,7 +533,7 @@ def formula_load(instance: ProblemInstance, config: ColConfig) -> Fraction:
 
 SCHEME = Scheme(
     "col",
-    lambda instance, t, ell: ColConfig(),
+    configure,
     lambda K, N, a: [(Fraction(N * t, K), None, None) for t in range(K + 1)],
     validate,
     place,

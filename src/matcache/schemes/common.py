@@ -21,9 +21,10 @@ a `ManSplit` is immutable, as every caller shares it.
 When every segment is a slice of one file per user, the whole scheme is
 `cache_file`, `multicast_file` and `decode_file`.  A file is an array whose
 last axis the split cuts: `agnostic`'s compressed product packet, `multireq`'s
-flattened matrix, and `col`'s s x (r - s) coefficient matrix.  `row` and
-`col`'s cross-product grid call `subset_sum` and `recover` directly: their
-segments are compressed products of cached blocks, not slices of one file.
+flattened matrix, and `col`'s s x (r - s) coefficient matrix.  `row` calls
+`subset_sum` and `recover` directly: its segments are compressed products
+of cached blocks, not slices of one file.  `col`'s cross-product grid runs
+the same multicast as array code over plans of its own (see `col`).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..model import DeliveryTranscript, Message, UserCache
+from ..model import DeliveryTranscript, Message, SchemeParameterError, UserCache
 
 Segment = Callable[[int, tuple[int, ...]], np.ndarray | None]
 
@@ -116,9 +117,17 @@ def man_split(n: int, x: Rational, total: int) -> ManSplit:
     return ManSplit(n, t, total, tuple(blocks), by_subset)
 
 
-def without(s_set: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """s_set with k removed, order kept."""
-    return tuple(u for u in s_set if u != k)
+def takes_none(scheme: str, **given: int | None) -> None:
+    """Raise SchemeParameterError for each of `given` that is set: `scheme`
+    takes none of these parameters, and dropping one unread would hide a
+    mistaken cell."""
+    problems = [
+        f"scheme {scheme} takes no parameter {name} (got {name}={value})"
+        for name, value in given.items()
+        if value is not None
+    ]
+    if problems:
+        raise SchemeParameterError(problems)
 
 
 def subset_sum(q: int, length: int, s_set: tuple[int, ...], segment: Segment) -> np.ndarray:
@@ -127,8 +136,8 @@ def subset_sum(q: int, length: int, s_set: tuple[int, ...], segment: Segment) ->
     contributes zeros.  Reducing after every addition keeps the sum of two
     residues below 2^63 for every q up to 2^62."""
     payload = np.zeros(length, dtype=np.int64)
-    for k in s_set:
-        part = segment(k, without(s_set, k))
+    for j, k in enumerate(s_set):
+        part = segment(k, s_set[:j] + s_set[j + 1 :])
         if part is not None:
             payload = (payload + part) % q
     return payload
@@ -151,9 +160,9 @@ def recover(
             continue
         s_set = tuple(sorted(v_set + (k,)))
         payload = payload_for(s_set)
-        for p in s_set:
+        for j, p in enumerate(s_set):
             if p != k:
-                part = segment(p, without(s_set, p))
+                part = segment(p, s_set[:j] + s_set[j + 1 :])
                 if part is not None:
                     payload = (payload - part) % q
         yield payload

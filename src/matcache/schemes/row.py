@@ -41,7 +41,7 @@ from ..model import (
     Scheme,
     UserCache,
 )
-from .common import ManSplit, man_split, recover, split_widths, subset_sum
+from .common import ManSplit, man_split, recover, split_widths, subset_sum, takes_none
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,8 @@ def _split(instance: ProblemInstance, ell: int) -> ManSplit:
 
 
 def configure(instance: ProblemInstance, t: int | None, ell: int | None) -> RowConfig:
-    """ell as given, else the class count of the best row load."""
+    """ell as given, else the class count of the best row load; no t."""
+    takes_none("row", t=t)
     if ell is None:
         _, ell = load_Rrow(instance.K, instance.N, instance.a, instance.M)
     return RowConfig(ell=ell)

@@ -1,6 +1,6 @@
 """scripts/ab_inproc.py: two copies of one tree load as two packages in one
-process, their passes alternate, and the caller's `matcache` is left in
-place."""
+process, in each import order, their passes alternate, and the caller's
+`matcache` is left in place."""
 
 from __future__ import annotations
 
@@ -47,9 +47,14 @@ def test_two_copies_of_one_tree_alternate_in_one_process(tmp_path, capsys):
     assert sys.modules["matcache"] is matcache
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "workload large-matrices  scheme col  seed 1  cells 2"
-    assert lines[1] == "transcript digests: 0 of 2 cells differ"
-    assert [line.split(":")[0] for line in lines[2:4]] == ["pass 1", "pass 2"]
-    assert lines[4].startswith("median: parent ") and " ratio " in lines[4]
+    # Each import order in turn: its digests, its passes and its medians.
+    for first, half in (("parent", lines[1:6]), ("change", lines[6:11])):
+        assert half[0] == f"{first} imported first"
+        assert half[1] == "transcript digests: 0 of 2 cells differ"
+        assert [line.split(":")[0] for line in half[2:4]] == ["pass 1", "pass 2"]
+        assert half[4].startswith("median: parent ") and " ratio " in half[4]
+    assert lines[11].startswith("pooled median: parent ") and " ratio " in lines[11]
+    assert len(lines) == 12
 
 
 @pytest.mark.parametrize(

@@ -225,6 +225,18 @@ def test_sweep_rows_record_validation_errors():
     assert "M" in row["error"]
 
 
+def test_sweep_row_of_a_parameter_the_scheme_does_not_take_is_an_error_row():
+    cells = harness.expand_sweep_cells(
+        [{"scheme": "col", "K": "2", "N": "4", "s": "2", "r": "2", "M": "2", "t": "1", "seed": "0"}]
+        + [{"scheme": "col", "K": "2", "N": "4", "s": "2", "r": "2", "M": "2", "seed": "0..1"}]
+    )
+    rows = harness.run_sweep(cells)
+    assert [(row["t"], row["seed"]) for row in rows] == [("", 0), ("", 1), (1, 0)]
+    assert all(row["verified"] is True and row["error"] == "" for row in rows[:2])
+    assert rows[2]["verified"] is False and "payload_symbols" not in rows[2]
+    assert rows[2]["error"] == "SchemeParameterError: scheme col takes no parameter t (got t=1)"
+
+
 def test_sweep_keeps_other_rows_when_a_cell_raises(monkeypatch):
     cells = harness.expand_sweep_cells(
         [{"scheme": "col", "K": "2", "N": "4", "s": "2", "r": "2", "M": "2", "seed": "0..2"}]
@@ -291,7 +303,10 @@ def test_sweep_parallel_matches_serial():
 
 # SHA-256 of the serial sweep CSV, pinned so that a refactor of the schemes or
 # of the sweep keeps every row, value and byte: the row-partition example, and
-# every scheme at K=2, N=4 by ratio and by shape, error rows included.
+# every scheme at K=2, N=4 by ratio and by shape, error rows included.  The
+# by-shape cells cross row and multireq with both t and ell, so each row cell
+# names a t and each multireq cell an ell that its scheme does not take: all
+# twelve are error rows.
 SWEEP_PINS = [
     (
         "example",
@@ -301,7 +316,7 @@ SWEEP_PINS = [
     (
         "every-scheme",
         27,
-        "3381dcc54c3808410a8e7adab6b3d3d5a0333d858fb5be42349839ac13540bbb",
+        "841b30c7d833197cafa6cdd19ae60ab87689f155b3c10036ab26ac10ec89e1c1",
     ),
 ]
 

@@ -274,6 +274,8 @@ def test_memoized_structure_is_bounded():
         field.is_prime,
         common.man_split,
         col._grid_layout,
+        col._lacks,
+        col._rounds,
         bounds.row_partition_load,
         bounds.load_Rcol,
         harness.fraction_str,

@@ -3,13 +3,16 @@ coefficients for wide matrices, and column permutations for singular blocks."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction as F
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matcache import compress
 from matcache.bounds import load_Rcol
 from matcache.field import (
     DEFAULT_FIELD,
@@ -30,7 +33,7 @@ from matcache.model import (
 )
 from matcache.schemes import col
 from matcache.schemes.col import ColConfig, validate
-from matcache.schemes.common import man_split, split_widths
+from matcache.schemes.common import man_split, recover, split_widths, subset_sum
 
 
 def test_col_split_at_corner_and_between():
@@ -231,9 +234,9 @@ def test_compress_cells_of_all_products_equal_one_call_per_product(inst, pairs):
 
 @pytest.mark.parametrize("M", [F(0), F(128)])
 def test_rounds_walk_only_the_group_sizes_that_exist(M, monkeypatch):
-    """At M = N the only intersection set is [K]: the rounds ask for the
-    (K+1)-subsets alone, not for the 2^K - 1 smaller sets that send nothing.
-    K = 64 also puts users past a 62-bit mask."""
+    """At M = N the only intersection set is [K]: the rounds plan asks for
+    the (K+1)-subsets alone, not for the 2^K - 1 smaller sets that send
+    nothing.  K = 64 also puts users past a 62-bit mask."""
     inst = ProblemInstance(K=64, N=128, s=2, r=2, M=M)
     asked = []
 
@@ -243,6 +246,7 @@ def test_rounds_walk_only_the_group_sizes_that_exist(M, monkeypatch):
 
     real = col.subsets_of
     monkeypatch.setattr(col, "subsets_of", subsets_of)
+    col._rounds.cache_clear()  # the walk runs when a grid's rounds are first planned
     result = run_scheme("col", inst, None, 3)
     assert result.verified
     assert result.report.load == load_Rcol(64, 128, 1, M)
@@ -251,18 +255,133 @@ def test_rounds_walk_only_the_group_sizes_that_exist(M, monkeypatch):
 
 @pytest.mark.parametrize("wide", [True, False])
 def test_each_side_splits_its_wide_matrices_in_one_call(wide, monkeypatch):
-    """`place` splits the whole library in one call and `deliver` the
-    demanded matrices in another; matrices with r <= s are not split."""
+    """Inside run_scheme, `place` splits the whole library in one call and
+    `deliver` reads the demanded matrices' splits back from the run's memo;
+    a bare `deliver`, outside a memo, splits the demanded matrices in one
+    call and sends the same bytes.  Matrices with r <= s are not split."""
     inst = ProblemInstance(K=3, N=6, s=3, r=6 if wide else 3, M=F(2))
     calls = []
-    real = col.spanning_column_splits
+    real = compress.spanning_column_splits
 
     def splits(matrices, block_cols):
         calls.append((len(matrices), block_cols))
         return real(matrices, block_cols)
 
-    monkeypatch.setattr(col, "spanning_column_splits", splits)
+    monkeypatch.setattr(compress, "spanning_column_splits", splits)
     demands = DemandVector(((1, 2), (2, 1), (4, 4)), False)
     result = run_scheme("col", inst, None, 5, demands)
     assert result.verified
-    assert calls == ([(6, 3), (3, 3)] if wide else [])  # the library, then matrices 1, 2 and 4
+    assert calls == ([(6, 3)] if wide else [])  # the library, once
+    calls.clear()
+    bare = col.deliver(inst, ColConfig(), result.library, demands)
+    assert bare.digest() == result.transcript.digest()
+    assert calls == ([(3, 3)] if wide else [])  # matrices 1, 2 and 4
+
+
+def test_decoders_multiply_only_their_cached_columns(monkeypatch):
+    """No product in a decoder's grid is wider than the columns it caches:
+    c_k x s x c_k, not the total x s x total of zero-padded columns."""
+    inst = ProblemInstance(K=6, N=12, s=120, r=60, M=F(3))  # two tiers
+    decoding, widest = [], {}
+    real_matmul, real_decode = col._matmul_mod, col._decode_grid
+
+    def matmul(a, b, q):
+        if decoding:
+            k = decoding[-1]
+            widest[k] = max(widest.get(k, 0), a.shape[0], b.shape[1])
+        return real_matmul(a, b, q)
+
+    def decode_grid(instance, split, k, *args):
+        decoding.append(k)
+        try:
+            return real_decode(instance, split, k, *args)
+        finally:
+            decoding.pop()
+
+    monkeypatch.setattr(col, "_matmul_mod", matmul)
+    monkeypatch.setattr(col, "_decode_grid", decode_grid)
+    result = run_scheme("col", inst, None, 3)
+    assert result.verified
+    split, _ = col._splits(inst)
+    for k in range(1, inst.K + 1):
+        cached = sum(block.width for block in split.blocks if k in block.subset)
+        assert widest[k] == cached < split.total
+
+
+@pytest.mark.parametrize("q", [2, 3, (1 << 31) - 1, (1 << 61) - 1])
+@pytest.mark.parametrize(
+    "inst, pairs",
+    [
+        (ProblemInstance(K=4, N=20, s=12, r=6, M=F(10)), None),  # one tier
+        (ProblemInstance(K=4, N=8, s=24, r=24, M=F(3)), None),  # two tiers
+        (ProblemInstance(K=3, N=6, s=3, r=6, M=F(2)), None),  # wide, r > s
+        (ProblemInstance(K=4, N=20, s=12, r=6, M=F(10)), ((2, 1), (2, 1), (3, 3), (1, 2))),
+        (ProblemInstance(K=7, N=14, s=42, r=42, M=F(3)), None),
+    ],
+    ids=["one-tier", "two-tier", "wide", "duplicate-transposed", "K7"],
+)
+def test_round_sums_and_cancellation_equal_subset_sum_and_recover(inst, pairs, q):
+    """Each round payload is `subset_sum` over its members' groups, and each
+    decoder recovers the groups `recover` gives from the round payloads and
+    the zero-padded products of its cached columns, which equal the
+    cached-column products placed in the grid."""
+    inst = replace(inst, field=FieldSpec(q))
+    demands = worst_case_demands(inst) if pairs is None else DemandVector(pairs, False)
+    result = run_scheme("col", inst, None, 7, demands)
+    assert result.verified
+    split, coeff = col._splits(inst)
+    layout = col._layout(split, inst.s)
+    leads = {
+        i: w.data if coeff is None else spanning_column_splits([w], inst.s)[0][1].data
+        for i, w in enumerate(result.library, start=1)
+    }
+    products = {
+        (d1, d2): _matmul_mod(leads[d1].T, leads[d2], q) for d1, d2 in set(demands.normalized)
+    }
+    own = col._compress_cells(inst, layout, products)
+
+    def group(flats, k, rest):
+        return flats[k][layout.symbols[rest]] if rest in layout.symbols else None
+
+    server = {k: own[demands.pair(k)][0] for k in range(1, inst.K + 1)}
+    rounds = [m for m in result.transcript.messages if isinstance(m.tag[1], int)]
+    assert rounds
+    for message in rounds:
+        s_set = message.tag[2]
+        want = subset_sum(q, message.payload.size, s_set, partial(group, server))
+        assert np.array_equal(message.payload, want)
+        for k in s_set:
+            v_set = tuple(u for u in s_set if u != k)
+            assert message.headers_for(k) == tuple(own[demands.pair(k)][1][layout.pairs[v_set]])
+
+    def payload_for(s_set):
+        return result.transcript.find(("col", len(s_set) - 1, s_set)).payload
+
+    for k in range(1, inst.K + 1):
+        cache = result.cache.for_user(k)
+        padded = {}
+        for i in {d for pair in demands.normalized for d in pair}:
+            padded[i] = np.zeros((inst.s, split.total), dtype=np.int64)
+            for block in split.blocks:
+                if k in block.subset:
+                    padded[i][:, block.span] = cache.get(("raw-cols", i, block.subset))
+        zero_padded = {
+            (d1, d2): _matmul_mod(padded[d1].T, padded[d2], q) for d1, d2 in products
+        }
+        lacks = col._lacks(inst.K, split.blocks, inst.s, k)
+        cached = col._cached_products(inst, split.total, lacks, cache, demands)
+        assert cached.keys() == zero_padded.keys()
+        assert all(np.array_equal(cached[pair], zero_padded[pair]) for pair in cached)
+        peers = {}
+        for p in range(1, inst.K + 1):
+            pair = demands.pair(p)
+            peers[p] = col._compress_cells(inst, layout, {pair: zero_padded[pair]}, k)[pair][0]
+        flat, headers = col._receive(q, k, layout, lacks, result.transcript, peers)
+        missing = [v_set for v_set in layout.symbols if k not in v_set]
+        recovered = recover(q, k, missing, payload_for, partial(group, peers))
+        for v_set, packet in zip(missing, recovered, strict=True):
+            assert np.array_equal(flat[layout.symbols[v_set]], packet)
+            message = result.transcript.find(("col", len(v_set), tuple(sorted(v_set + (k,)))))
+            assert headers[layout.pairs[v_set]] == list(message.headers_for(k))
+        held = [layout.symbols[v_set] for v_set in layout.symbols if k in v_set]
+        assert not any(flat[span].any() for span in held)
