@@ -41,6 +41,7 @@ from .model import (
     ProblemInstance,
     Scheme,
     SchemeParameterError,
+    UnusedParameterError,
     get_scheme,
     random_demands,
     run_scheme,
@@ -162,7 +163,7 @@ def spec_from_mapping(values: Mapping[str, str]) -> ExperimentSpec:
 def build_scheme_config(spec: ExperimentSpec, instance: ProblemInstance):
     """Concrete scheme config from the spec; the scheme derives an omitted
     parameter where a unique natural choice exists, and rejects one it does
-    not take (see `Scheme.configure`)."""
+    not take with UnusedParameterError (see `Scheme.configure`)."""
     return get_scheme(spec.scheme).configure(instance, spec.t, spec.ell)
 
 
@@ -216,6 +217,15 @@ def resolve_instance(spec: ExperimentSpec) -> ProblemInstance:
         raise ConfigurationError(str(exc)) from exc
     if spec.s is not None:
         return instance
+    # A parameter the scheme does not take fails every shape alike: report it
+    # as such, not as a ratio with no valid shape.  Any other problem may
+    # depend on the shape, so the suggester judges it shape by shape.
+    try:
+        build_scheme_config(spec, instance)
+    except UnusedParameterError:
+        raise
+    except SchemeParameterError:
+        pass
     shape = suggest_shape(spec)
     if shape is None:
         raise SchemeParameterError(

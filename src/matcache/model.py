@@ -310,6 +310,11 @@ class SchemeParameterError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
+class UnusedParameterError(SchemeParameterError):
+    """Raised when a cell gives a scheme a parameter it does not take: no
+    shape makes such a cell valid."""
+
+
 @dataclass(frozen=True)
 class Scheme:
     """The place/deliver/decode contract a caching scheme implements.
@@ -320,7 +325,7 @@ class Scheme:
     (the shape suggester scans for a shape it accepts).  configure(instance,
     t, ell) builds the config from a cell's free parameters, deriving an
     omitted one where a natural choice exists and raising
-    SchemeParameterError for one the scheme does not take; corners(K, N, a)
+    UnusedParameterError for one the scheme does not take; corners(K, N, a)
     lists the (M, t, ell) of every corner configuration the verification
     matrix runs.
     """

@@ -22,12 +22,13 @@ receives with one `decompress_stack` per shape.  Both are byte-equal to
 `compress_product` and `decompress_product` item by item, so stacking
 changes no packet.
 
-The rounds run as array code over plans kept beside the layout: `_rounds`
-places every round payload in one array, to which each user adds all its
-groups with one scatter, and `_lacks` lets decoder k take its lacked
-groups' payloads end to end and subtract each peer's groups, read from the
-peer's regenerated flat packet with one gather.  Both reduce mod q after
-every step, so the sums stay exact for every q up to 2^62.
+The rounds run as array code over one plan per split kept beside the
+layout: `_rounds` places every round payload in one array, to which each
+user adds all its groups with one scatter, and holds each user's `_Lacks`,
+by which decoder k takes its lacked groups' payloads end to end and
+subtracts each peer's groups, read from the peer's regenerated flat packet
+with one gather.  Both reduce mod q after every step, so the sums stay
+exact for every q up to 2^62.
 
 For wide matrices (r > s) each matrix is first column-permuted so its
 leading s columns span it; those columns get the treatment above, while the
@@ -80,6 +81,7 @@ from .common import (
     split_widths,
     subsets_of,
     takes_none,
+    without,
 )
 
 
@@ -237,7 +239,7 @@ class _Lacks:
     their round payloads end to end.  For each peer p, `peers` holds the
     positions there of the groups whose set holds p, and the symbols of
     p's group in that set, V + {k} - {p}, in p's flat packet.  Read-only:
-    callers share it."""
+    `_Rounds` holds one per user, and callers share it."""
 
     subsets: tuple[tuple[int, ...], ...]
     cut: tuple[np.ndarray, np.ndarray]
@@ -246,9 +248,7 @@ class _Lacks:
     peers: tuple[tuple[int, np.ndarray, np.ndarray], ...]
 
 
-@lru_cache(maxsize=128)
-def _lacks(K: int, blocks: tuple[Block, ...], s: int, k: int) -> _Lacks:
-    layout = _grid_layout(K, blocks, s)
+def _lacks(layout: _Layout, blocks: tuple[Block, ...], k: int) -> _Lacks:
     cached = [block for block in blocks if k in block.subset]
     columns = _spans([block.offset for block in cached], [block.width for block in cached])
     groups, lacked = [], np.zeros(layout.size, dtype=bool)
@@ -263,7 +263,7 @@ def _lacks(K: int, blocks: tuple[Block, ...], s: int, k: int) -> _Lacks:
         groups.append((tuple(sorted(v_set + (k,))), span, layout.pairs[v_set]))
         lacked[span] = True
         for j, p in enumerate(v_set):
-            group = layout.symbols[tuple(sorted(v_set[:j] + v_set[j + 1 :] + (k,)))]
+            group = layout.symbols[tuple(sorted(without(v_set, j) + (k,)))]
             if group.stop - group.start != length:
                 raise AssertionError(f"group lengths differ across users: {length}")
             dst.setdefault(p, []).append(at)
@@ -283,13 +283,14 @@ class _Rounds:
     round's multicast sets S in lexicographic order, and no message for a
     set whose groups are empty.  Message j is symbols starts[j]:starts[j+1]
     of the rounds' payloads laid end to end, and members[j] pairs each k in
-    S with the header slice of its group S - {k}.  sends[k - 1] holds the
-    positions there of user k's lacked groups, in layout order.
-    Read-only: callers share it."""
+    S with the header slice of its group S - {k}.  lacks[k - 1] is user
+    k's plan, and sends[k - 1] holds the positions there of user k's lacked
+    groups, in layout order.  Read-only: callers share it."""
 
     sets: tuple[tuple[int, ...], ...]
     starts: tuple[int, ...]
     members: tuple[tuple[tuple[int, slice], ...], ...]
+    lacks: tuple[_Lacks, ...]
     sends: tuple[np.ndarray, ...]
 
 
@@ -299,7 +300,7 @@ def _rounds(K: int, blocks: tuple[Block, ...], s: int) -> _Rounds:
     sets, starts, members, at = [], [0], [], {}
     for size in sorted({len(v_set) + 1 for v_set in layout.symbols}):
         for s_set in subsets_of(K, size):
-            rests = [s_set[:j] + s_set[j + 1 :] for j in range(size)]
+            rests = [without(s_set, j) for j in range(size)]
             spans = [layout.symbols.get(rest, slice(0)) for rest in rests]
             lengths = {span.stop - span.start for span in spans}
             if len(lengths) != 1:
@@ -311,13 +312,13 @@ def _rounds(K: int, blocks: tuple[Block, ...], s: int) -> _Rounds:
             sets.append(s_set)
             starts.append(starts[-1] + length)
             members.append(tuple((k, layout.pairs[rest]) for k, rest in zip(s_set, rests)))
+    lacks = tuple(_lacks(layout, blocks, k) for k in range(1, K + 1))
     sends = []
-    for k in range(1, K + 1):
-        groups = _lacks(K, blocks, s, k).groups
-        starts_k = [at[s_set] for s_set, _, _ in groups]
-        sends.append(_spans(starts_k, [span.stop - span.start for _, span, _ in groups]))
+    for plan in lacks:
+        starts_k = [at[s_set] for s_set, _, _ in plan.groups]
+        sends.append(_spans(starts_k, [span.stop - span.start for _, span, _ in plan.groups]))
         sends[-1].flags.writeable = False
-    return _Rounds(tuple(sets), tuple(starts), tuple(members), tuple(sends))
+    return _Rounds(tuple(sets), tuple(starts), tuple(members), lacks, tuple(sends))
 
 
 def _round_messages(
@@ -339,9 +340,9 @@ def _round_messages(
         products[d1, d2] = _matmul_mod(leads[d1].T, leads[d2], q)
     own = _compress_cells(instance, layout, products)
     payloads = np.zeros(rounds.starts[-1], dtype=np.int64)
-    for k, at in enumerate(rounds.sends, start=1):
+    for k, (lacks, at) in enumerate(zip(rounds.lacks, rounds.sends), start=1):
         flat = own[demands.pair(k)][0]
-        payloads[at] = (payloads[at] + flat[_lacks(K, split.blocks, s, k).lacked]) % q
+        payloads[at] = (payloads[at] + flat[lacks.lacked]) % q
     payloads.flags.writeable = False
     messages = []
     for s_set, start, stop, members in zip(
@@ -414,7 +415,7 @@ def _decode_grid(
     other group is received and decompressed one stack per block shape."""
     q, s = instance.field.q, instance.s
     layout = _layout(split, s)
-    lacks = _lacks(split.n, split.blocks, s, k)
+    lacks = _rounds(split.n, split.blocks, s).lacks[k - 1]
     products = _cached_products(instance, split.total, lacks, cache, demands)
     peer_pairs = {demands.pair(p) for p in range(1, instance.K + 1) if p != k}
     peers = _compress_cells(instance, layout, {pair: products[pair] for pair in peer_pairs}, k)

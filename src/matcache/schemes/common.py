@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..model import DeliveryTranscript, Message, SchemeParameterError, UserCache
+from ..model import DeliveryTranscript, Message, UnusedParameterError, UserCache
 
 Segment = Callable[[int, tuple[int, ...]], np.ndarray | None]
 
@@ -118,7 +118,7 @@ def man_split(n: int, x: Rational, total: int) -> ManSplit:
 
 
 def takes_none(scheme: str, **given: int | None) -> None:
-    """Raise SchemeParameterError for each of `given` that is set: `scheme`
+    """Raise UnusedParameterError for each of `given` that is set: `scheme`
     takes none of these parameters, and dropping one unread would hide a
     mistaken cell."""
     problems = [
@@ -127,7 +127,12 @@ def takes_none(scheme: str, **given: int | None) -> None:
         if value is not None
     ]
     if problems:
-        raise SchemeParameterError(problems)
+        raise UnusedParameterError(problems)
+
+
+def without(members: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """members with its j-th entry removed, order kept."""
+    return members[:j] + members[j + 1 :]
 
 
 def subset_sum(q: int, length: int, s_set: tuple[int, ...], segment: Segment) -> np.ndarray:
@@ -137,7 +142,7 @@ def subset_sum(q: int, length: int, s_set: tuple[int, ...], segment: Segment) ->
     residues below 2^63 for every q up to 2^62."""
     payload = np.zeros(length, dtype=np.int64)
     for j, k in enumerate(s_set):
-        part = segment(k, s_set[:j] + s_set[j + 1 :])
+        part = segment(k, without(s_set, j))
         if part is not None:
             payload = (payload + part) % q
     return payload
@@ -162,7 +167,7 @@ def recover(
         payload = payload_for(s_set)
         for j, p in enumerate(s_set):
             if p != k:
-                part = segment(p, s_set[:j] + s_set[j + 1 :])
+                part = segment(p, without(s_set, j))
                 if part is not None:
                     payload = (payload - part) % q
         yield payload

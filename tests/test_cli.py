@@ -53,29 +53,34 @@ def test_simulate_non_corner_agnostic_memory_exits_two(capsys):
     assert "corner" in err
 
 
-# Each scheme with each parameter it does not take, at a cell it runs.
+# Each scheme with each parameter it does not take, at a cell it runs given
+# by shape and at one given by ratio.
 UNTAKEN = [
-    ("uncoded", "--s 2 --r 2 --M 2", "t", "5"),
-    ("uncoded", "--s 2 --r 2 --M 2", "ell", "1"),
-    ("col", "--s 2 --r 2 --M 2", "t", "1"),
-    ("col", "--s 2 --r 2 --M 2", "ell", "1"),
-    ("row", "--s 2 --r 2 --M 2", "t", "1"),
-    ("agnostic", "--s 10 --r 2 --M 1 --t 1", "ell", "1"),
-    ("multireq", "--s 2 --r 2 --M 2", "ell", "2"),
+    ("uncoded", "--s 2 --r 2 --M 2", "--a 1 --M 2", "t", "5"),
+    ("uncoded", "--s 2 --r 2 --M 2", "--a 1 --M 2", "ell", "1"),
+    ("col", "--s 2 --r 2 --M 2", "--a 1 --M 2", "t", "1"),
+    ("col", "--s 2 --r 2 --M 2", "--a 1 --M 2", "ell", "1"),
+    ("row", "--s 2 --r 2 --M 2", "--a 1 --M 2", "t", "1"),
+    ("agnostic", "--s 10 --r 2 --M 1 --t 1", "--a 1/5 --M 1 --t 1", "ell", "1"),
+    ("multireq", "--s 2 --r 2 --M 2", "--a 1 --M 2", "ell", "2"),
 ]
 
 
 @pytest.mark.parametrize(
-    "scheme, cell, name, value", UNTAKEN, ids=[f"{u[0]}-{u[2]}" for u in UNTAKEN]
+    "scheme, by_shape, by_ratio, name, value", UNTAKEN, ids=[f"{u[0]}-{u[3]}" for u in UNTAKEN]
 )
-def test_simulate_rejects_a_parameter_the_scheme_does_not_take(capsys, scheme, cell, name, value):
-    base = f"simulate --scheme {scheme} --K 2 --N 4 {cell}".split()
-    assert main(base) == 0
-    capsys.readouterr()
-    assert main(base + [f"--{name}", value]) == 2
-    captured = capsys.readouterr()
-    assert f"scheme {scheme} takes no parameter {name} (got {name}={value})" in captured.err
-    assert captured.out == ""
+def test_simulate_rejects_a_parameter_the_scheme_does_not_take(
+    capsys, scheme, by_shape, by_ratio, name, value
+):
+    for cell in (by_shape, by_ratio):
+        base = f"simulate --scheme {scheme} --K 2 --N 4 {cell}".split()
+        assert main(base) == 0
+        capsys.readouterr()
+        assert main(base + [f"--{name}", value]) == 2
+        captured = capsys.readouterr()
+        assert f"scheme {scheme} takes no parameter {name} (got {name}={value})" in captured.err
+        assert "no (s, r)" not in captured.err
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -234,7 +234,16 @@ def test_sweep_row_of_a_parameter_the_scheme_does_not_take_is_an_error_row():
     assert [(row["t"], row["seed"]) for row in rows] == [("", 0), ("", 1), (1, 0)]
     assert all(row["verified"] is True and row["error"] == "" for row in rows[:2])
     assert rows[2]["verified"] is False and "payload_symbols" not in rows[2]
-    assert rows[2]["error"] == "SchemeParameterError: scheme col takes no parameter t (got t=1)"
+    assert rows[2]["error"] == "UnusedParameterError: scheme col takes no parameter t (got t=1)"
+    crossed = harness.expand_sweep_cells(
+        [{"scheme": "row,multireq", "K": "2", "N": "4", "s": "2", "r": "2", "M": "2", "t": "0..2", "ell": "1,2"}]
+    )
+    rows = harness.run_sweep(crossed)
+    assert len(rows) == 12 and not any(row["verified"] for row in rows)
+    for row in rows:
+        name = "t" if row["scheme"] == "row" else "ell"
+        expected = f"scheme {row['scheme']} takes no parameter {name} (got {name}={row[name]})"
+        assert row["error"] == f"UnusedParameterError: {expected}"
 
 
 def test_sweep_keeps_other_rows_when_a_cell_raises(monkeypatch):
@@ -303,10 +312,8 @@ def test_sweep_parallel_matches_serial():
 
 # SHA-256 of the serial sweep CSV, pinned so that a refactor of the schemes or
 # of the sweep keeps every row, value and byte: the row-partition example, and
-# every scheme at K=2, N=4 by ratio and by shape, error rows included.  The
-# by-shape cells cross row and multireq with both t and ell, so each row cell
-# names a t and each multireq cell an ell that its scheme does not take: all
-# twelve are error rows.
+# every scheme at K=2, N=4 by ratio and by shape, error rows included, with
+# row given each ell and multireq each t by shape.
 SWEEP_PINS = [
     (
         "example",
@@ -315,8 +322,8 @@ SWEEP_PINS = [
     ),
     (
         "every-scheme",
-        27,
-        "841b30c7d833197cafa6cdd19ae60ab87689f155b3c10036ab26ac10ec89e1c1",
+        20,
+        "4bd719c0522f0da46cd28279851ee4949cefe765520a2867d4eab4025ff3735d",
     ),
 ]
 
@@ -326,16 +333,8 @@ def _pinned_sweep(name: str) -> list[dict[str, str]]:
         return [harness.parse_config_file(Path(__file__).parent.parent / "scripts/sweep_example.cfg")]
     return [
         {"scheme": "agnostic,uncoded,multireq,row,col", "K": "2", "N": "4", "a": "1", "M": "0,2,4"},
-        {
-            "scheme": "row,multireq",
-            "K": "2",
-            "N": "4",
-            "s": "2",
-            "r": "2",
-            "M": "2",
-            "t": "0..2",
-            "ell": "1,2",
-        },
+        {"scheme": "row", "K": "2", "N": "4", "s": "2", "r": "2", "M": "2", "ell": "1,2"},
+        {"scheme": "multireq", "K": "2", "N": "4", "s": "2", "r": "2", "M": "2", "t": "0..2"},
     ]
 
 

@@ -274,7 +274,6 @@ def test_memoized_structure_is_bounded():
         field.is_prime,
         common.man_split,
         col._grid_layout,
-        col._lacks,
         col._rounds,
         bounds.row_partition_load,
         bounds.load_Rcol,

@@ -368,7 +368,7 @@ def test_round_sums_and_cancellation_equal_subset_sum_and_recover(inst, pairs, q
         zero_padded = {
             (d1, d2): _matmul_mod(padded[d1].T, padded[d2], q) for d1, d2 in products
         }
-        lacks = col._lacks(inst.K, split.blocks, inst.s, k)
+        lacks = col._rounds(inst.K, split.blocks, inst.s).lacks[k - 1]
         cached = col._cached_products(inst, split.total, lacks, cache, demands)
         assert cached.keys() == zero_padded.keys()
         assert all(np.array_equal(cached[pair], zero_padded[pair]) for pair in cached)
