@@ -2,13 +2,14 @@
 """Time two checkouts' `harness.run_cell` in one process, pass by pass in alternation.
 
     python3 scripts/ab_inproc.py PARENT CHANGE --workload corners --scheme row --passes 6
+    python3 scripts/ab_inproc.py PARENT CHANGE --workload col-many-blocks --scheme agnostic row
 
 PARENT and CHANGE are checkouts of the repository (each with its own `src/`
 and `perfbench/workloads.py`).  Both checkouts' `matcache` packages are
 imported into this one process, and `sys.modules` is switched to one side's
 modules before each of its passes, so a function-local import finds its own
 checkout.  A pass runs every cell of the workload at --seed once, filtered
-to one scheme with --scheme.
+to the schemes named by --scheme.
 
 The run has two halves.  In the first the parent is imported first, in the
 second the change; each half imports both sides afresh and drops them at its
@@ -37,6 +38,7 @@ import sys
 import time
 from pathlib import Path
 from types import ModuleType
+from typing import Sequence
 
 SIDES = ("parent", "change")
 
@@ -53,11 +55,13 @@ def _swap(modules: dict[str, ModuleType]) -> dict[str, ModuleType]:
     return taken
 
 
-def load(checkout: Path, workload: str, seed: int, scheme: str | None) -> tuple[dict, list]:
-    """Import the checkout's `matcache` and build its workload's cells;
-    return (its `matcache` modules, the cells).  sys.modules and sys.path
-    are left as they were found.  Raises LookupError on an unknown workload
-    and on a scheme with no cell in it."""
+def load(
+    checkout: Path, workload: str, seed: int, schemes: Sequence[str] | None
+) -> tuple[dict, list]:
+    """Import the checkout's `matcache` and build its workload's cells,
+    only those of `schemes` when given; return (its `matcache` modules, the
+    cells).  sys.modules and sys.path are left as they were found.  Raises
+    LookupError on an unknown workload and on a scheme with no cell in it."""
     saved = _swap({})
     src = str(checkout / "src")
     sys.path.insert(0, src)
@@ -70,13 +74,14 @@ def load(checkout: Path, workload: str, seed: int, scheme: str | None) -> tuple[
         if workload not in workloads.WORKLOADS:
             known = ", ".join(workloads.WORKLOADS)
             raise LookupError(f"unknown workload {workload}; choose from {known}")
-        cells = [cell for cell in workloads.build(workload, seed) if scheme in (None, cell.scheme)]
+        cells = workloads.build(workload, seed)
     finally:
         sys.path.remove(src)
         modules = _swap(saved)
-    if not cells:
-        raise LookupError(f"workload {workload} has no {scheme} cell")
-    return modules, cells
+    for scheme in schemes or ():
+        if all(cell.scheme != scheme for cell in cells):
+            raise LookupError(f"workload {workload} has no {scheme} cell")
+    return modules, [cell for cell in cells if schemes is None or cell.scheme in schemes]
 
 
 def one_pass(modules: dict[str, ModuleType], cells: list) -> tuple[float, list[str]]:
@@ -96,7 +101,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True, help="perfbench workload name")
-    parser.add_argument("--scheme", help="run only this scheme's cells")
+    parser.add_argument("--scheme", nargs="+", help="run only these schemes' cells")
     parser.add_argument(
         "--passes", type=int, default=6, help="timed passes per side in each import order"
     )
@@ -120,7 +125,7 @@ def main(argv=None) -> int:
         differ = sum(p != c for p, c in zip(digests["parent"], digests["change"]))
         cells = len(digests["parent"])
         if half == 0:
-            scheme = args.scheme or "all"
+            scheme = " ".join(args.scheme or ["all"])
             print(f"workload {args.workload}  scheme {scheme}  seed {args.seed}  cells {cells}")
         print(f"{order[0]} imported first")
         print(f"transcript digests: {differ} of {cells} cells differ")

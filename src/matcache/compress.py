@@ -9,30 +9,41 @@ the packet that goes on the wire, so equal-shaped packets can be summed in
 multicasts.  A `CompressedProduct` holds that packet, and `compress_stack`
 and `decompress_stack` take stacks of the same (header, packet) pairs.
 
-`compress_factors` compresses a product P = A^T B from its factors A and B,
-h x m and h x p, without forming it.  Let the columns of the h x rho matrix
-G be a basis of B's column space.  The row space of P^T = B^T A is then the
-row space of G^T A, and an RREF is fixed by its row space, so the RREF of
-G^T A has the same pivots and the same first rank rows as that of P^T: the
-same basis rows and coefficients.  When B's leading h columns are
-independent, B's column space is all of F^h, so G may be the identity and
-G^T A is A itself; otherwise G is B at its pivot columns.  The basis rows
-themselves are A[:, basis]^T B.  That costs an elimination of h x h and one
-of h x m (or, for the other B, of h x p and rho x m), where
-`compress_product` needs P (m x h x p) and an elimination of m x p.  The
-factors win when the product is large and thin, so `compress_factors`
-takes them when min(m, p) >= 64 and h <= min(m, p)/4, and otherwise forms
-P and calls `compress_product`; the packet is the same either way.  Timed
-one call at a time at q = 2^31 - 1 on one BLAS thread, the factors took
-0.05 to 0.95 of the product's time inside that range (r x h x r at r = 64
-to 360); from h = r/2 on, and at r <= 32, they were mostly slower, by up
-to 2x.
+`compress_factors` takes a list of factor pairs (A, B), h x m and h x p,
+and compresses each product P = A^T B by one of three routes, all with
+`compress_product`'s bytes:
+- **The factors**, when min(m, p) >= 64 and h <= min(m, p)/4, one pair
+  at a time, without forming P.  Let the columns of the h x rho matrix G
+  be a basis of B's column space.  The row space of P^T = B^T A is then
+  the row space of G^T A, and an RREF is fixed by its row space, so the
+  RREF of G^T A has the same pivots and the same first rank rows as that
+  of P^T: the same basis rows and coefficients.  When B's leading h
+  columns are independent, B's column space is all of F^h, so G may be
+  the identity and G^T A is A itself; otherwise G is B at its pivot
+  columns.  The basis rows themselves are A[:, basis]^T B.  That costs an
+  elimination of h x h and one of h x m (or, for the other B, of h x p and
+  rho x m), where the product needs P (m x h x p) and an elimination of
+  m x p.  Timed one call at a time at q = 2^31 - 1 on one BLAS thread, the
+  factors took 0.05 to 0.95 of the product's time inside that range
+  (r x h x r at r = 64 to 360); from h = r/2 on, and at r <= 32, they were
+  mostly slower, by up to 2x.
+- **One product alone**, when P has more than _STACK_MAX_SYMBOLS = 4096
+  entries: P is formed and goes to `compress_product`.
+- **A stack**, for the other products of one shape when there are at
+  least _STACK_MIN_ITEMS = 5 of them: they are formed in one stacked
+  product, and the distinct ones the memo does not hold yet share one
+  `compress_stack` when there are still at least 5; fewer, of a shape or
+  of the whole list, are compressed one at a time.  On a timing sweep at
+  q = 2^31 - 1 on one BLAS thread, stacks of 5 to 20 items up to 64 x 64
+  took 0.57 to 1.03 of the one-at-a-time time; at 96 x 96 stacking was
+  even, and up to 4 tiny items it was slower (see `field._STACK_MIN_ITEMS`).
 
 Within a `compression_memo` block, which `model.run_scheme` opens around
-place, deliver and decode, `compress_product` compresses each distinct
-product once, and `compress_factors` each distinct pair of factors: a call
-with the same field, shapes and entries (residues as raw bytes, not a hash
-of them) as an earlier one in the block returns the earlier result, whose
+place, deliver and decode, each distinct product is compressed once, by
+whichever route: a result is kept under its field, shape, inner dimension
+and entries (residues as raw bytes, not a hash of them), or for the
+factors under the field, shapes and entries of the pair.  A later call
+with the same key, single or listed, returns the earlier result, whose
 frozen packet the server and every decoder then share without a copy.
 `column_splits` keeps each matrix's `spanning_column_splits` result in the
 same memo, keyed by field, shape, block width and entries, so a server
@@ -57,6 +68,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .field import (
+    _STACK_MIN_ITEMS,
     _WORD_Q,
     FieldMatrix,
     FieldSpec,
@@ -76,11 +88,13 @@ _ZERO: PacketHeader = (0, ())
 # (perm, W1, Q), while a `compression_memo` block runs in this context.
 _MemoKey = tuple
 ColumnSplit = tuple[tuple[int, ...], FieldMatrix, FieldMatrix]
-# compress_factors eliminates the factors when min(m, p) is at least
-# _FACTORS_MIN_OUTER and at least _FACTORS_MIN_RATIO times h; below either,
-# forming the product is faster (see the module docstring).
+# Cut-overs of compress_factors' three routes (see the module docstring):
+# it eliminates the factors when min(m, p) is at least _FACTORS_MIN_OUTER
+# and at least _FACTORS_MIN_RATIO times h, and compresses a product of
+# more than _STACK_MAX_SYMBOLS entries alone.
 _FACTORS_MIN_OUTER = 64
 _FACTORS_MIN_RATIO = 4
+_STACK_MAX_SYMBOLS = 4096
 _memo: ContextVar[dict[_MemoKey, "CompressedProduct | ColumnSplit"] | None] = ContextVar(
     "compression_memo", default=None
 )
@@ -207,19 +221,66 @@ def compress_product(product: FieldMatrix, inner_dim: int) -> CompressedProduct:
     return _memoized(lambda: _compress_product(product, inner_dim), head, product.data)
 
 
-def compress_factors(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> CompressedProduct:
-    """compress_product(a^T b, h), byte for byte, for h x m and h x p residue
-    factors a and b; when min(m, p) >= 64 and h <= min(m, p)/4 the m x p
-    product is never formed.
+def compress_factors(
+    spec: FieldSpec, pairs: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> list[CompressedProduct]:
+    """compress_product(a^T b, h), byte for byte, for each pair of h x m and
+    h x p residue factors a and b, in order, by the module docstring's three
+    routes: from the factors, one product alone, or one stack per shape.
 
-    Inside a `compression_memo` block, factors already compressed there
-    (same q, shapes and entries) return the earlier result.
+    Inside a `compression_memo` block each result is kept under
+    `compress_product`'s key, or on the factor route under the pair's, so a
+    later call for the same product, single or listed, finds it.
     """
-    h, m = a.shape
-    outer = min(m, b.shape[1])
-    if outer < _FACTORS_MIN_OUTER or outer < _FACTORS_MIN_RATIO * h:
-        return compress_product(FieldMatrix._trusted(spec, _matmul_mod(a.T, b, spec.q)), h)
-    return _memoized(lambda: _compress_factors(spec, a, b), (spec.q, a.shape, b.shape), a, b)
+    if len(pairs) < _STACK_MIN_ITEMS:  # too few for any stack
+        return [_compress_pair(spec, a, b) for a, b in pairs]
+    q = spec.q
+    memo = _memo.get()
+    kept = {} if memo is None else memo  # equal products of one stack share one compression
+    out: list[CompressedProduct] = [None] * len(pairs)
+    shapes: dict[tuple, list[int]] = {}
+    for i, (a, b) in enumerate(pairs):
+        (h, m), p = a.shape, b.shape[1]
+        if m * p > _STACK_MAX_SYMBOLS or _factored(h, m, p):
+            out[i] = _compress_pair(spec, a, b)
+        else:
+            shapes.setdefault((h, m, p), []).append(i)
+    for (h, m, p), items in shapes.items():
+        if len(items) < _STACK_MIN_ITEMS:  # too few to stack even if all distinct
+            for i in items:
+                out[i] = _compress_pair(spec, *pairs[i])
+            continue
+        lefts = np.stack([pairs[i][0] for i in items]).transpose(0, 2, 1)
+        products = _matmul_mod(lefts, np.stack([pairs[i][1] for i in items]), q)
+        keys = _stack_keys((q, (m, p), h), products)
+        todo = {key: j for j, key in enumerate(keys) if key not in kept}
+        if len(todo) >= _STACK_MIN_ITEMS:
+            packets, headers = compress_stack(products[list(todo.values())], h, q)
+            packets.flags.writeable = False  # so each item keeps its row without a copy
+            dims = DimTriple(m, h, p)
+            for key, packet, (rank, basis) in zip(todo, packets, headers):
+                kept[key] = CompressedProduct(spec, dims, rank, basis, packet)
+        else:
+            for key, j in todo.items():
+                kept[key] = _compress_product(FieldMatrix._trusted(spec, products[j]), h)
+        for i, key in zip(items, keys):
+            out[i] = kept[key]
+    return out
+
+
+def _factored(h: int, m: int, p: int) -> bool:
+    """Whether compress_factors eliminates an h x m and an h x p factor
+    themselves, not their product."""
+    return min(m, p) >= _FACTORS_MIN_OUTER and min(m, p) >= _FACTORS_MIN_RATIO * h
+
+
+def _compress_pair(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> CompressedProduct:
+    """compress_product(a^T b, h) for one pair, from the factors or from the
+    product, as `_factored` decides."""
+    (h, m), p = a.shape, b.shape[1]
+    if _factored(h, m, p):
+        return _memoized(lambda: _compress_factors(spec, a, b), (spec.q, a.shape, b.shape), a, b)
+    return compress_product(FieldMatrix._trusted(spec, _matmul_mod(a.T, b, spec.q)), h)
 
 
 def column_splits(matrices: Sequence[FieldMatrix], block_cols: int) -> list[ColumnSplit]:
@@ -246,6 +307,14 @@ def _key(head: tuple, *arrays: np.ndarray) -> _MemoKey:
     as large."""
     width = np.uint32 if head[0] <= 1 << 32 else np.int64
     return (*head, b"".join(array.astype(width).tobytes() for array in arrays))
+
+
+def _stack_keys(head: tuple, stack: np.ndarray) -> list[_MemoKey]:
+    """`_key(head, item)` for each item of `stack`, cut from the whole
+    stack's key."""
+    raw = _key(head, stack)[-1]
+    size = len(raw) // len(stack)
+    return [(*head, raw[j * size : (j + 1) * size]) for j in range(len(stack))]
 
 
 def _memoized(

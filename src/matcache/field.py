@@ -24,8 +24,9 @@ paths to them as oracles.  q > 2^31 computes on Python ints (object dtype).
 For many small products of one shape, `_matmul_mod` also multiplies
 (b, m, n) @ (b, n, p) stacks and `_eliminate_stack` runs the rank-1 loop on
 every item of a stack in the same numpy calls.  Every elimination stops
-once the rows below its last pivot are zero on the columns still to pivot:
-no later column could find a pivot there, so stopping changes no result.
+once the rows below its last pivot are zero on the columns still to pivot,
+a stack once that holds for every item: no later column could find a pivot
+there, so stopping changes no result.
 
 Random matrices come from a counter-based PRNG (SplitMix64 finalizer over a
 linear counter encoding) with rejection sampling, so entry (i, j) of a matrix
@@ -81,6 +82,15 @@ _BLAS_MIN_OUTPUT = 256
 _BLOCKED_MIN_COLS = 112
 _BLOCKED_MIN_ENTRIES = 1 << 13
 _PANEL = 32
+# Fewer than _STACK_MIN_ITEMS small matrices are eliminated one at a time,
+# by `spanning_column_splits` and `compress.compress_factors`: below it a
+# stacked elimination's per-column numpy calls cost more than the calls it
+# saves.  On a sweep at q = 2, 2^31 - 1 and 2^61 - 1 (splits of 2 x 4 to
+# 21 x 42 matrices, compressions of 2 x 2 to 21 x 21 products), 2 items
+# took 1.03 to 2.29 times as long stacked, 4 items 0.80 to 1.47 and 5
+# items 0.69 to 1.24, above 1 only over GF(2), whose sparse items pivot in
+# fewer columns together; from 6 items on stacking won in every field.
+_STACK_MIN_ITEMS = 5
 # Most symbols `random_matrices` draws in one vectorized pass; a larger
 # library is drawn in batches, so its temporaries do not grow peak memory.
 # At 2^15, a batch's 256 KB temporaries raised the peak RSS of perfbench's
@@ -375,6 +385,8 @@ def _eliminate_stack(work: np.ndarray, q: int, ncols: int) -> np.ndarray:
         candidates = (work[:, :, col] != 0) & (rows >= rank[:, None])
         items = np.flatnonzero(candidates.any(axis=1))
         if items.size == 0:
+            if not work[rows >= rank[:, None]][:, col:ncols].any():
+                break  # no later column has a pivot candidate in any item
             continue
         row = rank[items]
         sel = candidates[items].argmax(axis=1)
@@ -386,7 +398,13 @@ def _eliminate_stack(work: np.ndarray, q: int, ncols: int) -> np.ndarray:
         work[items, row, col:] = lead
         factors = work[items, :, col]
         factors[np.arange(items.size), row] = 0
-        work[items, :, col:] = (work[items, :, col:] - factors[:, :, None] * lead[:, None, :]) % q
+        update = factors[:, :, None] * lead[:, None, :]
+        if items.size == b:  # every item pivots here: read and write the stack
+            block = work[:, :, col:]  # through a slice, not a gather and a scatter
+            np.subtract(block, update, out=update)
+            np.remainder(update, q, out=block)
+        else:
+            work[items, :, col:] = (work[items, :, col:] - update) % q
         pivots[items, col] = True
         rank[items] += 1
     return pivots
@@ -483,15 +501,15 @@ def spanning_column_splits(
     carrying those pivots are unique, so they are the permuted matrix's too.
 
     Raises ValueError when some rank(W) exceeds block_cols, so no W1 spans
-    W, raising what the first failing item would.  Two or more matrices of
-    one field and shape with fewer than _BLOCKED_MIN_COLS columns share one
-    `_eliminate_stack`, with the same bytes; otherwise each takes `_rref`.
-    On wider ones the stack's gathers cost more than the per-column calls it
-    saves.
+    W, raising what the first failing item would.  _STACK_MIN_ITEMS or more
+    matrices of one field and shape with fewer than _BLOCKED_MIN_COLS
+    columns share one `_eliminate_stack`, with the same bytes; otherwise
+    each takes `_rref`.  On fewer or wider ones the stack's gathers cost
+    more than the per-column calls it saves.
     """
     first = matrices[0] if matrices else None
     stacked = (
-        len(matrices) > 1
+        len(matrices) >= _STACK_MIN_ITEMS
         and first.cols < _BLOCKED_MIN_COLS
         and all(w.spec == first.spec and w.shape == first.shape for w in matrices)
     )

@@ -6,21 +6,26 @@ split at replication t (C(K,t) equal subfiles cached by t-subsets of users),
 and delivery sends one subset-sum per (t+1)-subset of users.  Nothing about
 the algebraic structure of the products is exploited beyond the initial
 compression.
+
+`place` compresses all N(N+1)/2 products in one `compress_factors` call,
+and `deliver` the distinct demanded ones in another: products of one
+shape, they share one stacked product and one `compress_stack` when small
+enough (see `compress`).  Inside the run's memo, `deliver` finds every
+product that `place` compressed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
 from math import comb
 from typing import Sequence
 
 import numpy as np
 
 from ..bounds import load_sa_corners
-from ..compress import CompressedProduct, DimTriple, PacketHeader, compress_product, decompress_product
-from ..field import FieldMatrix, mat_mul
+from ..compress import CompressedProduct, DimTriple, compress_factors, decompress_product
+from ..field import FieldMatrix
 from ..model import (
     CacheContents,
     DeliveryTranscript,
@@ -41,14 +46,12 @@ class AgnosticConfig:
     t: int
 
 
-def _product_packet(
-    instance: ProblemInstance, library: Sequence[FieldMatrix], pair: tuple[int, int]
-) -> tuple[PacketHeader, np.ndarray]:
-    """The header (rank, basis rows) and the B-symbol packet of product `pair`."""
-    i, j = pair
-    product = mat_mul(library[i - 1].transpose(), library[j - 1])
-    cp = compress_product(product, instance.s)
-    return (cp.rank, cp.basis_row_indices), cp.packet
+def _compressed(
+    instance: ProblemInstance, library: Sequence[FieldMatrix], pairs: Sequence[tuple[int, int]]
+) -> dict[tuple[int, int], CompressedProduct]:
+    """The compressed product W_i^T W_j of each pair (i, j), in one call."""
+    factors = [(library[i - 1].data, library[j - 1].data) for i, j in pairs]
+    return dict(zip(pairs, compress_factors(instance.field, factors)))
 
 
 def corner_memory(instance: ProblemInstance, t: int) -> Fraction:
@@ -101,12 +104,12 @@ def place(
     t, K = config.t, instance.K
     if t == 0:  # no user caches a block, so compress nothing
         return CacheContents(tuple(UserCache({}, {}) for _ in range(K)))
-    headers: dict[tuple[int, int], PacketHeader] = {}
+    compressed = _compressed(instance, library, product_pairs(instance.N))
+    headers = {pair: (cp.rank, cp.basis_row_indices) for pair, cp in compressed.items()}
     users = [UserCache({}, {"product-headers": headers}) for _ in range(K)]
     split = man_split(K, t, instance.B)
-    for pair in product_pairs(instance.N):
-        headers[pair], packet = _product_packet(instance, library, pair)
-        cache_file(users, split, ("product-subfile", pair), packet)
+    for pair, cp in compressed.items():
+        cache_file(users, split, ("product-subfile", pair), cp.packet)
     return CacheContents(tuple(users))
 
 
@@ -117,17 +120,14 @@ def deliver(
     demands: DemandVector,
 ) -> DeliveryTranscript:
     t, q = config.t, instance.field.q
-
-    @cache  # users demanding the same product share one compression
-    def packet_for(pair: tuple[int, int]) -> tuple[PacketHeader, np.ndarray]:
-        return _product_packet(instance, library, pair)
-
+    # Users demanding the same product share one compression.
+    compressed = _compressed(instance, library, sorted(set(demands.normalized)))
     split = man_split(instance.K, t, instance.B)
-    messages = multicast_file(q, split, ("agnostic",), lambda k: packet_for(demands.pair(k))[1])
+    messages = multicast_file(q, split, ("agnostic",), lambda k: compressed[demands.pair(k)].packet)
     if t == 0:  # no cache holds the product headers, so they travel with the packet
         for i, (k,) in enumerate(message.tag[1] for message in messages):
-            header = packet_for(demands.pair(k))[0]
-            messages[i] = replace(messages[i], headers=((k, (header,)),))
+            cp = compressed[demands.pair(k)]
+            messages[i] = replace(messages[i], headers=((k, ((cp.rank, cp.basis_row_indices),)),))
     return DeliveryTranscript(tuple(messages))
 
 

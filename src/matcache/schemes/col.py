@@ -153,13 +153,10 @@ class _Layout:
     count: int
 
 
+@lru_cache(maxsize=256)
 def _layout(split: ManSplit, s: int) -> _Layout:
     """The layout of the grid of `split` at inner dimension s."""
-    return _grid_layout(split.n, split.blocks, s)
-
-
-@lru_cache(maxsize=256)
-def _grid_layout(K: int, blocks: tuple[Block, ...], s: int) -> _Layout:
+    K, blocks = split.n, split.blocks
     groups: dict[tuple[int, ...], list[tuple[Block, Block]]] = {}
     for b1 in blocks:
         for b2 in blocks:
@@ -295,8 +292,8 @@ class _Rounds:
 
 
 @lru_cache(maxsize=32)
-def _rounds(K: int, blocks: tuple[Block, ...], s: int) -> _Rounds:
-    layout = _grid_layout(K, blocks, s)
+def _rounds(split: ManSplit, s: int) -> _Rounds:
+    K, layout = split.n, _layout(split, s)
     sets, starts, members, at = [], [0], [], {}
     for size in sorted({len(v_set) + 1 for v_set in layout.symbols}):
         for s_set in subsets_of(K, size):
@@ -312,7 +309,7 @@ def _rounds(K: int, blocks: tuple[Block, ...], s: int) -> _Rounds:
             sets.append(s_set)
             starts.append(starts[-1] + length)
             members.append(tuple((k, layout.pairs[rest]) for k, rest in zip(s_set, rests)))
-    lacks = tuple(_lacks(layout, blocks, k) for k in range(1, K + 1))
+    lacks = tuple(_lacks(layout, split.blocks, k) for k in range(1, K + 1))
     sends = []
     for plan in lacks:
         starts_k = [at[s_set] for s_set, _, _ in plan.groups]
@@ -334,7 +331,7 @@ def _round_messages(
     residues below 2^63 for every q up to 2^62."""
     q, K, s = instance.field.q, instance.K, instance.s
     layout = _layout(split, s)
-    rounds = _rounds(K, split.blocks, s)
+    rounds = _rounds(split, s)
     products = {}
     for d1, d2 in set(demands.normalized):
         products[d1, d2] = _matmul_mod(leads[d1].T, leads[d2], q)
@@ -415,7 +412,7 @@ def _decode_grid(
     other group is received and decompressed one stack per block shape."""
     q, s = instance.field.q, instance.s
     layout = _layout(split, s)
-    lacks = _rounds(split.n, split.blocks, s).lacks[k - 1]
+    lacks = _rounds(split, s).lacks[k - 1]
     products = _cached_products(instance, split.total, lacks, cache, demands)
     peer_pairs = {demands.pair(p) for p in range(1, instance.K + 1) if p != k}
     peers = _compress_cells(instance, layout, {pair: products[pair] for pair in peer_pairs}, k)

@@ -29,7 +29,7 @@ the same multicast as array code over plans of its own (see `col`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -81,15 +81,18 @@ def split_widths(n: int, x: Rational, total: int) -> tuple[int, Fraction, Fracti
 @dataclass(frozen=True)
 class ManSplit:
     """Blocks covering [0, total) in order: the tall tier, then the short
-    tier, each in lexicographic subset order.  `by_subset`, a read-only
-    mapping, finds a block by its user subset and iterates the subsets in
-    block order."""
+    tier, each in lexicographic subset order, of the given `widths`.
+    `by_subset`, a read-only mapping, finds a block by its user subset and
+    iterates the subsets in block order.  (n, t, total, widths) fix the
+    blocks, so splits compare and hash by those four alone: a split is a
+    cheap cache key."""
 
     n: int
     t: int
     total: int
-    blocks: tuple[Block, ...]
-    by_subset: Mapping[tuple[int, ...], Block]
+    widths: tuple[int, ...]
+    blocks: tuple[Block, ...] = field(compare=False)
+    by_subset: Mapping[tuple[int, ...], Block] = field(compare=False)
 
     def multicasts(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """(multicast set, segment width) tier by tier: every (t+1)-subset of
@@ -114,7 +117,7 @@ def man_split(n: int, x: Rational, total: int) -> ManSplit:
             blocks.append(Block(subset, offset, width))
             offset += width
     by_subset = MappingProxyType({block.subset: block for block in blocks})
-    return ManSplit(n, t, total, tuple(blocks), by_subset)
+    return ManSplit(n, t, total, tuple(width for _, width in tiers), tuple(blocks), by_subset)
 
 
 def takes_none(scheme: str, **given: int | None) -> None:

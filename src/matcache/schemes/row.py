@@ -13,7 +13,10 @@ ell) and not on which group slots are occupied.
 
 A block product has rank at most its height h, so the server and every
 decoder compress it with `compress_factors`, which never forms a thin block
-product (h at most r/4, r at least 64) as an r x r matrix.  A decoder's
+product (h at most r/4, r at least 64) as an r x r matrix, and stacks small
+ones by shape.  The server compresses every segment of every multicast in
+one call, and each decoder the segments of its peers that it cancels in
+another; inside the run's memo the decoders find all of them.  A decoder's
 output is the sum over blocks of L_i Pb_i: a cached block gives
 L_i = rows1^T and Pb_i = rows2, a received one the r x rank expansion of its
 header and coefficients and its basis rows (`CompressedProduct.factors`).
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,7 +44,7 @@ from ..model import (
     Scheme,
     UserCache,
 )
-from .common import ManSplit, man_split, recover, split_widths, subset_sum, takes_none
+from .common import ManSplit, man_split, recover, split_widths, subset_sum, takes_none, without
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,22 @@ def place(
     return CacheContents(tuple(users))
 
 
+def _segments(
+    instance: ProblemInstance,
+    demands: DemandVector,
+    wanted: Sequence[tuple[int, tuple[int, ...]]],
+    rows: Callable[[int, tuple[int, ...]], np.ndarray],
+) -> dict[tuple[int, tuple[int, ...]], CompressedProduct]:
+    """Each segment (k, subset) in `wanted`: user k's demanded block product
+    over the rows of `subset`, which rows(i, subset) reads of matrix i, all
+    compressed in one call."""
+    factors = []
+    for k, subset in wanted:
+        d1, d2 = demands.pair(k)
+        factors.append((rows(d1, subset), rows(d2, subset)))
+    return dict(zip(wanted, compress_factors(instance.field, factors)))
+
+
 def deliver(
     instance: ProblemInstance,
     config: RowConfig,
@@ -108,6 +127,15 @@ def deliver(
     split = _split(instance, ell)
     q, r = instance.field.q, instance.r
     groups = -(-instance.K // ell)
+    wanted = [
+        (k, block.subset)
+        for k in range(1, instance.K + 1)
+        for block in split.blocks
+        if (k - 1) % ell + 1 not in block.subset
+    ]
+    segments = _segments(
+        instance, demands, wanted, lambda i, subset: library[i - 1].data[split.by_subset[subset].span]
+    )
     messages = []
     for j in range(1, groups + 1):
         for s_set, h in split.multicasts():
@@ -117,10 +145,7 @@ def deliver(
                 k = (j - 1) * ell + u
                 if k > instance.K:  # absent users of the last group send zeros
                     return None
-                d1, d2 = demands.pair(k)
-                span = split.by_subset[subset].span
-                w1, w2 = library[d1 - 1].data[span], library[d2 - 1].data[span]
-                cp = compress_factors(instance.field, w1, w2)
+                cp = segments[k, subset]
                 headers.append((k, ((cp.rank, cp.basis_row_indices),)))
                 return cp.packet
 
@@ -143,6 +168,7 @@ def decode(
     q, r = instance.field.q, instance.r
     u = (k - 1) % ell + 1
     j = (k - 1) // ell + 1
+    first = (j - 1) * ell  # user p of group j is user first + p
 
     def rows(i: int, subset: tuple[int, ...]) -> np.ndarray:
         return cache.get(("raw-rows", i, subset))
@@ -150,12 +176,20 @@ def decode(
     def message(s_set: tuple[int, ...]) -> Message:
         return transcript.find(("row", j, s_set, len(s_set) - split.t))
 
-    def peer_segment(peer_u: int, subset: tuple[int, ...]) -> np.ndarray | None:
-        peer_k = (j - 1) * ell + peer_u
-        if peer_k > instance.K:
-            return None
-        e1, e2 = demands.pair(peer_k)
-        return compress_factors(instance.field, rows(e1, subset), rows(e2, subset)).packet
+    # The segments of k's present peers in each multicast k receives, which
+    # k regenerates from its own cache.
+    wanted = []
+    for block in split.blocks:
+        if u not in block.subset:
+            s_set = tuple(sorted(block.subset + (u,)))
+            for index, p in enumerate(s_set):
+                if p != u and first + p <= instance.K:
+                    wanted.append((first + p, without(s_set, index)))
+    segments = _segments(instance, demands, wanted, rows)
+
+    def peer_segment(p: int, subset: tuple[int, ...]) -> np.ndarray | None:
+        cp = segments.get((first + p, subset))
+        return None if cp is None else cp.packet
 
     d1, d2 = demands.pair(k)
     lefts, rights = [], []

@@ -37,7 +37,7 @@ def _checkouts(tmp_path: Path) -> list[str]:
 def test_two_copies_of_one_tree_alternate_in_one_process(tmp_path, capsys):
     ab_inproc = _load()
     parent, change = _checkouts(tmp_path)
-    modules, cells = ab_inproc.load(Path(change), "large-matrices", 3, "col")
+    modules, cells = ab_inproc.load(Path(change), "large-matrices", 3, ["col"])
     assert [cell.scheme for cell in cells] == ["col", "col"]
     assert Path(modules["matcache.harness"].__file__).is_relative_to(change)
     assert sys.modules["matcache"] is matcache
@@ -57,12 +57,24 @@ def test_two_copies_of_one_tree_alternate_in_one_process(tmp_path, capsys):
     assert len(lines) == 12
 
 
+def test_several_schemes_keep_the_workload_order(tmp_path):
+    ab_inproc = _load()
+    _, change = _checkouts(tmp_path)
+    _, cells = ab_inproc.load(Path(change), "large-matrices", 3, ["col", "agnostic"])
+    assert [cell.scheme for cell in cells] == ["agnostic", "agnostic", "col", "col"]
+    _, everything = ab_inproc.load(Path(change), "large-matrices", 3, None)
+    assert list(map(repr, cells)) == [
+        repr(cell) for cell in everything if cell.scheme in ("agnostic", "col")
+    ]
+
+
 @pytest.mark.parametrize(
     "options, message",
     [
         (["--passes", "0"], "--passes must be at least 1, got 0"),
         (["--workload", "cornerz"], "unknown workload cornerz; choose from corners"),
         (["--scheme", "rows"], "workload large-matrices has no rows cell"),
+        (["--scheme", "col", "rows"], "workload large-matrices has no rows cell"),
     ],
 )
 def test_bad_arguments_exit_2(options, message, tmp_path, capsys):

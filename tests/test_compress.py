@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -367,7 +369,7 @@ def test_factored_compression_matches_the_product(q, kind):
             expected = compress_product(FieldMatrix(spec, _matmul_mod(a.T, b, q)), h)
             # compress_factors on either side of its cut-over, and the
             # factored elimination itself wherever h < min(m, p).
-            results = [compress_mod.compress_factors(spec, a, b)]
+            results = compress_mod.compress_factors(spec, [(a, b)])
             if h < min(m, p):
                 results.append(compress_mod._compress_factors(spec, a, b))
             for cp in results:
@@ -400,9 +402,8 @@ def test_factored_compression_shares_a_memo_entry(monkeypatch):
     flat = np.concatenate([a.ravel(), b.ravel()])
     swapped = flat[:288].reshape(3, 96), flat[288:].reshape(3, 64)
     with compress_mod.compression_memo():
-        first = compress_mod.compress_factors(DEFAULT_FIELD, a, b)
-        again = compress_mod.compress_factors(DEFAULT_FIELD, a.copy(), b.copy())
-        other = compress_mod.compress_factors(DEFAULT_FIELD, *swapped)
+        (first,) = compress_mod.compress_factors(DEFAULT_FIELD, [(a, b)])
+        again, other = compress_mod.compress_factors(DEFAULT_FIELD, [(a.copy(), b.copy()), swapped])
     assert again is first and other.dims == DimTriple(96, 3, 64)
     assert calls == [((3, 64), (3, 96)), ((3, 96), (3, 64))]
 
@@ -421,3 +422,127 @@ def test_factors_multiply_back_to_the_product(q):
             assert l_factor.shape == (m, cp.rank) and basis_rows.shape == (cp.rank, p)
             assert np.shares_memory(basis_rows, cp.packet) or cp.rank == 0
             assert np.array_equal(_matmul_mod(l_factor, basis_rows, q), product.data)
+
+
+# ---------------------------------------------------------------------------
+# The list call against compress_product item by item
+
+# compress_factors' cut-overs scaled down, so that every route runs on small
+# factors: the factors from min(m, p) >= 8, products of more than 24 entries
+# alone, and stacks from 3 distinct products.
+SMALL_CUTS = {"_FACTORS_MIN_OUTER": 8, "_STACK_MAX_SYMBOLS": 24, "_STACK_MIN_ITEMS": 3}
+# (h, m, p) on each side of those cut-overs: stacked (a single row, h above
+# min(m, p), 12 entries, and 24 exactly), alone past 24 entries, factored at
+# h = min(m, p)/4 = 2, and alone one past that or below min(m, p) = 8.
+LIST_SHAPES = ((2, 1, 3), (4, 2, 2), (2, 3, 4), (3, 4, 6), (3, 5, 5), (2, 8, 8), (3, 8, 8), (2, 7, 9))
+
+
+@st.composite
+def _factor_lists(draw):
+    """(shape, kind, seed) items, a few of each drawn shape, some of them
+    repeated, in a drawn order; equal items have equal entries."""
+    items = []
+    for _ in range(draw(st.integers(0, 4))):
+        shape = draw(st.sampled_from(LIST_SHAPES))
+        for _ in range(draw(st.integers(1, 5))):
+            if items and items[-1][0] == shape and draw(st.integers(0, 3)) == 0:
+                items.append(items[-1])
+                continue
+            kind = draw(st.sampled_from(["random", "a-zero", "b-zero", "a-low-rank"]))
+            items.append((shape, kind, draw(st.integers(0, 2**16))))
+    return draw(st.permutations(items))
+
+
+def _listed_factors(q: int, items) -> list[tuple[np.ndarray, np.ndarray]]:
+    pairs = []
+    for (h, m, p), kind, seed in items:
+        rng = np.random.default_rng(seed)
+        hi = min(q, 1 << 62)
+        a, b = rng.integers(0, hi, (h, m), dtype=np.int64), rng.integers(0, hi, (h, p), dtype=np.int64)
+        if kind == "a-zero":
+            a[:] = 0
+        elif kind == "b-zero":
+            b[:] = 0
+        elif kind == "a-low-rank" and h > 1:
+            a = _matmul_mod(rng.integers(0, hi, (h, 1), dtype=np.int64), a[:1], q)
+        pairs.append((a, b))
+    return pairs
+
+
+@pytest.mark.parametrize("q", [2, 3, Q31, Q61])
+@settings(deadline=None, max_examples=60)
+@given(items=_factor_lists(), in_memo=st.booleans())
+def test_listed_factors_match_compress_product_item_by_item(q, items, in_memo):
+    spec = FieldSpec(q)
+    pairs = _listed_factors(q, items)
+    expected = [
+        compress_product(FieldMatrix(spec, _matmul_mod(a.T, b, q)), a.shape[0]) for a, b in pairs
+    ]
+    with mock.patch.multiple(compress_mod, **SMALL_CUTS):
+        with compress_mod.compression_memo() if in_memo else contextlib.nullcontext():
+            results = compress_mod.compress_factors(spec, pairs)
+            again = compress_mod.compress_factors(spec, pairs)
+            singles = [
+                compress_product(FieldMatrix(spec, _matmul_mod(a.T, b, q)), a.shape[0])
+                for a, b in pairs
+            ]
+    assert len(results) == len(pairs)
+    for cp, single, want in zip(results, singles, expected):
+        assert cp.dims == want.dims
+        assert (cp.rank, cp.basis_row_indices) == (want.rank, want.basis_row_indices)
+        assert cp.packet.tobytes() == want.packet.tobytes()
+        assert not cp.packet.flags.writeable
+        h, m, p = cp.dims.n, cp.dims.m, cp.dims.p
+        factored = min(m, p) >= 8 and min(m, p) >= 4 * h
+        # Inside a memo a later call, listed or single, finds each result
+        # again; a factored result is kept under its factors' key.
+        assert (cp is single) == (in_memo and not factored)
+    assert all((cp is repeat) == in_memo for cp, repeat in zip(results, again))
+
+
+def _route_spies(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
+    """Record each elimination compress_factors runs: its route and shape."""
+    routes = []
+    for name, shape in (
+        ("_compress_factors", lambda spec, a, b: a.shape + b.shape[1:]),
+        ("_compress_product", lambda product, inner: product.shape),
+        ("compress_stack", lambda products, inner, q: products.shape),
+    ):
+        def spy(*args, original=getattr(compress_mod, name), name=name, shape=shape):
+            routes.append((name, shape(*args)))
+            return original(*args)
+
+        monkeypatch.setattr(compress_mod, name, spy)
+    return routes
+
+
+def test_listed_factors_take_each_route_at_the_cut_overs(monkeypatch):
+    """At the module's own cut-overs, q = 2^31 - 1: 64 x 64 products stack
+    and 65 x 64 ones go alone, h = 16 against 64 x 64 stays factored and
+    h = 17 does not, and a shape stacks from _STACK_MIN_ITEMS distinct
+    products on, counted after the memo and the duplicates."""
+    assert (compress_mod._STACK_MAX_SYMBOLS, compress_mod._STACK_MIN_ITEMS) == (4096, 5)
+    rng = np.random.default_rng(17)
+
+    def factors(h, m, p):
+        return rng.integers(0, Q31, (h, m), dtype=np.int64), rng.integers(0, Q31, (h, p), dtype=np.int64)
+
+    square = [factors(17, 64, 64) for _ in range(5)]
+    small = [factors(3, 5, 6) for _ in range(4)]
+    pairs = square + [factors(17, 65, 64), factors(16, 64, 64)] + small + [small[0]]
+    routes = _route_spies(monkeypatch)
+    with compress_mod.compression_memo():
+        results = compress_mod.compress_factors(DEFAULT_FIELD, pairs)
+        assert routes == [
+            ("_compress_product", (65, 64)),
+            ("_compress_factors", (16, 64, 64)),
+            ("compress_stack", (5, 64, 64)),
+            *[("_compress_product", (5, 6))] * 4,  # four distinct: below the stack size
+        ]
+        routes.clear()
+        square_again = compress_mod.compress_factors(DEFAULT_FIELD, square)
+        assert routes == [] and all(x is y for x, y in zip(square_again, results))
+    for (a, b), cp in zip(pairs, results):
+        want = compress_product(FieldMatrix(DEFAULT_FIELD, _matmul_mod(a.T, b, Q31)), a.shape[0])
+        assert cp.packet.tobytes() == want.packet.tobytes()
+        assert (cp.rank, cp.basis_row_indices) == (want.rank, want.basis_row_indices)

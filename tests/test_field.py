@@ -282,8 +282,8 @@ def test_stacked_splits_equal_the_two_step_split(q, monkeypatch):
     for (s, shape), matrices in groups.items():
         calls.clear()
         splits[s, shape] = spanning_column_splits(matrices, s)
-        if shape[1] >= field_mod._BLOCKED_MIN_COLS:
-            assert calls == [("_rref", shape)] * len(matrices)  # wide: one by one
+        if shape[1] >= field_mod._BLOCKED_MIN_COLS or len(matrices) < field_mod._STACK_MIN_ITEMS:
+            assert calls == [("_rref", shape)] * len(matrices)  # wide or few: one by one
         else:
             assert calls == [("_eliminate_stack", (len(matrices), *shape))]
     monkeypatch.undo()  # the reference below runs on the real kernels
@@ -322,11 +322,29 @@ def test_wide_or_mixed_splits_take_rref_one_by_one(q, monkeypatch):
 
 
 @pytest.mark.parametrize("q", [2, 3, Q31, Q61])
+def test_splits_stack_from_the_minimum_stack_size(q, monkeypatch):
+    """One matrix short of _STACK_MIN_ITEMS each takes _rref; at it they
+    share one _eliminate_stack.  The splits are the same either way."""
+    spec = FieldSpec(q)
+    matrices = [random_matrix(spec, 3, 6, seed) for seed in range(field_mod._STACK_MIN_ITEMS)]
+    calls = _spy_on_eliminations(monkeypatch)
+    few = spanning_column_splits(matrices[:-1], 3)
+    assert calls == [("_rref", (3, 6))] * (len(matrices) - 1)
+    calls.clear()
+    enough = spanning_column_splits(matrices, 3)
+    assert calls == [("_eliminate_stack", (len(matrices), 3, 6))]
+    assert enough[:-1] == few
+    monkeypatch.undo()
+    assert enough == [_two_step_split(w, 3) for w in matrices]
+
+
+@pytest.mark.parametrize("q", [2, 3, Q31, Q61])
 def test_stacked_splits_raise_what_the_first_failing_split_raises(q):
     spec = FieldSpec(q)
     fits = FieldMatrix(spec, np.array([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
     too_wide = FieldMatrix(spec, np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    for matrices in ([too_wide], [fits, too_wide, fits], [fits, fits, too_wide]):
+    stacked = [fits] * field_mod._STACK_MIN_ITEMS + [too_wide]
+    for matrices in ([too_wide], [fits, too_wide, fits], [fits, fits, too_wide], stacked):
         with pytest.raises(ValueError, match="rank 3 exceeds block_cols 2: column not in span"):
             spanning_column_splits([too_wide], 2)
         with pytest.raises(ValueError, match="rank 3 exceeds block_cols 2: column not in span"):
@@ -748,6 +766,25 @@ def test_stacked_elimination_matches_loop_item_by_item(q):
         work = stack.astype(object) if q > 1 << 31 else stack.copy()
         pivots = field_mod._eliminate_stack(work, q, p)
         assert pivots.shape == (b, p)
+        for i in range(b):
+            alone = stack[i].astype(object) if q > 1 << 31 else stack[i].copy()
+            expected, _ = field_mod._eliminate(alone, q, p)
+            assert np.flatnonzero(pivots[i]).tolist() == expected
+            assert np.array_equal(work[i], alone)
+
+
+@pytest.mark.parametrize("q", [2, 3, Q31, Q61])
+def test_stacked_elimination_of_equal_ranks_matches_loop_item_by_item(q):
+    """Stacks whose items all pivot in the same columns: full rank, where
+    every column step updates the whole stack, and one rank below full,
+    where the elimination stops once no item has a pivot candidate left."""
+    rng = np.random.default_rng(q % 983)
+    hi = min(q, 1 << 62)
+    for b, m, p, k in ((6, 4, 4, 4), (5, 3, 7, 3), (7, 6, 6, 5), (5, 8, 5, 2)):
+        left = rng.integers(0, hi, (b, m, k), dtype=np.int64)
+        stack = field_mod._matmul_mod(left, rng.integers(0, hi, (b, k, p), dtype=np.int64), q)
+        work = stack.astype(object) if q > 1 << 31 else stack.copy()
+        pivots = field_mod._eliminate_stack(work, q, p)
         for i in range(b):
             alone = stack[i].astype(object) if q > 1 << 31 else stack[i].copy()
             expected, _ = field_mod._eliminate(alone, q, p)

@@ -191,9 +191,9 @@ def test_library_matrices_are_read_only_and_disjoint(s, r, n):
 
 def _count_eliminations(monkeypatch) -> list:
     """Record, for each elimination compress_product or compress_factors
-    runs, the memo open in the context."""
+    runs, one item at a time or stacked, the memo open in the context."""
     seen = []
-    for name in ("_compress_product", "_compress_factors"):
+    for name in ("_compress_product", "_compress_factors", "_eliminate_stack"):
         def counted(*args, original=getattr(compress, name)):
             seen.append(compress._memo.get())
             return original(*args)
@@ -273,7 +273,7 @@ def test_memoized_structure_is_bounded():
     memoized = (
         field.is_prime,
         common.man_split,
-        col._grid_layout,
+        col._layout,
         col._rounds,
         bounds.row_partition_load,
         bounds.load_Rcol,

@@ -90,3 +90,28 @@ def test_decoder_keeps_the_recovered_packet_without_a_copy(monkeypatch):
     assert run_scheme("agnostic", inst, AgnosticConfig(t=1), seed=1).verified
     assert len(kept) == len(recovered) == 2
     assert all(np.shares_memory(packet, file) for packet, file in zip(kept, recovered))
+
+
+@pytest.mark.parametrize("q", [2, (1 << 31) - 1, (1 << 61) - 1])
+@pytest.mark.parametrize("K, N, s, r, t", [(2, 4, 10, 2, 1), (2, 5, 8, 4, 1), (4, 6, 12, 6, 2)])
+def test_place_compresses_every_product_in_one_stack(q, K, N, s, r, t, monkeypatch):
+    """The N(N+1)/2 products share one shape, so place compresses them in
+    one compress_stack and none alone; deliver finds every demanded one in
+    the run's memo."""
+    from matcache import compress
+    from matcache.field import FieldSpec
+
+    calls = []
+    for name in ("compress_stack", "_compress_product", "_compress_factors"):
+        def spy(*args, original=getattr(compress, name), name=name):
+            calls.append((name, args[0].shape if name == "compress_stack" else None))
+            return original(*args)
+
+        monkeypatch.setattr(compress, name, spy)
+    M = corner_memory(ProblemInstance(K=K, N=N, s=s, r=r, M=F(0)), t)
+    inst = ProblemInstance(K=K, N=N, s=s, r=r, field=FieldSpec(q), M=M)
+    result = run_scheme("agnostic", inst, AgnosticConfig(t=t), seed=3)
+    assert result.verified
+    ((name, shape),) = calls
+    assert name == "compress_stack" and shape[1:] == (r, r)
+    assert shape[0] == len(product_pairs(N)) or q == 2  # over GF(2) products may repeat

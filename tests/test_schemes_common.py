@@ -121,3 +121,18 @@ def test_file_engine_decodes_every_split_exactly(n, rows, q):
 
             out = decode_file(q, k, split, ("m",), transcript, cached, shape)
             assert np.array_equal(out, files[demand[k]]), (n, x, k)
+
+
+def test_splits_compare_and_hash_by_their_widths():
+    """A split is keyed by (n, t, total, widths), which fix its blocks: a
+    split rebuilt after the cache is cleared equals the first and finds the
+    same col layout, and splits of another replication differ."""
+    split = man_split(4, F(3, 2), 24)
+    assert split.widths == (3, 2) and man_split(4, F(1), 24).widths == (6,)
+    man_split.cache_clear()
+    again = man_split(4, F(3, 2), 24)
+    assert again is not split and again == split and hash(again) == hash(split)
+    assert again.blocks == split.blocks
+    assert _layout(again, 3) is _layout(split, 3)
+    others = [man_split(4, F(1), 24), man_split(4, F(2), 24), man_split(5, F(3, 2), 40)]
+    assert all(other != split for other in others)

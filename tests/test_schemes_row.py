@@ -181,3 +181,44 @@ def test_thin_blocks_never_form_an_r_by_r_block_product(ell, monkeypatch):
     square = [(a, b) for a, b in shapes if a[0] == b[1] == inst.r]
     assert len(square) == inst.K
     assert all(a[1] > height for a, _ in square)  # one product over all blocks, not one per block
+
+
+@pytest.mark.parametrize("q", [2, (1 << 31) - 1, (1 << 61) - 1])
+@pytest.mark.parametrize(
+    "K, N, s, r, M, ell",
+    [(4, 20, 12, 6, F(10), 2), (4, 20, 12, 6, F(5), 2), (7, 14, 42, 21, F(4), 7), (4, 8, 24, 96, F(3), 2)],
+)
+def test_decoders_run_no_elimination_deliver_ran(q, K, N, s, r, M, ell, monkeypatch):
+    """Every segment a decoder regenerates is one the server compressed in
+    deliver, from the product (r <= 21) or from the factors (r = 96): inside
+    the run's memo the decoders eliminate nothing, and without it they do."""
+    from dataclasses import replace
+
+    from matcache import compress, model
+    from matcache.field import FieldSpec
+
+    stage = ["place"]
+    eliminations = {"place": 0, "deliver": 0, "decode": 0}
+    for name in ("_compress_product", "_compress_factors", "_eliminate_stack"):
+        def counted(*args, original=getattr(compress, name)):
+            eliminations[stage[0]] += 1
+            return original(*args)
+
+        monkeypatch.setattr(compress, name, counted)
+
+    def staged(name, function):
+        def wrapped(*args):
+            stage[0] = name
+            return function(*args)
+
+        return wrapped
+
+    scheme = model.get_scheme("row")
+    scheme = replace(scheme, deliver=staged("deliver", scheme.deliver), decode=staged("decode", scheme.decode))
+    inst = ProblemInstance(K=K, N=N, s=s, r=r, field=FieldSpec(q), M=M)
+    assert run_scheme(scheme, inst, RowConfig(ell=ell), seed=2).verified
+    assert eliminations["deliver"] > 0 and eliminations["decode"] == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "compression_memo", __import__("contextlib").nullcontext)
+        assert run_scheme(scheme, inst, RowConfig(ell=ell), seed=2).verified
+    assert eliminations["decode"] > 0
