@@ -19,6 +19,12 @@ the sides alternating which runs first.  The script prints each pass's
 process CPU time, each half's ratio change/parent of the medians, and the
 ratio of the medians over both halves.
 
+Before its first pass the script runs numpy's OpenBLAS on one thread, through
+the change's `field.single_blas_thread`, and says so in its first line.
+Process CPU time counts every thread of the process, so on more BLAS threads
+it adds what the other threads spend, spinning included, to each side's
+kernel time, and a kernel change reads smaller than it is.
+
 Two processes of one tree can differ by more than a change does, because the
 host's speed and a process's memory layout drift between processes; inside
 one process both sides share them.  The import order still moves the ratio:
@@ -84,6 +90,12 @@ def load(
     return modules, [cell for cell in cells if schemes is None or cell.scheme in schemes]
 
 
+def pin_one_blas_thread(modules: dict[str, ModuleType]) -> None:
+    """Run this process's OpenBLAS on one thread from here on, through the
+    `field.single_blas_thread` of a loaded side: both sides share numpy."""
+    modules["matcache.field"].single_blas_thread()
+
+
 def one_pass(modules: dict[str, ModuleType], cells: list) -> tuple[float, list[str]]:
     """Process CPU seconds to run every cell once, and the cells' transcript digests."""
     saved = _swap(modules)
@@ -121,12 +133,17 @@ def main(argv=None) -> int:
             loaded = {side: load(checkouts[side], *cell_args) for side in order}
         except LookupError as error:
             parser.error(str(error))
+        if half == 0:
+            pin_one_blas_thread(loaded["change"][0])
         digests = {side: one_pass(*loaded[side])[1] for side in SIDES}
         differ = sum(p != c for p, c in zip(digests["parent"], digests["change"]))
         cells = len(digests["parent"])
         if half == 0:
             scheme = " ".join(args.scheme or ["all"])
-            print(f"workload {args.workload}  scheme {scheme}  seed {args.seed}  cells {cells}")
+            print(
+                f"workload {args.workload}  scheme {scheme}  seed {args.seed}  cells {cells}"
+                "  one BLAS thread"
+            )
         print(f"{order[0]} imported first")
         print(f"transcript digests: {differ} of {cells} cells differ")
         timed = _alternate(loaded, args.passes)

@@ -8,19 +8,25 @@ multicast-cancellation logic elsewhere relies on.
 
 Products and eliminations for q < 2^31 each have two exact paths.  Small
 ones stay in int64: the product splits b into 16-bit halves, and the
-elimination is a rank-1 loop, one pivot at a time.  Larger products run in
-float64 BLAS on k-bit limbs of a, k = 53 - bitlen(q-1) - bitlen(n) for inner
-dimension n.  Each dot product of n limbs (< 2^k) with n residues (< q) is
-then an integer of at most n*(q-1)*(2^k - 1) < 2^53, and so is every partial
-sum of it, which float64 holds exactly: the result is the same for every
-order and thread count the BLAS sums in (the delayed reduction of Dumas,
-Giorgi and Pernet, "FFLAS/FFPACK", ACM TOMS 35(3), 2008).  Larger
-eliminations run in column panels whose trailing updates are such products
-(after the blocked elimination of Jeannerod, Pernet and Storjohann,
-J. Symbolic Comput. 56, 2013).  The cut-overs (_BLAS_MIN_INNER,
-_BLAS_MIN_OUTPUT, _BLOCKED_MIN_COLS, _BLOCKED_MIN_ENTRIES) come from a timing
-sweep: below them the int64 paths are faster, and the tests hold the BLAS
-paths to them as oracles.  q > 2^31 computes on Python ints (object dtype).
+elimination is a rank-1 loop, one pivot at a time.  Larger products, and
+every product that takes one limb, run in float64 BLAS.  The smaller
+operand is cut into signed limbs rounded to nearest, |limb| <= 2^(k-1),
+and the other is centred into [-(q >> 1), q >> 1] where that saves a limb;
+k is the widest limb with n*beta*2^(k-1) <= 2^53 for inner dimension n,
+beta = q >> 1 centred and q - 1 not.  Every product of a limb with a
+residue, and every partial sum of n of them, is then an integer of
+magnitude at most 2^53, which float64 holds exactly, so the result is the
+same for every order and thread count the BLAS sums in (the delayed
+reduction, in the balanced representation, of Dumas, Giorgi and Pernet,
+"FFLAS/FFPACK", ACM TOMS 35(3), 2008).  At q = 2^31 - 1 that is two limb
+products for every n up to 256, and for q < 2^16 one product for every n
+up to 2^20.  Larger eliminations run in column panels whose trailing
+updates are such products (after the blocked elimination of Jeannerod,
+Pernet and Storjohann, J. Symbolic Comput. 56, 2013).  The cut-overs
+(_BLAS_MIN_OUTPUT, _BLAS_MIN_WORK, _BLOCKED_MIN_COLS, _BLOCKED_MIN_ENTRIES)
+come from timing sweeps: below them the int64 paths are faster, and the
+tests hold the BLAS paths to them as oracles.  q > 2^31 computes on Python
+ints (object dtype).
 For many small products of one shape, `_matmul_mod` also multiplies
 (b, m, n) @ (b, n, p) stacks and `_eliminate_stack` runs the rank-1 loop on
 every item of a stack in the same numpy calls.  Every elimination stops
@@ -73,10 +79,12 @@ _INT64_MAX_INNER = 1 << 15
 # float64 holds every integer below 2^53 exactly.
 _MANTISSA_BITS = 53
 # Cut-overs from a timing sweep on a 2-CPU x86-64 host with OpenBLAS.
-# Products with an inner dimension of at least _BLAS_MIN_INNER and at least
-# _BLAS_MIN_OUTPUT result entries go to float64 BLAS.
-_BLAS_MIN_INNER = 16
-_BLAS_MIN_OUTPUT = 256
+# A product (or stack of products) that takes more than one float64 limb
+# goes to float64 BLAS once each item has at least _BLAS_MIN_OUTPUT result
+# entries and the whole product at least _BLAS_MIN_WORK multiply-adds; with
+# one limb, BLAS was faster at every size swept.
+_BLAS_MIN_OUTPUT = 16
+_BLAS_MIN_WORK = 1 << 13
 # Eliminations of matrices with at least _BLOCKED_MIN_COLS columns and
 # _BLOCKED_MIN_ENTRIES entries run in panels of _PANEL columns.
 _BLOCKED_MIN_COLS = 112
@@ -206,14 +214,36 @@ class FieldMatrix:
         return FieldMatrix._trusted(self.spec, np.ascontiguousarray(self.data.T))
 
 
-def _limb_bits(q: int, n: int) -> int:
-    """Limb width k of the float64 product with inner dimension n.
+@lru_cache(maxsize=256)  # asked once per product, mostly for the same few (q, n)
+def _limb_bits(q: int, n: int) -> tuple[int, int, bool] | None:
+    """Limb width k, limb count and centring of the float64 product with
+    inner dimension n, or None when no limb is narrow enough.
 
-    As q - 1 < 2^bitlen(q-1) and n < 2^bitlen(n), a dot product of n
-    residues with n k-bit limbs is at most n*(q-1)*(2^k - 1) < 2^53.  Below 1
-    there is no such limb.
+    One operand is cut into signed limbs rounded to nearest, |limb| <=
+    2^(k-1), and the other holds residues of magnitude at most beta: q - 1
+    as they are, or q >> 1 once centred into [-(q >> 1), q >> 1].  Every
+    product of a limb with a residue, and every partial sum of n of them, is
+    then an integer of magnitude at most n*beta*2^(k-1), so float64 holds it
+    exactly whatever order the BLAS adds in; k is the widest limb with that
+    at most 2^53.  The residues are centred only when that saves a limb,
+    since the centring costs a pass over them.  (q >> 1, not (q - 1) // 2:
+    at q = 2 the residue 1 stays 1.)
     """
-    return _MANTISSA_BITS - (q - 1).bit_length() - n.bit_length()
+    best = None
+    for centred in (False, True):
+        beta = q >> 1 if centred else q - 1
+        k = ((1 << _MANTISSA_BITS) // (n * beta)).bit_length()
+        if k < 1:
+            continue
+        # The top limb of q - 1 after rounding off limbs - 1 lower ones; every
+        # residue's top limb is at most that, rounding half up or to even.
+        half, top, limbs = 1 << (k - 1), q - 1, 1
+        while top > half:
+            top = (top + half) >> k
+            limbs += 1
+        if best is None or limbs < best[1]:
+            best = (k, limbs, centred)
+    return best
 
 
 def _matmul_mod_int64(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -226,44 +256,73 @@ def _matmul_mod_int64(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return ((hi << 16) + a @ b_lo) % q
 
 
-def _matmul_mod_float64(a: np.ndarray, b: np.ndarray, q: int, k: int) -> np.ndarray:
-    """Exact (a @ b) mod q from float64 BLAS products of the k-bit limbs of a with b."""
-    b = b.astype(np.float64)
+def _reduce(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q in place, for int64 x of either sign.  On a 384 x 384 limb
+    product this took 0.36 ms where x % q took 0.65 ms, and 1.8 ms once x
+    held both signs (2-CPU x86-64 host, numpy 2.4)."""
+    x -= x // q * q
+    return x
+
+
+def _matmul_mod_float64(
+    a: np.ndarray, b: np.ndarray, q: int, k: int, limbs: int, centred: bool
+) -> np.ndarray:
+    """Exact (a @ b) mod q from float64 BLAS products of `limbs` signed k-bit
+    limbs of one operand with the other, centred first if `centred` (see
+    _limb_bits).  The operand with fewer entries is the one cut into limbs.
+    Each limb product is an integer of magnitude at most 2^53, and with two
+    limbs or more 2^(k-1) < q - 1 < 2^31, so the running sum, below
+    q*2^k + 2^53 <= 2^62 + 2^53, fits int64."""
+    cut_a = a.shape[-2] <= b.shape[-1]
+    whole = b if cut_a else a
+    if centred:
+        whole = whole - (whole > q >> 1) * q
+    whole = whole.astype(np.float64)
+    rest = (a if cut_a else b).astype(np.float64)
+    low = []
+    for _ in range(limbs - 1):  # rest = high * 2^k + low, |low| <= 2^(k-1)
+        high = rest * 2.0**-k
+        np.rint(high, out=high)
+        rest -= high * 2.0**k
+        low.append(rest)
+        rest = high
     acc = None
     # Most significant limb first: Horner's rule recombines the limb products.
-    for shift in range(((q - 1).bit_length() - 1) // k * k, -1, -k):
-        part = (((a >> shift) & ((1 << k) - 1)).astype(np.float64) @ b).astype(np.int64)
+    for limb in [rest, *reversed(low)]:
+        part = (np.matmul(limb, whole) if cut_a else np.matmul(whole, limb)).astype(np.int64)
         if acc is None:
             acc = part
         else:
+            _reduce(acc, q)
             acc <<= k
             acc += part
-        acc %= q
-    return acc
+    return _reduce(acc, q)
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Exact (a @ b) mod q for residue matrices, or item by item for
-    (b, m, n) @ (b, n, p) stacks of them.
+    (s, m, n) @ (s, n, p) stacks of them.
 
-    For q < 2^31, a product with inner dimension n >= _BLAS_MIN_INNER and at
-    least _BLAS_MIN_OUTPUT entries, or with n past the int64 split's 2^15,
-    runs in float64 BLAS on k-bit limbs of a, k = _limb_bits(q, n): every
-    partial dot product is an integer below 2^53, so the result is exact for
-    any summation order and thread count.  Smaller products take the int64
-    split, which is faster there and the oracle of the tests.  Larger q, and
-    inner dimensions too long for a 1-bit limb, take the object product.
+    For q < 2^31 the product runs in float64 BLAS on the limbs of
+    _limb_bits(q, n): every partial dot product is an integer of magnitude
+    at most 2^53, so the result is exact for any summation order and thread
+    count.  Where that takes more than one limb, products with fewer than
+    _BLAS_MIN_OUTPUT entries per item or _BLAS_MIN_WORK multiply-adds in all
+    take the int64 split instead (up to its inner dimension of 2^15), which
+    is faster there and the oracle of the tests.  Larger q, and inner
+    dimensions too long for a 1-bit limb, take the object product.
     """
     m, n = a.shape[-2:]
     p = b.shape[-1]
     if n == 0:
         return np.zeros(a.shape[:-1] + (p,), dtype=np.int64)
     if q < _WORD_Q:
-        if n <= _INT64_MAX_INNER and (n < _BLAS_MIN_INNER or m * p < _BLAS_MIN_OUTPUT):
-            return _matmul_mod_int64(a, b, q)
-        k = _limb_bits(q, n)
-        if k >= 1:
-            return _matmul_mod_float64(a, b, q, k)
+        plan = _limb_bits(q, n)
+        if n <= _INT64_MAX_INNER and plan[1] > 1:
+            if m * p < _BLAS_MIN_OUTPUT or a.size * p < _BLAS_MIN_WORK:
+                return _matmul_mod_int64(a, b, q)
+        if plan is not None:
+            return _matmul_mod_float64(a, b, q, *plan)
     prod = a.astype(object) @ b.astype(object)
     return (prod % q).astype(np.int64)
 

@@ -1,11 +1,12 @@
 """scripts/ab_inproc.py: two copies of one tree load as two packages in one
-process, in each import order, their passes alternate, and the caller's
-`matcache` is left in place."""
+process, in each import order, their passes alternate on one BLAS thread,
+and the caller's `matcache` is left in place."""
 
 from __future__ import annotations
 
 import importlib.util
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,7 +35,7 @@ def _checkouts(tmp_path: Path) -> list[str]:
     return sides
 
 
-def test_two_copies_of_one_tree_alternate_in_one_process(tmp_path, capsys):
+def test_two_copies_of_one_tree_alternate_in_one_process(tmp_path, capsys, monkeypatch):
     ab_inproc = _load()
     parent, change = _checkouts(tmp_path)
     modules, cells = ab_inproc.load(Path(change), "large-matrices", 3, ["col"])
@@ -42,11 +43,15 @@ def test_two_copies_of_one_tree_alternate_in_one_process(tmp_path, capsys):
     assert Path(modules["matcache.harness"].__file__).is_relative_to(change)
     assert sys.modules["matcache"] is matcache
 
+    # Pinned here to record the call, so this test process keeps its BLAS threads.
+    pinned = []
+    monkeypatch.setattr(ab_inproc, "pin_one_blas_thread", pinned.append)
     options = ["--workload", "large-matrices", "--scheme", "col", "--passes", "2"]
     assert ab_inproc.main([parent, change] + options) == 0
     assert sys.modules["matcache"] is matcache
+    assert len(pinned) == 1 and Path(pinned[0]["matcache.field"].__file__).is_relative_to(change)
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "workload large-matrices  scheme col  seed 1  cells 2"
+    assert lines[0] == "workload large-matrices  scheme col  seed 1  cells 2  one BLAS thread"
     # Each import order in turn: its digests, its passes and its medians.
     for first, half in (("parent", lines[1:6]), ("change", lines[6:11])):
         assert half[0] == f"{first} imported first"
@@ -84,3 +89,29 @@ def test_bad_arguments_exit_2(options, message, tmp_path, capsys):
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
     assert sys.modules["matcache"] is matcache
+
+
+def test_the_pin_reaches_numpys_openblas(tmp_path):
+    """In a process of its own, so that this one keeps its BLAS threads: the
+    pin sets the thread count OpenBLAS reports, where numpy has an OpenBLAS."""
+    script = f"""
+import ctypes, importlib.util, sys
+from pathlib import Path
+sys.path.insert(0, {str(ROOT / "src")!r})
+from matcache import field
+spec = importlib.util.spec_from_file_location("ab_inproc", {str(SCRIPT)!r})
+ab_inproc = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab_inproc)
+getters = [
+    getattr(ctypes.CDLL(path), f"{{prefix}}openblas_get_num_threads{{suffix}}", None)
+    for path in field._openblas_paths() for prefix in ("scipy_", "") for suffix in ("64_", "")
+]
+getters = [getter for getter in getters if getter is not None]
+ab_inproc.pin_one_blas_thread({{"matcache.field": field}})
+print(sorted({{getter() for getter in getters}}))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() in ("[1]", "[]")

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import chain, product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -471,11 +472,35 @@ def _inner_dims() -> list[int]:
     return sorted(dims)
 
 
+def _top_limb(x: int, k: int, limbs: int) -> int:
+    """The top limb of x once limbs - 1 lower ones are rounded off to the
+    nearest multiple of 2^k, ties to even, as np.rint does."""
+    for _ in range(limbs - 1):
+        x = round(x / (1 << k))  # exact: x < 2^31 and the quotient is a dyadic float
+    return x
+
+
 @pytest.mark.parametrize("q", [2, 3, 65521, Q31])
 def test_float64_limb_bound_holds_for_every_inner_dim(q):
-    for n in range(1, (1 << 20) + 1):
-        k = field_mod._limb_bits(q, n)
-        assert k >= 1 and n * (q - 1) * ((1 << k) - 1) < 1 << 53
+    """For every n up to 2^20: each dot product of n signed limbs (at most
+    2^(k-1)) with n residues of magnitude beta (q >> 1 when centred, q - 1 when
+    not) is at most n*beta*2^(k-1) <= 2^53; k is the widest such limb; the
+    limbs cover q - 1, and so every residue; and no n takes more limbs than
+    the unsigned limbs of width 53 - bitlen(q-1) - bitlen(n) did."""
+    n = np.arange(1, (1 << 20) + 1, dtype=np.int64)
+    plan = field_mod._limb_bits.__wrapped__  # a million distinct n would only churn the cache
+    plans = chain.from_iterable(map(plan, repeat(q), n.tolist()))
+    k, limbs, centred = np.fromiter(plans, dtype=np.int64, count=3 * n.size).reshape(-1, 3).T
+    beta = np.where(centred, q >> 1, q - 1)
+    assert (k >= 1).all()
+    assert (n * beta <= (1 << 53) >> (k - 1)).all()
+    assert (n * beta > (1 << 53) >> k).all()
+    for width, count in set(zip(k.tolist(), limbs.tolist())):
+        assert abs(_top_limb(q - 1, width, count)) <= 1 << (width - 1)
+    unsigned = 53 - (q - 1).bit_length() - np.frexp(n.astype(np.float64))[1]
+    assert (limbs <= -(-(q - 1).bit_length() // unsigned)).all()
+    # q = 2 and 3 centre nothing: their residues fit one limb either way.
+    assert centred.any() == (q == Q31)
 
 
 @pytest.mark.parametrize("q", [2, 3, 65521, Q31])
@@ -496,7 +521,7 @@ def test_blas_product_matches_oracle_on_worst_case_operands(q):
                 expected = field_mod._matmul_mod_int64(a, b, q)
                 assert np.array_equal(field_mod._matmul_mod(a, b, q), expected), (m, n, p)
                 if n:
-                    fast = field_mod._matmul_mod_float64(a, b, q, field_mod._limb_bits(q, n))
+                    fast = field_mod._matmul_mod_float64(a, b, q, *field_mod._limb_bits(q, n))
                     assert np.array_equal(fast, expected), (m, n, p)
         worst = field_mod._matmul_mod(np.full((16, n), q - 1), np.full((n, 16), q - 1), q)
         assert np.all(worst == n % q)
@@ -505,15 +530,114 @@ def test_blas_product_matches_oracle_on_worst_case_operands(q):
 
 
 def test_blas_product_past_the_int64_inner_limit():
-    """n = 2^15 + 1 is too long for the int64 split; at q = 2^31 - 1 it still has 6-bit limbs."""
+    """n = 2^15 + 1 is too long for the int64 split; at q = 2^31 - 1 it takes
+    four 8-bit limbs against centred b, where the old unsigned 6-bit limbs
+    took six products."""
     n = (1 << 15) + 1
-    assert field_mod._limb_bits(Q31, n) == 6
+    assert field_mod._limb_bits(Q31, n) == (8, 4, True)
     rng = np.random.default_rng(7)
     for a, b in (
         (np.full((2, n), Q31 - 1), np.full((n, 3), Q31 - 1)),
         (rng.integers(0, Q31, (2, n)), rng.integers(0, Q31, (n, 3))),
     ):
         assert np.array_equal(field_mod._matmul_mod(a, b, Q31), _object_product(a, b, Q31))
+
+
+def _extreme_entries(q: int, n: int) -> tuple[list[int], list[int]]:
+    """Entries of a and b at the extremes of the float64 product with inner
+    dimension n.  b: 0, 1, q >> 1 and (q >> 1) + 1 (the centred extremes
+    +-(q >> 1)), q - 2 and q - 1.  a: q - 1, q >> 1, (q >> 1) + 1, and every
+    residue whose signed k-bit limbs are all +-2^(k-1), where rounding to
+    nearest meets a tie at every limb."""
+    k, limbs, _ = field_mod._limb_bits(q, n)
+    half = 1 << (k - 1)
+    a_entries = {q - 1, q >> 1, (q >> 1) + 1}
+    for signs in product((1, -1), repeat=limbs):
+        value = sum(sign * half << (i * k) for i, sign in enumerate(signs))
+        if 0 <= value < q:
+            a_entries.add(value)
+    return sorted(a_entries), sorted({0, 1, q >> 1, (q >> 1) + 1, max(q - 2, 0), q - 1})
+
+
+def _odd_limbs(q: int, n: int) -> int:
+    """The largest residue whose limbs are all odd: its lower limbs
+    2^(k-1) - 1, its top limb odd.  Sums of n equal odd products are odd for
+    odd n, so one that float64 rounds shows."""
+    k, limbs, _ = field_mod._limb_bits(q, n)
+    shift = (limbs - 1) * k
+    low = sum(((1 << (k - 1)) - 1) << (i * k) for i in range(limbs - 1))
+    top = (q - 1 - low) >> shift
+    value = (top - 1 + top % 2 << shift) + low
+    assert 0 < value < q
+    return value
+
+
+def _extreme_operands(rng, q, m, n, p, stack=()):
+    """a and b filled from _extreme_entries, then a all q - 1 or all
+    _odd_limbs against b all q >> 1, (q >> 1) + 1 or q - 2: each dot product
+    as large as it gets, centred or not."""
+    a_entries, b_entries = _extreme_entries(q, n)
+    yield rng.choice(a_entries, stack + (m, n)), rng.choice(b_entries, stack + (n, p))
+    for a_entry in {q - 1, _odd_limbs(q, n)}:
+        for b_entry in {q >> 1, (q >> 1) + 1, max(q - 2, 0)}:
+            yield np.full(stack + (m, n), a_entry), np.full(stack + (n, p), b_entry)
+
+
+@pytest.mark.parametrize("q", [2, 3, 65521, Q31])
+def test_blas_product_is_exact_at_the_centred_extremes(q):
+    """The float64 kernel, called directly and through _matmul_mod, matches
+    the int64 split for n = 2^j - 1, 2^j and 2^j + 1 up to 2^13; on stacks;
+    and on transposed views, the Fortran-ordered operands every W.T caller
+    passes."""
+    rng = np.random.default_rng(q % 1009)
+    for n in [n for n in _inner_dims() if n]:
+        plan = field_mod._limb_bits(q, n)
+        for a, b in _extreme_operands(rng, q, 16, n, 16):
+            expected = field_mod._matmul_mod_int64(a, b, q)
+            assert np.array_equal(field_mod._matmul_mod_float64(a, b, q, *plan), expected), n
+            assert np.array_equal(field_mod._matmul_mod(a, b, q), expected), n
+            left, right = np.ascontiguousarray(a.T).T, np.ascontiguousarray(b.T).T
+            assert left.flags.f_contiguous and right.flags.f_contiguous
+            assert np.array_equal(field_mod._matmul_mod_float64(left, right, q, *plan), expected), n
+        # A thin side on the right and on the left: the kernel cuts the
+        # smaller operand into limbs, b in the first stack and a in the second.
+        for m, p in ((5, 1), (1, 5)):
+            for a, b in _extreme_operands(rng, q, m, n, p, stack=(3,)):
+                expected = np.stack([field_mod._matmul_mod_int64(a[i], b[i], q) for i in range(3)])
+                assert np.array_equal(field_mod._matmul_mod_float64(a, b, q, *plan), expected), n
+
+
+@pytest.mark.parametrize("q", [2, 3, 65521, Q31])
+def test_blas_product_is_exact_at_the_centred_extremes_past_the_int64_limit(q):
+    """Past the int64 split's 2^15, against the sum of its products on
+    slices of the inner dimension."""
+    rng = np.random.default_rng(q % 1013)
+    for n in ((1 << 15) + 1, (1 << 16) + 1):
+        for a, b in _extreme_operands(rng, q, 2, n, 3):
+            parts = [
+                field_mod._matmul_mod_int64(a[:, i : i + (1 << 15)], b[i : i + (1 << 15)], q)
+                for i in range(0, n, 1 << 15)
+            ]
+            assert np.array_equal(field_mod._matmul_mod(a, b, q), sum(parts) % q), n
+
+
+@pytest.mark.parametrize(
+    "n, products", [(32, 2), (64, 2), (128, 2), (192, 2), (256, 2), (257, 3), (512, 3)]
+)
+def test_blas_limb_count_at_q31(n, products, monkeypatch):
+    """Centring b and rounding a's limbs to nearest brings every inner
+    dimension from 64 to 256 down to two BLAS products at q = 2^31 - 1, from
+    three unsigned limbs; 32, 257 and 512 keep their count."""
+    gemms = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda x, y: gemms.append(x.dtype) or matmul(x, y))
+    rng = np.random.default_rng(n)
+    a, b = rng.integers(0, Q31, (32, n)), rng.integers(0, Q31, (n, 32))
+    result = field_mod._matmul_mod(a, b, Q31)
+    monkeypatch.undo()
+    assert gemms == [np.float64] * products
+    assert field_mod._limb_bits(Q31, n)[1] == products
+    assert np.array_equal(result, field_mod._matmul_mod_int64(a, b, Q31))
 
 
 def _loop_rref(data: np.ndarray, q: int, ncols: int | None = None) -> tuple[np.ndarray, list[int]]:
@@ -721,13 +845,17 @@ def test_stacked_product_matches_items_on_every_path(q, monkeypatch):
     calls = []
     blas = field_mod._matmul_mod_float64
     monkeypatch.setattr(
-        field_mod, "_matmul_mod_float64", lambda a, b, q, k: calls.append(a.ndim) or blas(a, b, q, k)
+        field_mod,
+        "_matmul_mod_float64",
+        lambda a, b, q, *plan: calls.append(a.ndim) or blas(a, b, q, *plan),
     )
     rng = np.random.default_rng(q % 1000)
     hi = min(q, 1 << 62)
-    # (2, 3, 4) and (1, 7, 1) take the int64 split and (16, 32, 16) float64
-    # BLAS for q < 2^31; q = 2^61 - 1 takes the object product on all three.
-    for b, m, n, p in ((5, 2, 3, 4), (4, 1, 7, 1), (3, 16, 32, 16), (0, 2, 3, 4), (3, 2, 0, 4)):
+    # At q = 2^31 - 1, (2, 3, 4) and (1, 7, 1) take the int64 split and
+    # (16, 32, 16) float64 BLAS; q = 2 and 3 fit one limb and take BLAS at
+    # every size, and q = 2^61 - 1 takes the object product on all three.
+    cases = ((5, 2, 3, 4), (4, 1, 7, 1), (3, 16, 32, 16), (0, 2, 3, 4), (3, 2, 0, 4))
+    for b, m, n, p in cases:
         left = rng.integers(0, hi, (b, m, n), dtype=np.int64)
         right = rng.integers(0, hi, (b, n, p), dtype=np.int64)
         stacked = field_mod._matmul_mod(left, right, q)
@@ -735,7 +863,12 @@ def test_stacked_product_matches_items_on_every_path(q, monkeypatch):
         for i in range(b):
             assert np.array_equal(stacked[i], field_mod._matmul_mod(left[i], right[i], q))
             assert np.array_equal(stacked[i], _object_product(left[i], right[i], q))
-    assert calls == ([3, 2, 2, 2] if q < 1 << 31 else [])
+    if q == Q31:
+        assert calls == [3, 2, 2, 2]
+    elif q == Q61:
+        assert calls == []
+    else:  # every stack with n > 0, then each of its items
+        assert calls == [ndim for b, m, n, p in cases if n for ndim in [3] + [2] * b]
 
 
 @pytest.mark.parametrize("q", [2, 3, Q31, Q61])
