@@ -281,9 +281,10 @@ def _matmul_mod_float64(
     rest = (a if cut_a else b).astype(np.float64)
     low = []
     for _ in range(limbs - 1):  # rest = high * 2^k + low, |low| <= 2^(k-1)
-        high = rest * 2.0**-k
-        np.rint(high, out=high)
-        rest -= high * 2.0**k
+        rest *= 2.0**-k  # every step is exact: scaling by 2^-k and 2^k,
+        high = np.rint(rest)  # and a difference of at most 1/2
+        rest -= high
+        rest *= 2.0**k
         low.append(rest)
         rest = high
     acc = None
