@@ -91,12 +91,11 @@ def test_bad_arguments_exit_2(options, message, tmp_path, capsys):
     assert sys.modules["matcache"] is matcache
 
 
-def test_the_pin_reaches_numpys_openblas(tmp_path):
+def test_the_pin_reaches_numpys_openblas():
     """In a process of its own, so that this one keeps its BLAS threads: the
     pin sets the thread count OpenBLAS reports, where numpy has an OpenBLAS."""
     script = f"""
 import ctypes, importlib.util, sys
-from pathlib import Path
 sys.path.insert(0, {str(ROOT / "src")!r})
 from matcache import field
 spec = importlib.util.spec_from_file_location("ab_inproc", {str(SCRIPT)!r})
