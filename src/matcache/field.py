@@ -9,20 +9,20 @@ multicast-cancellation logic elsewhere relies on.
 Products and eliminations for q < 2^31 each have two exact paths.  Small
 ones stay in int64: the product splits b into 16-bit halves, and the
 elimination is a rank-1 loop, one pivot at a time.  Larger products, and
-every product that takes one limb, run in float64 BLAS.  The smaller
-operand is cut into signed limbs rounded to nearest, |limb| <= 2^(k-1),
-and the other is centred into [-(q >> 1), q >> 1] where that saves a limb;
-k is the widest limb with n*beta*2^(k-1) <= 2^53 for inner dimension n,
-beta = q >> 1 centred and q - 1 not.  Every product of a limb with a
-residue, and every partial sum of n of them, is then an integer of
-magnitude at most 2^53, which float64 holds exactly, so the result is the
-same for every order and thread count the BLAS sums in (the delayed
-reduction, in the balanced representation, of Dumas, Giorgi and Pernet,
-"FFLAS/FFPACK", ACM TOMS 35(3), 2008).  At q = 2^31 - 1 that is two limb
-products for every n up to 256, and for q < 2^16 one product for every n
-up to 2^20.  Larger eliminations run in column panels whose trailing
-updates are such products (after the blocked elimination of Jeannerod,
-Pernet and Storjohann, J. Symbolic Comput. 56, 2013).  The cut-overs
+every product that takes one limb, run in float64 BLAS.  a is cut into
+signed limbs rounded to nearest, |limb| <= 2^(k-1), and b is centred into
+[-(q >> 1), q >> 1] where that saves a limb; k is the widest limb with
+n*beta*2^(k-1) <= 2^53 for inner dimension n, beta = q >> 1 centred and
+q - 1 not.  Every product of a limb with a residue, and every partial sum
+of n of them, is then an integer of magnitude at most 2^53, which float64
+holds exactly, so the result is the same for every order and thread count
+the BLAS sums in (the delayed reduction, in the balanced representation,
+of Dumas, Giorgi and Pernet, "FFLAS/FFPACK", ACM TOMS 35(3), 2008).  At
+q = 2^31 - 1 that is two limb products for every n up to 256, and for
+q < 2^16 one product for every n up to 2^20.  Larger eliminations run in
+column panels whose trailing updates are such products (after the blocked
+elimination of Jeannerod, Pernet and Storjohann, J. Symbolic Comput. 56,
+2013).  The cut-overs
 (_BLAS_MIN_OUTPUT, _BLAS_MIN_WORK, _BLOCKED_MIN_COLS, _BLOCKED_MIN_ENTRIES)
 come from timing sweeps: below them the int64 paths are faster, and the
 tests hold the BLAS paths to them as oracles.  q > 2^31 computes on Python
@@ -81,8 +81,9 @@ _MANTISSA_BITS = 53
 # Cut-overs from a timing sweep on a 2-CPU x86-64 host with OpenBLAS.
 # A product (or stack of products) that takes more than one float64 limb
 # goes to float64 BLAS once each item has at least _BLAS_MIN_OUTPUT result
-# entries and the whole product at least _BLAS_MIN_WORK multiply-adds; with
-# one limb, BLAS was faster at every size swept.
+# entries, the whole product at least _BLAS_MIN_WORK multiply-adds and b at
+# least as many columns as a has limbs; with one limb, BLAS was faster at
+# every size swept.
 _BLAS_MIN_OUTPUT = 16
 _BLAS_MIN_WORK = 1 << 13
 # Eliminations of matrices with at least _BLOCKED_MIN_COLS columns and
@@ -219,9 +220,9 @@ def _limb_bits(q: int, n: int) -> tuple[int, int, bool] | None:
     """Limb width k, limb count and centring of the float64 product with
     inner dimension n, or None when no limb is narrow enough.
 
-    One operand is cut into signed limbs rounded to nearest, |limb| <=
-    2^(k-1), and the other holds residues of magnitude at most beta: q - 1
-    as they are, or q >> 1 once centred into [-(q >> 1), q >> 1].  Every
+    a is cut into signed limbs rounded to nearest, |limb| <= 2^(k-1), and
+    b holds residues of magnitude at most beta: q - 1 as they are, or
+    q >> 1 once centred into [-(q >> 1), q >> 1].  Every
     product of a limb with a residue, and every partial sum of n of them, is
     then an integer of magnitude at most n*beta*2^(k-1), so float64 holds it
     exactly whatever order the BLAS adds in; k is the widest limb with that
@@ -268,17 +269,14 @@ def _matmul_mod_float64(
     a: np.ndarray, b: np.ndarray, q: int, k: int, limbs: int, centred: bool
 ) -> np.ndarray:
     """Exact (a @ b) mod q from float64 BLAS products of `limbs` signed k-bit
-    limbs of one operand with the other, centred first if `centred` (see
-    _limb_bits).  The operand with fewer entries is the one cut into limbs.
-    Each limb product is an integer of magnitude at most 2^53, and with two
-    limbs or more 2^(k-1) < q - 1 < 2^31, so the running sum, below
+    limbs of a with b, centred first if `centred` (see _limb_bits).  Each
+    limb product is an integer of magnitude at most 2^53, and with two limbs
+    or more 2^(k-1) < q - 1 < 2^31, so the running sum, below
     q*2^k + 2^53 <= 2^62 + 2^53, fits int64."""
-    cut_a = a.shape[-2] <= b.shape[-1]
-    whole = b if cut_a else a
     if centred:
-        whole = whole - (whole > q >> 1) * q
-    whole = whole.astype(np.float64)
-    rest = (a if cut_a else b).astype(np.float64)
+        b = b - (b > q >> 1) * q
+    b = b.astype(np.float64)
+    rest = a.astype(np.float64)
     low = []
     for _ in range(limbs - 1):  # rest = high * 2^k + low, |low| <= 2^(k-1)
         rest *= 2.0**-k  # every step is exact: scaling by 2^-k and 2^k,
@@ -290,7 +288,7 @@ def _matmul_mod_float64(
     acc = None
     # Most significant limb first: Horner's rule recombines the limb products.
     for limb in [rest, *reversed(low)]:
-        part = (np.matmul(limb, whole) if cut_a else np.matmul(whole, limb)).astype(np.int64)
+        part = np.matmul(limb, b).astype(np.int64)
         if acc is None:
             acc = part
         else:
@@ -308,10 +306,12 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     _limb_bits(q, n): every partial dot product is an integer of magnitude
     at most 2^53, so the result is exact for any summation order and thread
     count.  Where that takes more than one limb, products with fewer than
-    _BLAS_MIN_OUTPUT entries per item or _BLAS_MIN_WORK multiply-adds in all
-    take the int64 split instead (up to its inner dimension of 2^15), which
-    is faster there and the oracle of the tests.  Larger q, and inner
-    dimensions too long for a 1-bit limb, take the object product.
+    _BLAS_MIN_OUTPUT entries per item, _BLAS_MIN_WORK multiply-adds in all
+    or fewer columns of b than limbs take the int64 split instead (up to its
+    inner dimension of 2^15), which is faster there and the oracle of the
+    tests: with fewer columns than limbs, cutting a into limbs costs more
+    than the whole int64 product.  Larger q, and inner dimensions too long
+    for a 1-bit limb, take the object product.
     """
     m, n = a.shape[-2:]
     p = b.shape[-1]
@@ -320,7 +320,7 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     if q < _WORD_Q:
         plan = _limb_bits(q, n)
         if n <= _INT64_MAX_INNER and plan[1] > 1:
-            if m * p < _BLAS_MIN_OUTPUT or a.size * p < _BLAS_MIN_WORK:
+            if m * p < _BLAS_MIN_OUTPUT or a.size * p < _BLAS_MIN_WORK or p < plan[1]:
                 return _matmul_mod_int64(a, b, q)
         if plan is not None:
             return _matmul_mod_float64(a, b, q, *plan)

@@ -599,8 +599,7 @@ def test_blas_product_is_exact_at_the_centred_extremes(q):
             left, right = np.ascontiguousarray(a.T).T, np.ascontiguousarray(b.T).T
             assert left.flags.f_contiguous and right.flags.f_contiguous
             assert np.array_equal(field_mod._matmul_mod_float64(left, right, q, *plan), expected), n
-        # A thin side on the right and on the left: the kernel cuts the
-        # smaller operand into limbs, b in the first stack and a in the second.
+        # Stacks with a thin side on the right and on the left.
         for m, p in ((5, 1), (1, 5)):
             for a, b in _extreme_operands(rng, q, m, n, p, stack=(3,)):
                 expected = np.stack([field_mod._matmul_mod_int64(a[i], b[i], q) for i in range(3)])
@@ -851,10 +850,13 @@ def test_stacked_product_matches_items_on_every_path(q, monkeypatch):
     )
     rng = np.random.default_rng(q % 1000)
     hi = min(q, 1 << 62)
-    # At q = 2^31 - 1, (2, 3, 4) and (1, 7, 1) take the int64 split and
+    # At q = 2^31 - 1, (2, 3, 4) and (1, 7, 1) take the int64 split, as does
+    # (32, 300, 2), whose 2 columns are fewer than its 3 limbs, and
     # (16, 32, 16) float64 BLAS; q = 2 and 3 fit one limb and take BLAS at
-    # every size, and q = 2^61 - 1 takes the object product on all three.
-    cases = ((5, 2, 3, 4), (4, 1, 7, 1), (3, 16, 32, 16), (0, 2, 3, 4), (3, 2, 0, 4))
+    # every size, and q = 2^61 - 1 takes the object product on all of them.
+    cases = (
+        (5, 2, 3, 4), (4, 1, 7, 1), (3, 16, 32, 16), (2, 32, 300, 2), (0, 2, 3, 4), (3, 2, 0, 4)
+    )
     for b, m, n, p in cases:
         left = rng.integers(0, hi, (b, m, n), dtype=np.int64)
         right = rng.integers(0, hi, (b, n, p), dtype=np.int64)
