@@ -265,6 +265,24 @@ def _reduce(x: np.ndarray, q: int) -> np.ndarray:
     return x
 
 
+def _signed_limbs(a: np.ndarray, k: int, limbs: int) -> list[np.ndarray]:
+    """a as `limbs` float64 limbs rounded to nearest, least significant
+    first: a = sum of limb_i * 2^(k*i).  Every limb below the top has
+    |limb_i| <= 2^(k-1), and _limb_bits picks `limbs` so that the top one,
+    at most that of q - 1, has too."""
+    rest = a.astype(np.float64)
+    cut = []
+    for _ in range(limbs - 1):  # rest = high * 2^k + low, |low| <= 2^(k-1)
+        rest *= 2.0**-k  # every step is exact: scaling by 2^-k and 2^k,
+        high = np.rint(rest)  # and a difference of at most 1/2
+        rest -= high
+        rest *= 2.0**k
+        cut.append(rest)
+        rest = high
+    cut.append(rest)
+    return cut
+
+
 def _matmul_mod_float64(
     a: np.ndarray, b: np.ndarray, q: int, k: int, limbs: int, centred: bool
 ) -> np.ndarray:
@@ -276,19 +294,13 @@ def _matmul_mod_float64(
     if centred:
         b = b - (b > q >> 1) * q
     b = b.astype(np.float64)
-    rest = a.astype(np.float64)
-    low = []
-    for _ in range(limbs - 1):  # rest = high * 2^k + low, |low| <= 2^(k-1)
-        rest *= 2.0**-k  # every step is exact: scaling by 2^-k and 2^k,
-        high = np.rint(rest)  # and a difference of at most 1/2
-        rest -= high
-        rest *= 2.0**k
-        low.append(rest)
-        rest = high
+    cut = _signed_limbs(a, k, limbs)
     acc = None
     # Most significant limb first: Horner's rule recombines the limb products.
-    for limb in [rest, *reversed(low)]:
-        part = np.matmul(limb, b).astype(np.int64)
+    # Each limb is dropped once multiplied: at 512 x 512 x 512 and three limbs,
+    # holding all of them to the end took about 1.1 times as long.
+    while cut:
+        part = np.matmul(cut.pop(), b).astype(np.int64)
         if acc is None:
             acc = part
         else:
