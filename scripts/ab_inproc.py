@@ -16,8 +16,10 @@ second the change; each half imports both sides afresh and drops them at its
 end.  After one untimed warm-up pass per side, which also compares the two
 sides' transcript digests, each half runs --passes timed passes per side,
 the sides alternating which runs first.  The script prints each pass's
-process CPU time, each half's ratio change/parent of the medians, and the
-ratio of the medians over both halves.
+process CPU time; then for each half, and pooled over both, each side's
+median and IQR (inter-quartile range), the ratio change/parent of the
+medians, and "unresolved" when the gap between the medians is within the
+parent's IQR, else "resolved".
 
 Before its first pass the script runs numpy's OpenBLAS on one thread, through
 the change's `field.single_blas_thread`, and says so in its first line.
@@ -147,12 +149,12 @@ def main(argv=None) -> int:
         print(f"{order[0]} imported first")
         print(f"transcript digests: {differ} of {cells} cells differ")
         timed = _alternate(loaded, args.passes)
-        _print_medians("median", timed)
+        print(summary("median", timed))
         for side in SIDES:
             times[side] += timed[side]
         del loaded
         gc.collect()
-    _print_medians("pooled median", times)
+    print(summary("pooled median", times))
     return 0
 
 
@@ -168,9 +170,24 @@ def _alternate(loaded: dict[str, tuple[dict, list]], passes: int) -> dict[str, l
     return times
 
 
-def _print_medians(label: str, times: dict[str, list[float]]) -> None:
-    parent, change = (statistics.median(times[side]) for side in SIDES)
-    print(f"{label}: parent {parent:.4f} s  change {change:.4f} s  ratio {change / parent:.3f}")
+def spread(values: list[float]) -> tuple[float, float]:
+    """(median, interquartile range) of the values."""
+    if len(values) < 2:
+        return values[0], 0.0
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return median, q3 - q1
+
+
+def summary(label: str, times: dict[str, list[float]]) -> str:
+    """Each side's median and IQR, the ratio of the medians, and whether
+    their gap is beyond the parent's IQR."""
+    (parent, parent_iqr), (change, change_iqr) = (spread(times[side]) for side in SIDES)
+    verdict = "resolved" if abs(change - parent) > parent_iqr else "unresolved"
+    return (
+        f"{label}: parent {parent:.4f} s (IQR {parent_iqr:.4f})"
+        f"  change {change:.4f} s (IQR {change_iqr:.4f})  ratio {change / parent:.3f}  {verdict}"
+    )
+
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -10,7 +10,7 @@ multicasts.  A `CompressedProduct` holds that packet, and `compress_stack`
 and `decompress_stack` take stacks of the same (header, packet) pairs.
 
 `compress_factors` takes a list of factor pairs (A, B), h x m and h x p,
-and compresses each product P = A^T B by one of three routes, all with
+and compresses each product P = A^T B by one of two routes, both with
 `compress_product`'s bytes:
 - **The factors**, when min(m, p) >= 64 and h <= min(m, p)/4, one pair
   at a time, without forming P.  Let the columns of the h x rho matrix G
@@ -27,20 +27,19 @@ and compresses each product P = A^T B by one of three routes, all with
   factors took 0.05 to 0.95 of the product's time inside that range
   (r x h x r at r = 64 to 360); from h = r/2 on, and at r <= 32, they were
   mostly slower, by up to 2x.
-- **One product alone**, when P has more than _STACK_MAX_SYMBOLS = 4096
-  entries: P is formed and goes to `compress_product`.
-- **A stack**, for the other products of one shape when there are at
-  least _STACK_MIN_ITEMS = 5 of them: they are formed in one stacked
-  product, and the distinct ones the memo does not hold yet share one
-  `compress_stack` when there are still at least 5; fewer, of a shape or
-  of the whole list, are compressed one at a time.  On a timing sweep at
-  q = 2^31 - 1 on one BLAS thread, stacks of 5 to 20 items up to 64 x 64
-  took 0.57 to 1.03 of the one-at-a-time time; at 96 x 96 stacking was
-  even, and up to 4 tiny items it was slower (see `field._STACK_MIN_ITEMS`).
+- **One stack per shape**, for the other products: the products of one
+  shape are formed in one stacked product, and the distinct ones the memo
+  does not hold yet share one `compress_stack`, the same call
+  `compress_product` makes for a stack of one.  A product of more than
+  _STACK_MAX_SYMBOLS = 4096 entries is formed on its own, which bounds
+  the memory held at once: `agnostic` at N = 20 and r = 256 would
+  otherwise stack 210 products of 256 x 256, 110 MB before the limb
+  temporaries.  Whether a stack is eliminated together or item by item is
+  `field._rref_stack`'s choice alone.
 
 Within a `compression_memo` block, which `model.run_scheme` opens around
 place, deliver and decode, each distinct product is compressed once, by
-whichever route: a result is kept under its field, shape, inner dimension
+either route: a result is kept under its field, shape, inner dimension
 and entries (residues as raw bytes, not a hash of them), or for the
 factors under the field, shapes and entries of the pair.  A later call
 with the same key, single or listed, returns the earlier result, whose
@@ -53,8 +52,8 @@ own products and splits and is emptied when the block ends.
 
 A single-row product (m = 1) needs no elimination: its rank is 1 exactly
 when its row is nonzero, with basis (0,) and no coefficients, and its packet
-is the row itself, since f(1, n, p) = p.  `compress_stack` and
-`decompress_stack` take such stacks on that rule, with the same bytes.
+is the row itself, since f(1, n, p) = p.  `compress_stack`, and so
+`compress_product`, and `decompress_stack` take such products on that rule.
 """
 
 from __future__ import annotations
@@ -63,20 +62,11 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .field import (
-    _STACK_MIN_ITEMS,
-    _WORD_Q,
-    FieldMatrix,
-    FieldSpec,
-    _eliminate_stack,
-    _matmul_mod,
-    _rref,
-    spanning_column_splits,
-)
+from .field import FieldMatrix, FieldSpec, _matmul_mod, _rref, _rref_stack, spanning_column_splits
 
 PacketHeader = tuple[int, tuple[int, ...]]  # (rank, basis row indices)
 # The headers of a nonzero and of a zero single-row product.
@@ -88,10 +78,10 @@ _ZERO: PacketHeader = (0, ())
 # (perm, W1, Q), while a `compression_memo` block runs in this context.
 _MemoKey = tuple
 ColumnSplit = tuple[tuple[int, ...], FieldMatrix, FieldMatrix]
-# Cut-overs of compress_factors' three routes (see the module docstring):
-# it eliminates the factors when min(m, p) is at least _FACTORS_MIN_OUTER
-# and at least _FACTORS_MIN_RATIO times h, and compresses a product of
-# more than _STACK_MAX_SYMBOLS entries alone.
+# Cut-overs of compress_factors (see the module docstring): it eliminates
+# the factors when min(m, p) is at least _FACTORS_MIN_OUTER and at least
+# _FACTORS_MIN_RATIO times h, and forms a product of more than
+# _STACK_MAX_SYMBOLS entries alone.
 _FACTORS_MIN_OUTER = 64
 _FACTORS_MIN_RATIO = 4
 _STACK_MAX_SYMBOLS = 4096
@@ -214,57 +204,43 @@ def compress_product(product: FieldMatrix, inner_dim: int) -> CompressedProduct:
     Inside a `compression_memo` block, a product already compressed there
     (same q, shape, inner dimension and entries) returns the earlier result.
 
-    Raises ValueError("inner-dimension contract violated") when the matrix
-    rank exceeds min(n, m, p) — i.e. the caller's product claim is wrong.
+    Raises ValueError("dimensions must be positive") when n < 1, and
+    ValueError("inner-dimension contract violated") when the matrix rank
+    exceeds min(n, m, p) — i.e. the caller's product claim is wrong.
     """
-    head = (product.spec.q, product.shape, inner_dim)
-    return _memoized(lambda: _compress_product(product, inner_dim), head, product.data)
+    return _compressed(product.spec, product.data[None], inner_dim)[0]
 
 
 def compress_factors(
     spec: FieldSpec, pairs: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> list[CompressedProduct]:
     """compress_product(a^T b, h), byte for byte, for each pair of h x m and
-    h x p residue factors a and b, in order, by the module docstring's three
-    routes: from the factors, one product alone, or one stack per shape.
+    h x p residue factors a and b, in order, by the module docstring's two
+    routes: from the factors, or one stacked product per shape.
 
     Inside a `compression_memo` block each result is kept under
     `compress_product`'s key, or on the factor route under the pair's, so a
     later call for the same product, single or listed, finds it.
     """
-    if len(pairs) < _STACK_MIN_ITEMS:  # too few for any stack
-        return [_compress_pair(spec, a, b) for a, b in pairs]
     q = spec.q
     memo = _memo.get()
-    kept = {} if memo is None else memo  # equal products of one stack share one compression
+    kept = {} if memo is None else memo  # equal pairs of one call share one compression
     out: list[CompressedProduct] = [None] * len(pairs)
-    shapes: dict[tuple, list[int]] = {}
+    shapes: dict[object, list[int]] = {}
     for i, (a, b) in enumerate(pairs):
         (h, m), p = a.shape, b.shape[1]
-        if m * p > _STACK_MAX_SYMBOLS or _factored(h, m, p):
-            out[i] = _compress_pair(spec, a, b)
-        else:
-            shapes.setdefault((h, m, p), []).append(i)
-    for (h, m, p), items in shapes.items():
-        if len(items) < _STACK_MIN_ITEMS:  # too few to stack even if all distinct
-            for i in items:
-                out[i] = _compress_pair(spec, *pairs[i])
-            continue
+        if _factored(h, m, p):
+            key = _key((q, a.shape, b.shape), a, b)
+            if key not in kept:
+                kept[key] = _compress_factors(spec, a, b)
+            out[i] = kept[key]
+        else:  # a product too large to stack is a shape of its own
+            shapes.setdefault((h, m, p) if m * p <= _STACK_MAX_SYMBOLS else i, []).append(i)
+    for items in shapes.values():
         lefts = np.stack([pairs[i][0] for i in items]).transpose(0, 2, 1)
         products = _matmul_mod(lefts, np.stack([pairs[i][1] for i in items]), q)
-        keys = _stack_keys((q, (m, p), h), products)
-        todo = {key: j for j, key in enumerate(keys) if key not in kept}
-        if len(todo) >= _STACK_MIN_ITEMS:
-            packets, headers = compress_stack(products[list(todo.values())], h, q)
-            packets.flags.writeable = False  # so each item keeps its row without a copy
-            dims = DimTriple(m, h, p)
-            for key, packet, (rank, basis) in zip(todo, packets, headers):
-                kept[key] = CompressedProduct(spec, dims, rank, basis, packet)
-        else:
-            for key, j in todo.items():
-                kept[key] = _compress_product(FieldMatrix._trusted(spec, products[j]), h)
-        for i, key in zip(items, keys):
-            out[i] = kept[key]
+        for i, cp in zip(items, _compressed(spec, products, pairs[items[0]][0].shape[0])):
+            out[i] = cp
     return out
 
 
@@ -274,13 +250,23 @@ def _factored(h: int, m: int, p: int) -> bool:
     return min(m, p) >= _FACTORS_MIN_OUTER and min(m, p) >= _FACTORS_MIN_RATIO * h
 
 
-def _compress_pair(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> CompressedProduct:
-    """compress_product(a^T b, h) for one pair, from the factors or from the
-    product, as `_factored` decides."""
-    (h, m), p = a.shape, b.shape[1]
-    if _factored(h, m, p):
-        return _memoized(lambda: _compress_factors(spec, a, b), (spec.q, a.shape, b.shape), a, b)
-    return compress_product(FieldMatrix._trusted(spec, _matmul_mod(a.T, b, spec.q)), h)
+def _compressed(spec: FieldSpec, products: np.ndarray, inner_dim: int) -> list[CompressedProduct]:
+    """compress_product of each item of a (b, m, p) stack of residue
+    products with inner dimension n.  Equal items, and inside a
+    `compression_memo` block items compressed there before, are compressed
+    once: the rest share one `compress_stack`."""
+    _, m, p = products.shape
+    dims = DimTriple(m, inner_dim, p)
+    memo = _memo.get()
+    kept = {} if memo is None else memo
+    keys = _stack_keys((spec.q, (m, p), inner_dim), products)
+    todo = {key: j for j, key in enumerate(keys) if key not in kept}
+    if todo:
+        packets, headers = compress_stack(products[list(todo.values())], inner_dim, spec.q)
+        packets.flags.writeable = False  # so each item keeps its row without a copy
+        for key, packet, (rank, basis) in zip(todo, packets, headers):
+            kept[key] = CompressedProduct(spec, dims, rank, basis, packet)
+    return [kept[key] for key in keys]
 
 
 def column_splits(matrices: Sequence[FieldMatrix], block_cols: int) -> list[ColumnSplit]:
@@ -317,31 +303,6 @@ def _stack_keys(head: tuple, stack: np.ndarray) -> list[_MemoKey]:
     return [(*head, raw[j * size : (j + 1) * size]) for j in range(len(stack))]
 
 
-def _memoized(
-    compress: Callable[[], CompressedProduct], head: tuple, *arrays: np.ndarray
-) -> CompressedProduct:
-    """compress(), or inside a `compression_memo` block the result of the
-    block's earlier call with the same head and array entries."""
-    memo = _memo.get()
-    if memo is None:
-        return compress()
-    key = _key(head, *arrays)
-    if key not in memo:
-        memo[key] = compress()
-    return memo[key]
-
-
-def _compress_product(product: FieldMatrix, inner_dim: int) -> CompressedProduct:
-    m, p = product.rows, product.cols
-    # Column j of the RREF of P^T holds the coefficients of row j of P in the
-    # basis rows, which are the pivots.
-    reduced, basis = _rref(product.data.T, product.spec.q)
-    if len(basis) > min(inner_dim, m, p):
-        raise ValueError("inner-dimension contract violated")
-    dims = DimTriple(m, inner_dim, p)
-    return _packed(product.spec, dims, basis, product.data[basis], reduced)
-
-
 def _compress_factors(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> CompressedProduct:
     q = spec.q
     (h, m), p = a.shape, b.shape[1]
@@ -352,20 +313,12 @@ def _compress_factors(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> Compress
     else:
         _, columns = _rref(b, q)
         reduced, basis = _rref(_matmul_mod(b[:, columns].T, a, q), q)
-    return _packed(spec, DimTriple(m, h, p), basis, _matmul_mod(a[:, basis].T, b, q), reduced)
-
-
-def _packed(
-    spec: FieldSpec, dims: DimTriple, basis: list[int], rows: np.ndarray, reduced: np.ndarray
-) -> CompressedProduct:
-    """The product whose basis rows `rows` sit at indices `basis`, the pivots
-    of `reduced`, whose first rank rows hold every row's coefficients."""
-    m, p = dims.m, dims.p
     rank = len(basis)
+    dims = DimTriple(m, h, p)
     chosen = set(basis)
     non_basis = [i for i in range(m) if i not in chosen]
     packet = np.zeros(f_len(dims), dtype=np.int64)
-    packet[: rank * p] = rows.ravel()
+    packet[: rank * p] = _matmul_mod(a[:, basis].T, b, q).ravel()
     packet[rank * p : rank * p + (m - rank) * rank] = reduced[:rank, non_basis].T.ravel()
     packet.flags.writeable = False
     return CompressedProduct(spec, dims, rank, tuple(basis), packet)
@@ -399,21 +352,21 @@ def compress_stack(
     """compress_product over a (b, m, p) stack of residue products with inner
     dimension n: the (b, f(m,n,p)) packets, item i equal to
     compress_product(products[i], n).packet, and each item's
-    (rank, basis_row_indices).  The items share one stacked elimination and
+    (rank, basis_row_indices).  The items share one `field._rref_stack` and
     one gather per distinct rank; single-row items need neither.
 
-    Raises ValueError("inner-dimension contract violated") when some item's
-    rank exceeds min(n, m, p).
+    Raises ValueError("dimensions must be positive") when n < 1, before any
+    elimination, and ValueError("inner-dimension contract violated") when
+    some item's rank exceeds min(n, m, p).
     """
     b, m, p = products.shape
     dims = DimTriple(m, inner_dim, p)
     if m == 1:
         packets = products.reshape(b, p).copy()
         return packets, [_ROW if nonzero else _ZERO for nonzero in packets.any(axis=1).tolist()]
-    reduced = products.transpose(0, 2, 1).copy()
-    if q > _WORD_Q:
-        reduced = reduced.astype(object)
-    basis = _eliminate_stack(reduced, q, m)
+    # Column j of the RREF of P^T holds the coefficients of row j of P in the
+    # basis rows, which are the pivots.
+    reduced, basis = _rref_stack(products.transpose(0, 2, 1), q, m)
     ranks = basis.sum(axis=1)
     if np.any(ranks > min(inner_dim, m, p)):
         raise ValueError("inner-dimension contract violated")
@@ -422,11 +375,11 @@ def compress_stack(
     for rank in sorted(set(ranks.tolist()) - {0}):
         items = np.flatnonzero(ranks == rank)
         rows = order[items]
-        a1 = np.take_along_axis(products[items], rows[:, :rank, None], axis=1)
-        a2 = np.take_along_axis(reduced[items, :rank], rows[:, None, rank:], axis=2)
-        packets[items, : rank * p] = a1.reshape(items.size, -1)
-        a2 = a2.transpose(0, 2, 1).reshape(items.size, -1)
-        packets[items, rank * p : rank * p + (m - rank) * rank] = a2
+        at = items[:, None]
+        packets[items, : rank * p] = products[at, rows[:, :rank]].reshape(items.size, -1)
+        # Entry (j, t) of an item's coefficients: reduced[t, non-basis row j].
+        a2 = reduced[at[:, :, None], np.arange(rank), rows[:, rank:, None]]
+        packets[items, rank * p : rank * p + (m - rank) * rank] = a2.reshape(items.size, -1)
     headers = [(rank, tuple(row[:rank])) for rank, row in zip(ranks.tolist(), order.tolist())]
     return packets, headers
 

@@ -28,11 +28,14 @@ come from timing sweeps: below them the int64 paths are faster, and the
 tests hold the BLAS paths to them as oracles.  q > 2^31 computes on Python
 ints (object dtype).
 For many small products of one shape, `_matmul_mod` also multiplies
-(b, m, n) @ (b, n, p) stacks and `_eliminate_stack` runs the rank-1 loop on
-every item of a stack in the same numpy calls.  Every elimination stops
-once the rows below its last pivot are zero on the columns still to pivot,
-a stack once that holds for every item: no later column could find a pivot
-there, so stopping changes no result.
+(b, m, n) @ (b, n, p) stacks, and `_rref_stack` eliminates every item of a
+(b, m, n) stack: from _STACK_MIN_ITEMS items narrower than
+_BLOCKED_MIN_COLS it runs the rank-1 loop on all of them in the same numpy
+calls (`_eliminate_stack`), and otherwise `_rref` on each.  It is the one
+place that chooses between the two, for every caller.  Every elimination
+stops once the rows below its last pivot are zero on the columns still to
+pivot, a stack once that holds for every item: no later column could find a
+pivot there, so stopping changes no result.
 
 Random matrices come from a counter-based PRNG (SplitMix64 finalizer over a
 linear counter encoding) with rejection sampling, so entry (i, j) of a matrix
@@ -91,14 +94,14 @@ _BLAS_MIN_WORK = 1 << 13
 _BLOCKED_MIN_COLS = 112
 _BLOCKED_MIN_ENTRIES = 1 << 13
 _PANEL = 32
-# Fewer than _STACK_MIN_ITEMS small matrices are eliminated one at a time,
-# by `spanning_column_splits` and `compress.compress_factors`: below it a
-# stacked elimination's per-column numpy calls cost more than the calls it
-# saves.  On a sweep at q = 2, 2^31 - 1 and 2^61 - 1 (splits of 2 x 4 to
-# 21 x 42 matrices, compressions of 2 x 2 to 21 x 21 products), 2 items
-# took 1.03 to 2.29 times as long stacked, 4 items 0.80 to 1.47 and 5
-# items 0.69 to 1.24, above 1 only over GF(2), whose sparse items pivot in
-# fewer columns together; from 6 items on stacking won in every field.
+# `_rref_stack`, the one reader, eliminates a stack of fewer than
+# _STACK_MIN_ITEMS matrices one at a time: below it a stacked elimination's
+# per-column numpy calls cost more than the calls it saves.  On a sweep at
+# q = 2, 2^31 - 1 and 2^61 - 1 (splits of 2 x 4 to 21 x 42 matrices,
+# compressions of 2 x 2 to 21 x 21 products), 2 items took 1.03 to 2.29
+# times as long stacked, 4 items 0.80 to 1.47 and 5 items 0.69 to 1.24,
+# above 1 only over GF(2), whose sparse items pivot in fewer columns
+# together; from 6 items on stacking won in every field.
 _STACK_MIN_ITEMS = 5
 # Most symbols `random_matrices` draws in one vectorized pass; a larger
 # library is drawn in batches, so its temporaries do not grow peak memory.
@@ -406,6 +409,29 @@ def _rref(data: np.ndarray, q: int, ncols: int | None = None) -> tuple[np.ndarra
     return work, _eliminate(work, q, ncols)[0]
 
 
+def _rref_stack(stack: np.ndarray, q: int, ncols: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_rref(item, q, ncols)` for each item of a (b, m, n) stack of residue
+    matrices: the (b, m, n) reduced stack and the (b, ncols) mask of each
+    item's pivot columns.  From _STACK_MIN_ITEMS items with fewer than
+    _BLOCKED_MIN_COLS columns they share one `_eliminate_stack`; otherwise
+    each takes `_rref`, which picks its own path: on fewer or wider items
+    the stack's gathers cost more than the per-column calls it saves.
+    Pivots and reduced[:rank] are the same either way.  The stack itself is
+    not changed.
+    """
+    b, _, n = stack.shape
+    dtype = object if q > _WORD_Q else np.int64
+    if b >= _STACK_MIN_ITEMS and n < _BLOCKED_MIN_COLS:
+        work = stack.astype(dtype, order="C")
+        return work, _eliminate_stack(work, q, ncols)
+    reduced = np.empty(stack.shape, dtype=dtype)
+    pivots = np.zeros((b, ncols), dtype=bool)
+    for i, item in enumerate(stack):
+        reduced[i], columns = _rref(item, q, ncols)
+        pivots[i, columns] = True
+    return reduced, pivots
+
+
 def _eliminate(work: np.ndarray, q: int, ncols: int) -> tuple[list[int], list[int]]:
     """Gauss-Jordan on `work` in place, one rank-1 update per pivot.
 
@@ -573,28 +599,21 @@ def spanning_column_splits(
     carrying those pivots are unique, so they are the permuted matrix's too.
 
     Raises ValueError when some rank(W) exceeds block_cols, so no W1 spans
-    W, raising what the first failing item would.  _STACK_MIN_ITEMS or more
-    matrices of one field and shape with fewer than _BLOCKED_MIN_COLS
-    columns share one `_eliminate_stack`, with the same bytes; otherwise
-    each takes `_rref`.  On fewer or wider ones the stack's gathers cost
-    more than the per-column calls it saves.
+    W, raising what the first failing item would.  The matrices of each
+    field and shape share one `_rref_stack`.
     """
-    first = matrices[0] if matrices else None
-    stacked = (
-        len(matrices) >= _STACK_MIN_ITEMS
-        and first.cols < _BLOCKED_MIN_COLS
-        and all(w.spec == first.spec and w.shape == first.shape for w in matrices)
-    )
-    if stacked:
-        q = first.spec.q
-        work = np.array([w.data for w in matrices], dtype=object if q > _WORD_Q else None)
-        masks = _eliminate_stack(work, q, first.cols)
-        eliminated = [(reduced, np.flatnonzero(mask).tolist()) for reduced, mask in zip(work, masks)]
-    splits = []
+    eliminated: list = [None] * len(matrices)
+    groups: dict[tuple, list[int]] = {}
     for i, w in enumerate(matrices):
+        groups.setdefault((w.spec.q, w.shape), []).append(i)
+    for (q, (_, cols)), items in groups.items():
+        reduced, masks = _rref_stack(np.array([matrices[i].data for i in items]), q, cols)
+        for i, work, mask in zip(items, reduced, masks):
+            eliminated[i] = work, np.flatnonzero(mask).tolist()
+    splits = []
+    for w, (reduced, pivots) in zip(matrices, eliminated):
         if block_cols > w.cols:
             raise ValueError(f"block_cols {block_cols} exceeds matrix cols {w.cols}")
-        reduced, pivots = eliminated[i] if stacked else _rref(w.data, w.spec.q)
         rank = len(pivots)
         if rank > block_cols:
             raise ValueError(f"rank {rank} exceeds block_cols {block_cols}: column not in span")

@@ -5,6 +5,7 @@ and the caller's `matcache` is left in place."""
 from __future__ import annotations
 
 import importlib.util
+import re
 import shutil
 import subprocess
 import sys
@@ -57,9 +58,28 @@ def test_two_copies_of_one_tree_alternate_in_one_process(tmp_path, capsys, monke
         assert half[0] == f"{first} imported first"
         assert half[1] == "transcript digests: 0 of 2 cells differ"
         assert [line.split(":")[0] for line in half[2:4]] == ["pass 1", "pass 2"]
-        assert half[4].startswith("median: parent ") and " ratio " in half[4]
-    assert lines[11].startswith("pooled median: parent ") and " ratio " in lines[11]
+        assert re.fullmatch(MEDIANS.format(label="median"), half[4])
+    assert re.fullmatch(MEDIANS.format(label="pooled median"), lines[11])
     assert len(lines) == 12
+
+
+MEDIANS = (
+    r"{label}: parent \d+\.\d{{4}} s \(IQR \d+\.\d{{4}}\)  change \d+\.\d{{4}} s \(IQR \d+\.\d{{4}}\)"
+    r"  ratio \d+\.\d{{3}}  (un)?resolved"
+)
+
+
+def test_a_gap_within_the_parents_iqr_is_unresolved():
+    ab_inproc = _load()
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4]  # quartiles 1.05 and 1.35
+    assert ab_inproc.spread(parent) == pytest.approx((1.2, 0.3))
+    assert ab_inproc.spread([2.0]) == (2.0, 0.0)
+    near = ab_inproc.summary("median", {"parent": parent, "change": [x + 0.2 for x in parent]})
+    assert near == (
+        "median: parent 1.2000 s (IQR 0.3000)  change 1.4000 s (IQR 0.3000)  ratio 1.167  unresolved"
+    )
+    far = ab_inproc.summary("pooled median", {"parent": parent, "change": [0.8, 0.8, 0.8]})
+    assert far.endswith("change 0.8000 s (IQR 0.0000)  ratio 0.667  resolved")
 
 
 def test_several_schemes_keep_the_workload_order(tmp_path):

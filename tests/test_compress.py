@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matcache import compress as compress_mod
+from matcache import field as field_mod
 from matcache.compress import (
     CompressedProduct,
     DimTriple,
@@ -256,6 +257,26 @@ def test_stacked_compression_rejects_rank_above_inner_dimension(q):
         compress_stack(products, 0, q)
 
 
+@pytest.mark.parametrize("q", [2, Q31, Q61])
+@pytest.mark.parametrize("inner", [0, -1])
+def test_an_inner_dimension_below_one_is_refused_before_any_elimination(q, inner, monkeypatch):
+    """A zero and a nonzero product, single or stacked, in or out of a
+    memo, all get the one message, and nothing is eliminated first."""
+    def refuse(*args):
+        raise AssertionError("eliminated before the dimensions were checked")
+
+    for name in ("_rref", "_eliminate_stack"):
+        monkeypatch.setattr(field_mod, name, refuse)
+    products = np.array([np.zeros((3, 3)), np.eye(3)], dtype=np.int64)
+    for memo in (contextlib.nullcontext(), compress_mod.compression_memo()):
+        with memo:
+            for product in products:
+                with pytest.raises(ValueError, match="dimensions must be positive"):
+                    compress_product(FieldMatrix(FieldSpec(q), product), inner)
+            with pytest.raises(ValueError, match="dimensions must be positive"):
+                compress_stack(products, inner, q)
+
+
 @pytest.mark.parametrize(
     "header, message",
     [
@@ -281,16 +302,23 @@ def test_stacked_decompression_rejects_what_from_packet_rejects(header, message)
 
 @pytest.mark.parametrize("q", [2, Q31, Q61])
 def test_single_row_stacks_take_no_elimination(q, monkeypatch):
+    """Single-row products, stacked or one by one through compress_product,
+    are packed without an elimination or a product."""
     def refuse(*args):
         raise AssertionError("a single-row stack needs no elimination or product")
 
-    monkeypatch.setattr(compress_mod, "_eliminate_stack", refuse)
-    monkeypatch.setattr(compress_mod, "_matmul_mod", refuse)
+    for name in ("_rref_stack", "_matmul_mod"):
+        monkeypatch.setattr(compress_mod, name, refuse)
+    for name in ("_rref", "_eliminate_stack"):
+        monkeypatch.setattr(field_mod, name, refuse)
     rows = np.array([[[1, 0, q - 1]], [[0, 0, 0]], [[0, 1, 0]]], dtype=np.int64)
     packets, headers = compress_stack(rows, 2, q)
     assert packets.tolist() == [[1, 0, q - 1], [0, 0, 0], [0, 1, 0]]
     assert headers == [(1, (0,)), (0, ()), (1, (0,))]
     assert all(type(x) is int for rank, basis in headers for x in (rank, *basis))
+    singles = [compress_product(FieldMatrix(FieldSpec(q), row), 2) for row in rows]
+    assert [cp.packet.tolist() for cp in singles] == packets.tolist()
+    assert [(cp.rank, cp.basis_row_indices) for cp in singles] == headers
     # A rank-0 header zeroes its product, whatever its packet holds.
     rebuilt = decompress_stack(packets, [(1, (0,)), (0, ()), (0, ())], DimTriple(1, 2, 3), q)
     assert rebuilt.tolist() == [[[1, 0, q - 1]], [[0, 0, 0]], [[0, 0, 0]]]
@@ -428,9 +456,11 @@ def test_factors_multiply_back_to_the_product(q):
 # The list call against compress_product item by item
 
 # compress_factors' cut-overs scaled down, so that every route runs on small
-# factors: the factors from min(m, p) >= 8, products of more than 24 entries
-# alone, and stacks from 3 distinct products.
-SMALL_CUTS = {"_FACTORS_MIN_OUTER": 8, "_STACK_MAX_SYMBOLS": 24, "_STACK_MIN_ITEMS": 3}
+# factors: the factors from min(m, p) >= 8 and products of more than 24
+# entries alone; and field._rref_stack's, so that stacks of 3 distinct
+# products share one stacked elimination.
+SMALL_CUTS = {"_FACTORS_MIN_OUTER": 8, "_STACK_MAX_SYMBOLS": 24}
+SMALL_STACK = 3
 # (h, m, p) on each side of those cut-overs: stacked (a single row, h above
 # min(m, p), 12 entries, and 24 exactly), alone past 24 entries, factored at
 # h = min(m, p)/4 = 2, and alone one past that or below min(m, p) = 8.
@@ -478,7 +508,8 @@ def test_listed_factors_match_compress_product_item_by_item(q, items, in_memo):
     expected = [
         compress_product(FieldMatrix(spec, _matmul_mod(a.T, b, q)), a.shape[0]) for a, b in pairs
     ]
-    with mock.patch.multiple(compress_mod, **SMALL_CUTS):
+    small_stack = mock.patch.object(field_mod, "_STACK_MIN_ITEMS", SMALL_STACK)
+    with mock.patch.multiple(compress_mod, **SMALL_CUTS), small_stack:
         with compress_mod.compression_memo() if in_memo else contextlib.nullcontext():
             results = compress_mod.compress_factors(spec, pairs)
             again = compress_mod.compress_factors(spec, pairs)
@@ -501,27 +532,30 @@ def test_listed_factors_match_compress_product_item_by_item(q, items, in_memo):
 
 
 def _route_spies(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
-    """Record each elimination compress_factors runs: its route and shape."""
+    """Record each route compress_factors takes and each elimination kernel
+    a stack takes in field._rref_stack, with its input shape."""
     routes = []
-    for name, shape in (
-        ("_compress_factors", lambda spec, a, b: a.shape + b.shape[1:]),
-        ("_compress_product", lambda product, inner: product.shape),
-        ("compress_stack", lambda products, inner, q: products.shape),
+    for module, name, shape in (
+        (compress_mod, "_compress_factors", lambda spec, a, b: a.shape + b.shape[1:]),
+        (compress_mod, "compress_stack", lambda products, inner, q: products.shape),
+        (field_mod, "_eliminate_stack", lambda work, q, ncols: work.shape),
+        (field_mod, "_rref", lambda data, q, ncols=None: data.shape),
     ):
-        def spy(*args, original=getattr(compress_mod, name), name=name, shape=shape):
+        def spy(*args, original=getattr(module, name), name=name, shape=shape):
             routes.append((name, shape(*args)))
             return original(*args)
 
-        monkeypatch.setattr(compress_mod, name, spy)
+        monkeypatch.setattr(module, name, spy)
     return routes
 
 
 def test_listed_factors_take_each_route_at_the_cut_overs(monkeypatch):
     """At the module's own cut-overs, q = 2^31 - 1: 64 x 64 products stack
-    and 65 x 64 ones go alone, h = 16 against 64 x 64 stays factored and
-    h = 17 does not, and a shape stacks from _STACK_MIN_ITEMS distinct
-    products on, counted after the memo and the duplicates."""
-    assert (compress_mod._STACK_MAX_SYMBOLS, compress_mod._STACK_MIN_ITEMS) == (4096, 5)
+    and a 65 x 64 one is a stack of its own, h = 16 against 64 x 64 stays
+    factored and h = 17 does not, and a stack shares one stacked
+    elimination from _STACK_MIN_ITEMS distinct products on, counted after
+    the memo and the duplicates; fewer take _rref one by one, on P^T."""
+    assert (compress_mod._STACK_MAX_SYMBOLS, field_mod._STACK_MIN_ITEMS) == (4096, 5)
     rng = np.random.default_rng(17)
 
     def factors(h, m, p):
@@ -534,10 +568,13 @@ def test_listed_factors_take_each_route_at_the_cut_overs(monkeypatch):
     with compress_mod.compression_memo():
         results = compress_mod.compress_factors(DEFAULT_FIELD, pairs)
         assert routes == [
-            ("_compress_product", (65, 64)),
             ("_compress_factors", (16, 64, 64)),
             ("compress_stack", (5, 64, 64)),
-            *[("_compress_product", (5, 6))] * 4,  # four distinct: below the stack size
+            ("_eliminate_stack", (5, 64, 64)),
+            ("compress_stack", (1, 65, 64)),
+            ("_rref", (64, 65)),
+            ("compress_stack", (4, 5, 6)),  # four distinct: below the stack size
+            *[("_rref", (6, 5))] * 4,
         ]
         routes.clear()
         square_again = compress_mod.compress_factors(DEFAULT_FIELD, square)

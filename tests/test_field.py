@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matcache import field as field_mod
-from matcache.compress import compress_product
+from matcache.compress import compress_product, compress_stack
 from matcache.field import (
     DEFAULT_FIELD,
     FieldMatrix,
@@ -316,7 +316,9 @@ def test_wide_or_mixed_splits_take_rref_one_by_one(q, monkeypatch):
     for matrices in cases:
         calls.clear()
         splits.append(spanning_column_splits(matrices, 2))
-        assert calls == [("_rref", w.shape) for w in matrices]
+        # One _rref_stack per shape, in the order the shapes first appear.
+        shapes = list(dict.fromkeys(w.shape for w in matrices))
+        assert calls == [("_rref", shape) for shape in shapes for w in matrices if w.shape == shape]
     monkeypatch.undo()  # the reference below runs on the real kernels
     for matrices, got in zip(cases, splits):
         assert got == [_two_step_split(w, 2) for w in matrices]
@@ -337,6 +339,25 @@ def test_splits_stack_from_the_minimum_stack_size(q, monkeypatch):
     assert enough[:-1] == few
     monkeypatch.undo()
     assert enough == [_two_step_split(w, 3) for w in matrices]
+
+
+@pytest.mark.parametrize("q", [2, 3, Q31, Q61])
+def test_mixed_splits_stack_each_shape_of_enough_matrices(q, monkeypatch):
+    """A list of two fields and two shapes, interleaved: the one group of
+    _STACK_MIN_ITEMS matrices shares one _eliminate_stack, the others take
+    _rref, and every split is the one the matrix gets alone."""
+    spec, other = FieldSpec(q), FieldSpec(5)
+    stacked = [random_matrix(spec, 3, 6, seed) for seed in range(field_mod._STACK_MIN_ITEMS)]
+    short = random_matrix(spec, 2, 6, 9)
+    elsewhere = random_matrix(other, 3, 6, 0)
+    matrices = [stacked[0], short, *stacked[1:3], elsewhere, *stacked[3:]]
+    calls = _spy_on_eliminations(monkeypatch)
+    splits = spanning_column_splits(matrices, 3)
+    assert calls == [
+        ("_eliminate_stack", (len(stacked), 3, 6)), ("_rref", (2, 6)), ("_rref", (3, 6))
+    ]
+    monkeypatch.undo()
+    assert splits == [_two_step_split(w, 3) for w in matrices]
 
 
 @pytest.mark.parametrize("q", [2, 3, Q31, Q61])
@@ -750,6 +771,27 @@ def test_blocked_compress_product_bytes_match_loop(q, blocked_spy, monkeypatch):
 
 
 @pytest.mark.parametrize("q", [2, 3, Q31])
+def test_wide_compress_stack_takes_the_blocked_path_item_by_item(q, blocked_spy, monkeypatch):
+    """Stacks of 2 and 5 products of 120 x 120, wider than _BLOCKED_MIN_COLS:
+    each item takes the blocked elimination, and the packets and headers
+    equal compress_product's and those of the rank-1 loop, stacked or not."""
+    rng = np.random.default_rng(q + 3)
+    spec = FieldSpec(q)
+    for b in (2, 5):
+        stack = np.array([_product_of_rank(rng, q, 120, 120, 24 + 8 * i) for i in range(b)])
+        blocked_spy.clear()
+        packets, headers = compress_stack(stack, 64, q)
+        assert blocked_spy == [(120, 120)] * b
+        singles = [compress_product(FieldMatrix(spec, item), 64) for item in stack]
+        assert packets.tobytes() == b"".join(cp.packet.tobytes() for cp in singles)
+        assert headers == [(cp.rank, cp.basis_row_indices) for cp in singles]
+        with monkeypatch.context() as patch:
+            patch.setattr(field_mod, "_BLOCKED_MIN_COLS", 1 << 62)  # the loop, stacked at b = 5
+            loop_packets, loop_headers = compress_stack(stack, 64, q)
+        assert packets.tobytes() == loop_packets.tobytes() and headers == loop_headers
+
+
+@pytest.mark.parametrize("q", [2, 3, Q31])
 def test_blocked_elimination_stops_at_the_rank(q, monkeypatch):
     """A 256 x 256 rank-32 product has every pivot in its first panel; the
     seven panels after it hold none and are not eliminated."""
@@ -906,6 +948,34 @@ def test_stacked_elimination_matches_loop_item_by_item(q):
             expected, _ = field_mod._eliminate(alone, q, p)
             assert np.flatnonzero(pivots[i]).tolist() == expected
             assert np.array_equal(work[i], alone)
+
+
+@pytest.mark.parametrize("q", [2, 3, Q31, Q61])
+def test_rref_stack_matches_rref_item_by_item(q, monkeypatch):
+    """_rref_stack against _rref on each item, for stacks on both sides of
+    _STACK_MIN_ITEMS and of _BLOCKED_MIN_COLS: the same pivots and
+    reduced[:rank], from one _eliminate_stack exactly when there are enough
+    items narrower than _BLOCKED_MIN_COLS, else from _rref on each item.
+    The stack is left as it was."""
+    rng = np.random.default_rng(q % 991)
+    wide = field_mod._BLOCKED_MIN_COLS
+    calls = _spy_on_eliminations(monkeypatch)
+    for b in (0, 1, 4, 5, 13):
+        for m, n in ((4, wide - 1), (4, wide), (6, 7)):
+            stack = _mixed_rank_stack(rng, q, b, m, n)
+            before = stack.copy()
+            calls.clear()
+            reduced, pivots = field_mod._rref_stack(stack, q, n)
+            if b >= field_mod._STACK_MIN_ITEMS and n < wide:
+                assert calls == [("_eliminate_stack", (b, m, n))]
+            else:
+                assert calls == [("_rref", (m, n))] * b
+            assert reduced.shape == (b, m, n) and pivots.shape == (b, n) and pivots.dtype == bool
+            assert np.array_equal(stack, before)
+            for i in range(b):
+                expected, columns = field_mod._rref(stack[i], q, n)
+                assert np.flatnonzero(pivots[i]).tolist() == columns
+                assert np.array_equal(reduced[i, : len(columns)], expected[: len(columns)])
 
 
 @pytest.mark.parametrize("q", [2, 3, Q31, Q61])

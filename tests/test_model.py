@@ -189,11 +189,11 @@ def test_library_matrices_are_read_only_and_disjoint(s, r, n):
             assert not np.shares_memory(w.data, other.data)
 
 
-def _count_eliminations(monkeypatch) -> list:
-    """Record, for each elimination compress_product or compress_factors
-    runs, one item at a time or stacked, the memo open in the context."""
+def _count_compressions(monkeypatch) -> list:
+    """Record, for each compression compress_product or compress_factors
+    runs, from the factors or as a stack, the memo open in the context."""
     seen = []
-    for name in ("_compress_product", "_compress_factors", "_eliminate_stack"):
+    for name in ("compress_stack", "_compress_factors"):
         def counted(*args, original=getattr(compress, name)):
             seen.append(compress._memo.get())
             return original(*args)
@@ -211,7 +211,7 @@ def test_compression_memo_lives_for_one_run(q, monkeypatch):
     without the memo."""
     from matcache.schemes.row import RowConfig
 
-    seen = _count_eliminations(monkeypatch)
+    seen = _count_compressions(monkeypatch)
     for r in (6, 64):
         inst = ProblemInstance(K=4, N=20, s=12, r=r, field=FieldSpec(q), M=Fraction(10))
         before = len(seen)
@@ -260,7 +260,7 @@ def test_compression_memo_is_emptied_when_a_run_raises(broken, error, monkeypatc
     from matcache.schemes.agnostic import AgnosticConfig
 
     inst = ProblemInstance(K=2, N=4, s=4, r=2, M=Fraction(5, 2))
-    seen = _count_eliminations(monkeypatch)
+    seen = _count_compressions(monkeypatch)
     with pytest.raises(error):
         run_scheme(broken(get_scheme("agnostic")), inst, AgnosticConfig(t=1), 0)
     assert seen and seen[0] == {} and compress._memo.get() is None

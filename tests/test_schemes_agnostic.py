@@ -102,7 +102,7 @@ def test_place_compresses_every_product_in_one_stack(q, K, N, s, r, t, monkeypat
     from matcache.field import FieldSpec
 
     calls = []
-    for name in ("compress_stack", "_compress_product", "_compress_factors"):
+    for name in ("compress_stack", "_compress_factors"):
         def spy(*args, original=getattr(compress, name), name=name):
             calls.append((name, args[0].shape if name == "compress_stack" else None))
             return original(*args)

@@ -174,9 +174,9 @@ def test_thin_blocks_never_form_an_r_by_r_block_product(ell, monkeypatch):
         monkeypatch.setattr(module, "_matmul_mod", spy)
 
     def refuse(*args):
-        raise AssertionError("a thin block product went through compress_product")
+        raise AssertionError("a thin block product went through compress_stack")
 
-    monkeypatch.setattr(compress, "_compress_product", refuse)
+    monkeypatch.setattr(compress, "compress_stack", refuse)
     assert run_scheme("row", inst, RowConfig(ell=ell), seed=6).verified
     square = [(a, b) for a, b in shapes if a[0] == b[1] == inst.r]
     assert len(square) == inst.K
@@ -199,7 +199,7 @@ def test_decoders_run_no_elimination_deliver_ran(q, K, N, s, r, M, ell, monkeypa
 
     stage = ["place"]
     eliminations = {"place": 0, "deliver": 0, "decode": 0}
-    for name in ("_compress_product", "_compress_factors", "_eliminate_stack"):
+    for name in ("compress_stack", "_compress_factors"):
         def counted(*args, original=getattr(compress, name)):
             eliminations[stage[0]] += 1
             return original(*args)
